@@ -10,7 +10,7 @@ from negwit import torpedo as T
 def main():
     t0 = time.time()
     print("d_in,d_msg,classical")
-    for d_in, d_msg in ((2, 2), (2, 3), (3, 2), (3, 3)):
+    for d_in, d_msg in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4)):
         print(f"{d_in},{d_msg},{T.classical_value(d_in, d_msg)}")
     for d in (2, 3):
         game = T.TorpedoGame(d)

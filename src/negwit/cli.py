@@ -102,11 +102,10 @@ def cmd_cf(args) -> int:
             model = contextuality.EmpiricalModel.from_json(fh.read())
     else:
         raise ValueError("need --example or --model-file")
-    n, cf, _ = contextuality.ncf(model)
-    form = contextuality.bell_inequality(model)
+    n, _, form = contextuality._noncontextual_lp(model)
     payload = {
         "ncf": float(f"{n:.12g}"),
-        "cf": float(f"{cf:.12g}"),
+        "cf": float(f"{1.0 - n:.12g}"),
         "bell_form": {
             "coefficients": [float(f"{v:.12g}") for v in form.coefficients],
             "bound": form.bound,

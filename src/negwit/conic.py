@@ -339,25 +339,19 @@ def solve(
         # small mutual gap hides large multiplier-weighted infeasibility
         comp = abs(_blk_inner(blocks, Xb, Sb)) / (1.0 + abs(pobj) + abs(dobj))
         quality = max(relgap, rp_norm, rd_norm, comp)
-        if best is None or quality < best[0]:
+        # plain floats, so that info stays JSON-safe after extended solves
+        residuals = {
+            "rp": rp_norm, "rd": rd_norm, "relgap": float(relgap), "comp": float(comp)
+        }
+        converged = (
+            relgap <= tol and rp_norm <= tol and rd_norm <= tol and comp <= 10 * tol
+        )
+        if converged or best is None or quality < best[0]:
             best = (
-                quality,
-                [np.array(x) for x in Xb],
-                np.array(y),
-                pobj,
-                dobj,
-                {"rp": rp_norm, "rd": rd_norm, "relgap": relgap, "comp": comp},
+                quality, [np.array(x) for x in Xb], np.array(y), pobj, dobj, residuals
             )
-        if relgap <= tol and rp_norm <= tol and rd_norm <= tol and comp <= 10 * tol:
+        if converged:
             status = "optimal"
-            best = (
-                quality,
-                [np.array(x) for x in Xb],
-                np.array(y),
-                pobj,
-                dobj,
-                {"rp": rp_norm, "rd": rd_norm, "relgap": relgap, "comp": comp},
-            )
             break
         # crude divergence certificates
         if dobj < -1.0 / tol * data.norm_b and rd_norm < math.sqrt(tol):

@@ -20,6 +20,7 @@ from scipy.optimize import linprog
 
 GLOBAL_CAP = 10**6
 COMPAT_TOL = 1e-9
+NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,6 @@ class Scenario:
         for x in self.labels:
             out *= len(self.outcomes[x])
         return out
-
-    def global_assignments(self):
-        if self.n_global() > GLOBAL_CAP:
-            raise ValueError("global assignment space exceeds the cap")
-        for combo in itertools.product(*(self.outcomes[x] for x in self.labels)):
-            yield dict(zip(self.labels, combo))
 
     def row_index(self) -> list:
         """Flattened (context, section) row labels in a fixed order."""
@@ -155,69 +150,36 @@ def _marginal(scenario, tables, context, shared):
 
 
 def incidence(scenario: Scenario) -> np.ndarray:
-    """0/1 matrix: rows (context, section), columns global assignments."""
-    rows = scenario.row_index()
-    cols = list(scenario.global_assignments())
-    M = np.zeros((len(rows), len(cols)), dtype=np.int8)
-    for j, g in enumerate(cols):
-        for i, (c, s) in enumerate(rows):
-            if tuple(g[x] for x in c) == tuple(s):
-                M[i, j] = 1
+    """0/1 matrix: rows (context, section), columns global assignments.
+
+    Both follow the product order of the outcome tuples, so a global
+    assignment's row in each context is the mixed-radix index of its
+    outcome positions on that context's labels.
+    """
+    if scenario.n_global() > GLOBAL_CAP:
+        raise ValueError("global assignment space exceeds the cap")
+    labels = scenario.labels
+    sizes = {x: len(scenario.outcomes[x]) for x in labels}
+    # at[x][g]: the position in outcomes[x] of global assignment g's outcome
+    at = dict(zip(labels, np.indices(tuple(sizes.values())).reshape(len(labels), -1)))
+    columns = np.arange(scenario.n_global())
+    n_rows = sum(math.prod(sizes[x] for x in c) for c in scenario.contexts)
+    M = np.zeros((n_rows, columns.size), dtype=np.int8)
+    start = 0
+    for c in scenario.contexts:
+        dims = tuple(sizes[x] for x in c)
+        M[start + np.ravel_multi_index([at[x] for x in c], dims), columns] = 1
+        start += math.prod(dims)
     return M
 
 
-def ncf(model: EmpiricalModel):
-    """Noncontextual fraction by LP; returns (ncf, cf, subdistribution b)."""
-    M = incidence(model.scenario).astype(float)
-    v = model.vector()
-    ncols = M.shape[1]
-    res = linprog(
-        c=-np.ones(ncols),
-        A_ub=M,
-        b_ub=v,
-        bounds=[(0, None)] * ncols,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"noncontextual-fraction LP failed: {res.message}")
-    value = min(max(float(-res.fun), 0.0), 1.0) + 0.0  # normalise -0.0
-    return value, 1.0 - value, np.maximum(res.x, 0.0)
+def _noncontextual_lp(model: EmpiricalModel):
+    """Solve the noncontextual-fraction LP once: (ncf, subdistribution b,
+    dual-optimal Bell form).
 
-
-@dataclass(frozen=True)
-class BellForm:
-    """Generalised Bell functional with bound R; a . v <= R classically."""
-
-    scenario: Scenario
-    coefficients: np.ndarray
-    bound: float = 0.0
-
-    def norm(self) -> float:
-        rows = self.scenario.row_index()
-        total = 0.0
-        start = 0
-        for c in self.scenario.contexts:
-            k = len(self.scenario.sections(c))
-            total += float(np.max(self.coefficients[start : start + k]))
-            start += k
-        return total
-
-    def value(self, model: EmpiricalModel) -> float:
-        return float(self.coefficients @ model.vector())
-
-    def normalised_violation(self, model: EmpiricalModel) -> float:
-        denom = self.norm() - self.bound
-        if denom <= 0:
-            return 0.0
-        return max(0.0, self.value(model) - self.bound) / denom
-
-
-def bell_inequality(model: EmpiricalModel) -> BellForm:
-    """Dual-optimal Bell form with bound 0 and maximal normalised violation.
-
-    Built from the duals of the noncontextual-fraction LP by the standard
-    shift a = 1/|contexts| - y, so that M^T a <= 0 columnwise and the
-    normalised violation equals the contextual fraction.
+    The Bell form comes from the duals y >= 0 by the standard shift
+    a = 1/|contexts| - y, so that M^T a <= 0 columnwise and its normalised
+    violation equals the contextual fraction.
     """
     M = incidence(model.scenario).astype(float)
     v = model.vector()
@@ -231,9 +193,49 @@ def bell_inequality(model: EmpiricalModel) -> BellForm:
     )
     if not res.success:
         raise RuntimeError(f"noncontextual-fraction LP failed: {res.message}")
+    value = min(max(float(-res.fun), 0.0), 1.0) + 0.0  # normalise -0.0
     y = -np.array(res.ineqlin.marginals)  # optimal duals, >= 0
     a = np.full(len(v), 1.0 / len(model.scenario.contexts)) - y
-    return BellForm(scenario=model.scenario, coefficients=a, bound=0.0)
+    form = BellForm(scenario=model.scenario, coefficients=a, bound=0.0)
+    return value, np.maximum(res.x, 0.0), form
+
+
+def ncf(model: EmpiricalModel):
+    """Noncontextual fraction by LP; returns (ncf, cf, subdistribution b)."""
+    value, b, _ = _noncontextual_lp(model)
+    return value, 1.0 - value, b
+
+
+@dataclass(frozen=True)
+class BellForm:
+    """Generalised Bell functional with bound R; a . v <= R classically."""
+
+    scenario: Scenario
+    coefficients: np.ndarray
+    bound: float = 0.0
+
+    def norm(self) -> float:
+        total = 0.0
+        start = 0
+        for c in self.scenario.contexts:
+            k = len(self.scenario.sections(c))
+            total += float(np.max(self.coefficients[start : start + k]))
+            start += k
+        return total
+
+    def value(self, model: EmpiricalModel) -> float:
+        return float(self.coefficients @ model.vector())
+
+    def normalised_violation(self, model: EmpiricalModel) -> float:
+        denom = self.norm() - self.bound
+        if denom <= NORM_TOL:  # the zero form, up to roundoff
+            return 0.0
+        return max(0.0, self.value(model) - self.bound) / denom
+
+
+def bell_inequality(model: EmpiricalModel) -> BellForm:
+    """Dual-optimal Bell form with bound 0 and maximal normalised violation."""
+    return _noncontextual_lp(model)[2]
 
 
 def bin_outcomes(model: EmpiricalModel, maps: dict) -> EmpiricalModel:

@@ -2,15 +2,18 @@
 
 A (2,1)_d game: the referee hands Alice inputs (x, z) in Z_d^2, Bob a
 question q; Bob answers c and wins when c avoids the unique line through
-(x, z) of slope q.  Exhaustive search over deterministic encodings (with
-the per-encoding optimal decoding in closed form) gives exact classical
-values; quantum strategies are evaluated by the Born rule against the MUB
-measurements; the bounded-memory noncontextual fraction is a linear
-program over deterministic strategy columns, generated lazily for d = 3.
+(x, z) of slope q.  One vectorised kernel scores batches of encoding grids,
+each under its closed-form optimal decoding.  With the win counts as
+weights, over every grid up to message relabelling, it gives exact
+classical values; quantum strategies are evaluated by the Born rule against
+the MUB measurements; the bounded-memory noncontextual fraction is a linear
+program over deterministic strategy columns, generated lazily for d = 3 by
+the same kernel with the LP duals as weights.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -24,6 +27,7 @@ from .qudit import displacement_dv, displacement_q2, mub_projectors, phase_point
 
 ENCODING_CAP = 10**7
 COLUMN_CAP = 10**5
+SEARCH_BATCH = 1024  # random grids scored per kernel call
 
 
 @dataclass(frozen=True)
@@ -257,76 +261,92 @@ def key_fact_residual(d: int, x: int, z: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the scoring kernel
+# ---------------------------------------------------------------------------
+
+
+def _score(onehot: np.ndarray, weights: np.ndarray):
+    """Score a batch of encoding grids, each under its best decoding.
+
+    onehot[g, k, j] is 1 when grid g sends cell k as message j, and
+    weights[k, q, c] is what answer c to question q earns at cell k.
+    Returns (values, decodings): values[g] is the sum over messages j and
+    questions q of the largest total weight, over answers c, of the cells
+    sent as j; decodings[g, j, q] is the first answer attaining it.
+    """
+    # einsum, not a BLAS product: threaded BLAS is slower on these thin shapes
+    scores = np.einsum("gkj,kqc->gjqc", onehot, weights)
+    return scores.max(axis=3).sum(axis=(1, 2)), scores.argmax(axis=3)
+
+
+@functools.cache
+def _canonical_grids(cells: int, d_msg: int) -> np.ndarray:
+    """Every encoding grid up to message relabelling, one-hot and read-only.
+
+    A grid's score does not change when its messages are relabelled, so one
+    grid per class is enough: the restricted-growth string, in which each
+    cell's message is at most one more than the largest message of the cells
+    before it.  It is the lexicographically first grid of its class, and the
+    classes are listed in lexicographic order, so the first maximiser here
+    is the first maximiser over all d_msg ** cells grids.
+    """
+    labels = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(cells - 1):
+        counts = np.minimum(labels.max(axis=1) + 2, d_msg)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        labels = np.column_stack(
+            [np.repeat(labels, counts, axis=0), np.arange(starts.size) - starts]
+        )
+    onehot = np.eye(d_msg, dtype=np.int8)[labels]
+    onehot.flags.writeable = False
+    return onehot
+
+
+def _win_weights(game: TorpedoGame) -> np.ndarray:
+    """weights[k, q, c] = 1 when answer c to question q wins at cell k = (x, z)."""
+    d = game.d
+    weights = np.ones((d * d, len(game.questions), d), dtype=np.int64)
+    for k in range(d * d):
+        x, z = divmod(k, d)
+        for qi, q in enumerate(game.questions):
+            weights[k, qi, game.forbidden(q, x, z)] = 0
+    return weights
+
+
+def _strategy(game: TorpedoGame, d_msg: int, onehot, decodings) -> ClassicalStrategy:
+    """The deterministic strategy of one scored grid and its decodings."""
+    d = game.d
+    grid = {divmod(k, d): int(j) for k, j in enumerate(onehot.argmax(axis=1))}
+    maps = {q: [int(c) for c in decodings[:, i]] for i, q in enumerate(game.questions)}
+    return ClassicalStrategy.deterministic(d, d_msg, grid, maps)
+
+
+# ---------------------------------------------------------------------------
 # classical values
 # ---------------------------------------------------------------------------
 
 
-def _win_masks(game: TorpedoGame):
-    """For each (q, c): boolean grid over (x, z) where c wins."""
-    d = game.d
-    masks = {}
-    for q in game.questions:
-        for c in range(d):
-            g = np.zeros((d, d), dtype=bool)
-            for x in range(d):
-                for z in range(d):
-                    g[x, z] = c != game.forbidden(q, x, z)
-            masks[(q, c)] = g
-    return masks
+def _exhaustive(d_in: int, d_msg: int):
+    """Win counts of every canonical grid: (game, grids, values, decodings)."""
+    if d_msg ** (d_in * d_in) > ENCODING_CAP:
+        raise ValueError("encoding space exceeds the exhaustive-search cap")
+    game = TorpedoGame(d_in)
+    grids = _canonical_grids(d_in * d_in, d_msg)
+    return (game, grids, *_score(grids, _win_weights(game)))
 
 
 def classical_value(d_in: int, d_msg: int) -> Fraction:
     """Exact optimum over deterministic strategies by exhaustive encoding
     search with the closed-form optimal decoding per encoding."""
-    if d_msg ** (d_in * d_in) > ENCODING_CAP:
-        raise ValueError("encoding space exceeds the exhaustive-search cap")
-    game = TorpedoGame(d_in)
-    masks = _win_masks(game)
-    nq = len(game.questions)
-    cells = [(x, z) for x in range(d_in) for z in range(d_in)]
-    best = 0
-    for grid in itertools.product(range(d_msg), repeat=d_in * d_in):
-        assign = {cell: grid[i] for i, cell in enumerate(cells)}
-        score = 0
-        for j in range(d_msg):
-            members = [cell for cell in cells if assign[cell] == j]
-            if not members:
-                continue
-            for q in game.questions:
-                score += max(
-                    sum(1 for cell in members if masks[(q, c)][cell])
-                    for c in range(d_in)
-                )
-        if score > best:
-            best = score
-    return Fraction(best, d_in * d_in * nq)
+    game, _, values, _ = _exhaustive(d_in, d_msg)
+    return Fraction(int(values.max()), d_in * d_in * len(game.questions))
 
 
 def best_classical_strategy(d_in: int, d_msg: int) -> ClassicalStrategy:
-    """One optimal deterministic strategy found by the exhaustive search."""
-    game = TorpedoGame(d_in)
-    masks = _win_masks(game)
-    cells = [(x, z) for x in range(d_in) for z in range(d_in)]
-    best, best_grid, best_dec = -1, None, None
-    for grid in itertools.product(range(d_msg), repeat=d_in * d_in):
-        assign = {cell: grid[i] for i, cell in enumerate(cells)}
-        score = 0
-        dec = {q: [0] * d_msg for q in game.questions}
-        for j in range(d_msg):
-            members = [cell for cell in cells if assign[cell] == j]
-            for q in game.questions:
-                wins, c_best = max(
-                    (
-                        (sum(1 for cell in members if masks[(q, c)][cell]), c)
-                        for c in range(d_in)
-                    ),
-                    key=lambda t: t[0],
-                )
-                score += wins
-                dec[q][j] = c_best
-        if score > best:
-            best, best_grid, best_dec = score, dict(assign), dec
-    return ClassicalStrategy.deterministic(d_in, d_msg, best_grid, best_dec)
+    """The lexicographically first optimal deterministic strategy."""
+    game, grids, values, decodings = _exhaustive(d_in, d_msg)
+    g = int(values.argmax())
+    return _strategy(game, d_msg, grids[g], decodings[g])
 
 
 def random_strategy_search(
@@ -341,29 +361,17 @@ def random_strategy_search(
     """
     rng = np.random.default_rng(seed)
     game = TorpedoGame(d_in)
-    masks = _win_masks(game)
-    cells = [(x, z) for x in range(d_in) for z in range(d_in)]
+    weights = _win_weights(game)
+    cells, rounds = d_in * d_in, d_in * d_in * len(game.questions)
     best, best_strat = Fraction(0), None
-    for _ in range(trials):
-        grid = {cell: int(rng.integers(d_msg)) for cell in cells}
-        score = 0
-        dec = {q: [0] * d_msg for q in game.questions}
-        for j in range(d_msg):
-            members = [cell for cell in cells if grid[cell] == j]
-            for q in game.questions:
-                wins, c_best = max(
-                    (
-                        (sum(1 for cell in members if masks[(q, c)][cell]), c)
-                        for c in range(d_in)
-                    ),
-                    key=lambda t: t[0],
-                )
-                score += wins
-                dec[q][j] = c_best
-        val = Fraction(score, d_in * d_in * len(game.questions))
-        if val > best:
-            best = val
-            best_strat = ClassicalStrategy.deterministic(d_in, d_msg, dict(grid), dec)
+    for start in range(0, trials, SEARCH_BATCH):
+        labels = rng.integers(d_msg, size=(min(SEARCH_BATCH, trials - start), cells))
+        grids = np.eye(d_msg, dtype=np.int8)[labels]
+        values, decodings = _score(grids, weights)
+        g = int(values.argmax())
+        value = Fraction(int(values[g]), rounds)
+        if value > best:
+            best, best_strat = value, _strategy(game, d_msg, grids[g], decodings[g])
             if best == 1:
                 break
     return best, best_strat
@@ -497,64 +505,28 @@ def bounded_memory_ncf(behaviour: dict, d: int) -> float:
     if d != 3:
         raise ValueError("bounded-memory NCF implemented for d = 2 and 3")
 
-    cells = [(x, z) for x in range(d) for z in range(d)]
-    grids = list(itertools.product(range(d), repeat=d * d))
-    nq = len(game.questions)
+    grids = _canonical_grids(d * d, d)
+    shape = (d * d, len(game.questions), d)
 
     def price(duals: np.ndarray):
-        """Best column value sum(y * e^S) over all strategies S."""
-        # duals indexed like target; reshape to [cell, q, c]
-        y = duals.reshape(len(keys), d)
-        ymap = {k: y[i] for i, k in enumerate(keys)}
-        best_val, best_col = -np.inf, None
-        for grid in grids:
-            val = 0.0
-            choice = {}
-            for qi, q in enumerate(game.questions):
-                for j in range(d):
-                    members = [
-                        cells[i] for i, g in enumerate(grid) if g == j
-                    ]
-                    scores = [
-                        sum(ymap[(x, z, q)][c] for (x, z) in members)
-                        for c in range(d)
-                    ]
-                    c_best = int(np.argmax(scores))
-                    val += scores[c_best]
-                    choice[(q, j)] = c_best
-            if val > best_val:
-                best_val, best_col = val, (grid, choice)
-        return best_val, best_col
-
-    def col_from(gridchoice) -> dict:
-        grid, choice = gridchoice
-        col = {}
-        for i, cell in enumerate(cells):
-            j = grid[i]
-            for q in game.questions:
-                col[(cell[0], cell[1], q)] = choice[(q, j)]
-        return col
+        """Best column value sum(y * e^S) over all strategies S, and e^S."""
+        values, decodings = _score(grids, duals.reshape(shape))
+        g = int(values.argmax())
+        answers = decodings[g][grids[g].argmax(axis=1)]  # [cell, q]
+        column = np.zeros(shape)
+        np.put_along_axis(column, answers[..., None], 1.0, axis=2)
+        return float(values[g]), column.reshape(-1)
 
     # start from the behaviour-greedy column (duals = target)
-    _, seed = price(target)
-    columns = [col_from(seed)]
-    mat = [ _column_vector(columns[0], keys, d) ]
-    while len(columns) <= COLUMN_CAP:
+    mat = [price(target)[1]]
+    while len(mat) <= COLUMN_CAP:
         res = _master_lp(np.array(mat), target)
         duals = -np.array(res.ineqlin.marginals)  # >= 0 for <= constraints
-        best_val, best_col = price(duals)
-        # reduced cost of a new column: 1 - duals . e^S
-        if best_val >= 1.0 - 1e-10:
-            cand = col_from(best_col)
-            vec = _column_vector(cand, keys, d)
-            if any(np.array_equal(vec, m) for m in mat):
-                return max(0.0, float(-res.fun)) + 0.0
-            if best_val <= 1.0 + 1e-10:
-                return max(0.0, float(-res.fun)) + 0.0
-            mat.append(vec)
-            columns.append(cand)
-        else:
+        best_val, column = price(duals)
+        # a new column enters only at reduced cost 1 - duals . e^S < 0
+        if best_val <= 1.0 + 1e-10 or any(np.array_equal(column, m) for m in mat):
             return max(0.0, float(-res.fun)) + 0.0
+        mat.append(column)
     raise RuntimeError("column generation did not converge within the cap")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -159,3 +160,46 @@ def test_json_round_trip():
     model = C.example_model("chsh")
     again = C.EmpiricalModel.from_json(model.to_json())
     assert C.ncf(again)[1] == pytest.approx(C.ncf(model)[1], abs=1e-12)
+
+
+def _reference_incidence(scenario):
+    """The incidence matrix by comparing every section with every assignment."""
+    rows = scenario.row_index()
+    cols = list(itertools.product(*(scenario.outcomes[x] for x in scenario.labels)))
+    M = np.zeros((len(rows), len(cols)), dtype=np.int8)
+    for j, combo in enumerate(cols):
+        g = dict(zip(scenario.labels, combo))
+        for i, (c, s) in enumerate(rows):
+            M[i, j] = tuple(g[x] for x in c) == tuple(s)
+    return M
+
+
+def test_incidence_matches_reference():
+    rng = np.random.default_rng(3)
+    scenarios = [
+        C.bell_scenario_222(),
+        C.Scenario(("p", "q"), (("q", "p"),), {"p": ("b", "a", "c"), "q": (1, 0)}),
+    ]
+    for _ in range(8):
+        model = C.random_compatible_model(
+            rng, int(rng.integers(3, 7)), int(rng.integers(2, 4))
+        )
+        maps = {
+            x: {o: int(rng.integers(2)) for o in model.scenario.outcomes[x]}
+            for x in model.scenario.labels
+        }
+        scenarios += [model.scenario, C.bin_outcomes(model, maps).scenario]
+    for sc in scenarios:
+        M = C.incidence(sc)
+        assert M.dtype == np.int8
+        assert np.array_equal(M, _reference_incidence(sc))
+
+
+def test_zero_bell_form_reports_no_violation():
+    # a noncontextual model whose dual form is zero only up to roundoff
+    model = C.random_compatible_model(np.random.default_rng(158), 5, 3)
+    _, cf, _ = C.ncf(model)
+    assert cf == pytest.approx(0.0, abs=1e-9)
+    form = C.bell_inequality(model)
+    assert abs(form.norm()) < 1e-9
+    assert form.normalised_violation(model) == 0.0

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -206,3 +209,130 @@ def test_random_strategy_search_verifier():
     assert T.evaluate_classical(strat) == v
     v4, _ = T.random_strategy_search(4, 4, trials=600, seed=3)
     assert v4 <= 1
+
+
+# ---------------------------------------------------------------------------
+# the scoring kernel against plain loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_best(weights):
+    """Best score over every grid, each under its greedy decoding, by loops."""
+    cells, nq, d = weights.shape
+    w = weights.tolist()
+    best = -math.inf
+    for grid in itertools.product(range(d), repeat=cells):
+        total = 0.0
+        for j in range(d):
+            members = [k for k in range(cells) if grid[k] == j]
+            for q in range(nq):
+                total += max(sum(w[k][q][c] for k in members) for c in range(d))
+        best = max(best, total)
+    return best
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+@settings(max_examples=4, deadline=None)
+def test_kernel_matches_all_grids_on_random_duals(seed, ties):
+    # the restricted-growth grids reach the best of all 3^9 grids
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, 3, size=(9, 4, 3)) if ties else rng.random((9, 4, 3))
+    values, _ = T._score(T._canonical_grids(9, 3), weights.astype(float))
+    assert values.max() == pytest.approx(_reference_best(weights), abs=1e-12)
+
+
+def test_canonical_grids_are_restricted_growth_strings():
+    grids = T._canonical_grids(9, 3)
+    assert grids.shape == (3281, 9, 3)  # Stirling numbers S(9,1)+S(9,2)+S(9,3)
+    assert T._canonical_grids(9, 3) is grids
+    assert not grids.flags.writeable
+    labels = grids.argmax(axis=2)
+    assert np.array_equal(grids.sum(axis=2), np.ones((3281, 9)))
+    prefix_max = np.maximum.accumulate(labels, axis=1)
+    assert np.all(labels[:, 0] == 0)
+    assert np.all(labels[:, 1:] <= prefix_max[:, :-1] + 1)
+    keys = [tuple(row) for row in labels.tolist()]
+    assert keys == sorted(set(keys))  # distinct, in lexicographic order
+    assert T._canonical_grids(9, 4).shape[0] == 3281 + 7770
+
+
+def test_classical_value_3_4_exhaustive():
+    assert T.classical_value(3, 4) == Fraction(35, 36)
+
+
+def test_best_strategy_is_first_lexicographic_maximiser():
+    strat = T.best_classical_strategy(3, 3)
+    assert T.evaluate_classical(strat) == Fraction(11, 12)
+    labels = (0, 0, 0, 0, 0, 1, 1, 2, 2)
+    grid = {(k // 3, k % 3): j for k, j in enumerate(labels)}
+    maps = {"inf": (2, 0, 0), 0: (1, 2, 0), 1: (2, 0, 2), 2: (0, 2, 1)}
+    assert strat == T.ClassicalStrategy.deterministic(3, 3, grid, maps)
+    # at d = 2 the first maximiser over all 2^4 grids, found by plain loops
+    game = T.TorpedoGame(2)
+    cells = [(x, z) for x in range(2) for z in range(2)]
+    best, first = -1, None
+    for grid in itertools.product(range(2), repeat=4):
+        score = sum(
+            max(
+                sum(c in game.winning(q, *cell) for cell, j in zip(cells, grid) if j == m)
+                for c in range(2)
+            )
+            for m in range(2)
+            for q in game.questions
+        )
+        if score > best:
+            best, first = score, grid
+    chosen = T.best_classical_strategy(2, 2)
+    assert tuple(chosen.encoding[cell].index(1) for cell in cells) == first
+
+
+def _reference_search(d_in, d_msg, trials, seed):
+    """The search with one draw per cell and the win counts taken by loops."""
+    rng = np.random.default_rng(seed)
+    game = T.TorpedoGame(d_in)
+    cells = [(x, z) for x in range(d_in) for z in range(d_in)]
+    best, best_grid = -1, None
+    for _ in range(trials):
+        grid = {cell: int(rng.integers(d_msg)) for cell in cells}
+        score = sum(
+            max(
+                sum(c in game.winning(q, *cell) for cell in cells if grid[cell] == j)
+                for c in range(d_in)
+            )
+            for j in range(d_msg)
+            for q in game.questions
+        )
+        if score > best:
+            best, best_grid = score, grid
+    return Fraction(best, len(cells) * len(game.questions)), best_grid
+
+
+@pytest.mark.parametrize("d_in,d_msg,trials,seed", [(3, 3, 200, 1), (4, 2, 1500, 11)])
+def test_random_search_keeps_the_seeded_sequence(d_in, d_msg, trials, seed):
+    value, strat = T.random_strategy_search(d_in, d_msg, trials=trials, seed=seed)
+    ref_value, ref_grid = _reference_search(d_in, d_msg, trials, seed)
+    assert value == ref_value == T.evaluate_classical(strat)
+    assert {cell: dist.index(1) for cell, dist in strat.encoding.items()} == ref_grid
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_classical_value_memory_flat():
+    # the grid table is built once, so repeated calls keep the peak RSS flat;
+    # a child's ru_maxrss starts at its parent's, so read its own VmHWM
+    code = (
+        "from negwit import torpedo as T\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+        "T.classical_value(3, 3)\n"
+        "before = peak_kb()\n"
+        "for _ in range(30):\n"
+        "    T.classical_value(3, 3)\n"
+        "print(peak_kb() - before)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(T.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert int(out.stdout) < 512  # kilobytes

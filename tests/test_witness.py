@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -178,6 +179,15 @@ def test_threshold_bounds_sweep_mechanics():
     lo, up = W.final_bounds(rows)
     assert abs(lo - 0.5) < 1e-6
     assert up <= ups[0]
+
+
+def test_threshold_detail_is_json_safe():
+    # level 11 retries its lower side in extended precision
+    rows = W.threshold_bounds(W.WitnessSpec.fock(3), m_max=11, m_min=11)
+    detail = rows[0].detail
+    assert json.loads(json.dumps(detail))["lower_quality"] == detail["lower_quality"]
+    assert type(detail["lower_quality"]) is float
+    assert type(detail["upper_quality"]) is float
 
 
 def test_weighted_witness_below_announced_cap():
