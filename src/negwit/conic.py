@@ -21,6 +21,7 @@ is what rescues the deep hierarchy levels where binary64 stalls.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
@@ -157,10 +158,50 @@ def _chol_blocked(a: np.ndarray, blk: int = 64):
     return L
 
 
+# float64 LAPACK routines, called directly: the scipy.linalg wrappers cost
+# more than the arithmetic on blocks this small.  Arguments mirror what
+# sla.solve_triangular and sla.eigh(eigvals_only=True) pass, so the results
+# are the same bits.
+_trtrs, _syevr, _syevr_lwork = sla.get_lapack_funcs(
+    ("trtrs", "syevr", "syevr_lwork"), (np.empty(0),)
+)
+
+
+def _trsolve(a: np.ndarray, b: np.ndarray, lower: bool):
+    # LAPACK wants Fortran order; a C-ordered a is the transposed system
+    if a.flags.f_contiguous:
+        x, info = _trtrs(a, b, lower=lower, trans=0)
+    else:
+        x, info = _trtrs(a.T, b, lower=not lower, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
+    return x
+
+
+@functools.cache
+def _syevr_work(n: int):
+    work, iwork, info = _syevr_lwork(n, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"syevr workspace query failed (info={info})")
+    return int(work), int(iwork)
+
+
+def _min_eigenvalue(a: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric float64 matrix a."""
+    n = a.shape[0]
+    if n == 1:  # syevr returns the entry itself when N = 1
+        return float(a[0, 0])
+    lwork, liwork = _syevr_work(n)
+    w, _, _, _, info = _syevr(a, compute_v=0, lower=1, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"syevr failed (info={info})")
+    return float(w[0])
+
+
 def _solve_lower(L: np.ndarray, b: np.ndarray):
     """Solve L x = b, L lower triangular; b may be a matrix."""
     if L.dtype == np.float64 and b.dtype == np.float64:
-        return sla.solve_triangular(L, b, lower=True, check_finite=False)
+        return _trsolve(L, b, lower=True)
     n = L.shape[0]
     x = np.array(b, copy=True)
     for i in range(n):
@@ -172,7 +213,7 @@ def _solve_lower(L: np.ndarray, b: np.ndarray):
 
 def _solve_upper(U: np.ndarray, b: np.ndarray):
     if U.dtype == np.float64 and b.dtype == np.float64:
-        return sla.solve_triangular(U, b, lower=False, check_finite=False)
+        return _trsolve(U, b, lower=False)
     n = U.shape[0]
     x = np.array(b, copy=True)
     for i in range(n - 1, -1, -1):
@@ -184,12 +225,6 @@ def _solve_upper(U: np.ndarray, b: np.ndarray):
 
 def _chol_solve(L: np.ndarray, b: np.ndarray):
     return _solve_upper(L.T, _solve_lower(L, b))
-
-
-def _inv_from_chol(L: np.ndarray):
-    n = L.shape[0]
-    eye = np.eye(n, dtype=L.dtype)
-    return _chol_solve(L, eye)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +242,7 @@ class _BlockData:
         self.b = np.array([rhs for _, rhs in problem.constraints], dtype=dtype)
         self.C = []
         self.Bstack = []
+        self.Bflat = []  # (m, n*n) views of the PSD stacks; diagonal stacks as is
         for bi, size in enumerate(problem.blocks):
             n = abs(size)
             cb = np.asarray(problem.objective[bi], dtype=dtype)
@@ -218,6 +254,12 @@ class _BlockData:
                 stack[ci] = np.asarray(mats[bi], dtype=dtype)
             self.C.append(cb)
             self.Bstack.append(stack)
+            self.Bflat.append(stack.reshape(m, -1))
+        # read-only identities for the Schur jitter, S^{-1} and the centring term
+        self.eye = {}
+        for n in {m, *(b for b in problem.blocks if b > 0)}:
+            self.eye[n] = np.eye(n, dtype=dtype)
+            self.eye[n].setflags(write=False)
         self.norm_b = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
         self.norm_C = max(
             1.0, max(float(np.max(np.abs(c))) if c.size else 0.0 for c in self.C)
@@ -226,21 +268,20 @@ class _BlockData:
     def apply_A(self, Xb) -> np.ndarray:
         """Vector of <B_i, X>."""
         out = np.zeros(len(self.b), dtype=self.dtype)
-        for size, stack, x in zip(self.blocks, self.Bstack, Xb):
-            if size > 0:
-                out += stack.reshape(len(self.b), -1) @ x.reshape(-1)
-            else:
-                out += stack @ x
+        for flat, x in zip(self.Bflat, Xb):
+            out += flat @ x.reshape(-1)
         return out
 
     def apply_At(self, y) -> list:
         """Block matrix sum_i y_i B_i."""
         out = []
-        for size, stack in zip(self.blocks, self.Bstack):
+        row = y.reshape(1, -1)
+        for size, flat in zip(self.blocks, self.Bflat):
             if size > 0:
-                out.append(np.tensordot(y, stack, axes=(0, 0)))
+                # the product np.tensordot(y, stack, axes=(0, 0)) performs
+                out.append(np.dot(row, flat).reshape(size, size))
             else:
-                out.append(y @ stack)
+                out.append(y @ flat)
         return out
 
 
@@ -268,8 +309,7 @@ def _max_step(blocks, Xb, dXb, chols):
         if size > 0:
             K = _solve_lower(L, _solve_lower(L, dx).T)
             Kd = np.asarray(K, dtype=np.float64)
-            Kd = (Kd + Kd.T) / 2.0
-            lam = float(sla.eigh(Kd, eigvals_only=True, check_finite=False)[0])
+            lam = _min_eigenvalue((Kd + Kd.T) / 2.0)
             if lam < -1e-300:
                 alpha = min(alpha, -1.0 / lam)
         else:
@@ -284,6 +324,20 @@ def _psd_ok(blocks, Xb):
         return [_chol(x) if size > 0 else _diag_chol(x) for size, x in zip(blocks, Xb)]
     except np.linalg.LinAlgError:
         return None
+
+
+def _interior_step(blocks, Vb, dVb, alpha, dtype):
+    """Backtrack alpha until V + alpha dV factors; the step, its factors, alpha.
+
+    The factors are None when 60 reductions do not reach an interior point.
+    """
+    for _ in range(60):
+        trial = [v + dtype(alpha) * d for v, d in zip(Vb, dVb)]
+        chols = _psd_ok(blocks, trial)
+        if chols is not None:
+            return trial, chols, alpha
+        alpha *= 0.8
+    return [v + dtype(alpha) * d for v, d in zip(Vb, dVb)], None, alpha
 
 
 def _diag_chol(x):
@@ -323,6 +377,7 @@ def solve(
 
     best = None
     stalls = 0
+    Lx = Ls = None  # factors of Xb and Sb, when the last step already made them
     status: Status = "numerical_limit"
     it = 0
     for it in range(1, max_iterations + 1):
@@ -361,28 +416,29 @@ def solve(
             status = "dual_infeasible"
             break
 
-        Lx = _psd_ok(blocks, Xb)
-        Ls = _psd_ok(blocks, Sb)
+        if Lx is None:
+            Lx = _psd_ok(blocks, Xb)
+        if Ls is None:
+            Ls = _psd_ok(blocks, Sb)
         if Lx is None or Ls is None:
             status = "numerical_limit"
             break
         Sinv = [
-            _inv_from_chol(L) if size > 0 else 1.0 / s
+            _chol_solve(L, data.eye[size]) if size > 0 else 1.0 / s
             for size, s, L in zip(blocks, Sb, Ls)
         ]
 
         # Schur complement H_ij = sum_blocks Tr(B_i X B_j S^{-1})
         H = np.zeros((m, m), dtype=dtype)
-        Tstacks = []
-        for size, stack, x, si in zip(blocks, data.Bstack, Xb, Sinv):
+        for size, stack, flat, x, si in zip(
+            blocks, data.Bstack, data.Bflat, Xb, Sinv
+        ):
             if size > 0:
                 T = np.matmul(np.matmul(x, stack), si)
-                H += stack.reshape(m, -1) @ T.reshape(m, -1).T
-                Tstacks.append(T)
+                H += flat @ T.reshape(m, -1).T
             else:
                 w = x * si
                 H += (stack * w) @ stack.T
-                Tstacks.append(None)
         H = (H + H.T) / 2.0
 
         Lh = None
@@ -390,7 +446,7 @@ def solve(
         base = float(np.max(np.abs(np.diagonal(H)))) or 1.0
         for attempt in range(8):
             try:
-                Lh = _chol(H + (jitter * base) * np.eye(m, dtype=dtype))
+                Lh = _chol(H + (jitter * base) * data.eye[m])
                 break
             except np.linalg.LinAlgError:
                 jitter = 1e-14 if jitter == 0.0 else jitter * 100.0
@@ -401,14 +457,14 @@ def solve(
         def rhs_for(Rc):
             # A(Rc S^{-1}) + A(X Rd S^{-1}) - rp
             vec = -rp.astype(dtype)
-            for size, stack, rc, rd, x, si in zip(
-                blocks, data.Bstack, Rc, Rd, Xb, Sinv
+            for size, flat, rc, rd, x, si in zip(
+                blocks, data.Bflat, Rc, Rd, Xb, Sinv
             ):
                 if size > 0:
                     Mx = (rc + x @ rd) @ si
-                    vec += stack.reshape(m, -1) @ Mx.reshape(-1)
+                    vec += flat @ Mx.reshape(-1)
                 else:
-                    vec += stack @ ((rc + x * rd) * si)
+                    vec += flat @ ((rc + x * rd) * si)
             return vec
 
         def schur_solve(rhs):
@@ -452,7 +508,7 @@ def solve(
         for size, x, s, dxa, dsa in zip(blocks, Xb, Sb, dX_a, dS_a):
             if size > 0:
                 Rc.append(
-                    dtype(sigma * mu) * np.eye(size, dtype=dtype) - x @ s - dxa @ dsa
+                    dtype(sigma * mu) * data.eye[size] - x @ s - dxa @ dsa
                 )
             else:
                 Rc.append(dtype(sigma * mu) - x * s - dxa * dsa)
@@ -461,16 +517,8 @@ def solve(
         ad = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(blocks, Sb, dS, Ls))
 
         # keep iterates safely interior
-        for _ in range(60):
-            trial = [x + dtype(ap) * d for x, d in zip(Xb, dX)]
-            if _psd_ok(blocks, trial) is not None:
-                break
-            ap *= 0.8
-        for _ in range(60):
-            trial = [s + dtype(ad) * d for s, d in zip(Sb, dS)]
-            if _psd_ok(blocks, trial) is not None:
-                break
-            ad *= 0.8
+        X_next, Lx, ap = _interior_step(blocks, Xb, dX, ap, dtype)
+        S_next, Ls, ad = _interior_step(blocks, Sb, dS, ad, dtype)
 
         if max(ap, ad) < 1e-10:
             stalls += 1
@@ -480,9 +528,9 @@ def solve(
         else:
             stalls = 0
 
-        Xb = [x + dtype(ap) * d for x, d in zip(Xb, dX)]
+        Xb = X_next
         y = y + dtype(ad) * dy
-        Sb = [s + dtype(ad) * d for s, d in zip(Sb, dS)]
+        Sb = S_next
     else:
         status = "numerical_limit"
 

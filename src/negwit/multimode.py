@@ -9,6 +9,7 @@ the same limits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,7 +88,7 @@ def iterate_indices(mode: str, level: int, modes: int) -> list:
     raise ValueError("mode must be 'triangle' or 'rectangle'")
 
 
-def _mi_pair_weight(scales, scale_mode, ki, kj) -> Fraction:
+def _mi_pair_weight(scales, ki, kj) -> Fraction:
     out = Fraction(1)
     for a, b in zip(ki, kj):
         out *= scales[a] * scales[b]
@@ -140,7 +141,7 @@ def _build_multi(
         if kind == "lower":
             entries = []
             for i, j in pairs:
-                pw = _mi_pair_weight(scales, scale, idx[i], idx[j])
+                pw = _mi_pair_weight(scales, idx[i], idx[j])
                 mult = 1 if i == j else 2
                 entries.append((0, (i, j), _sym_val(i, j, mult * pw)))
             if even:
@@ -151,7 +152,7 @@ def _build_multi(
             pb.add_constraint(entries, 0)
         else:  # upper: every matrix entry pinned
             for i, j in pairs:
-                pw = _mi_pair_weight(scales, scale, idx[i], idx[j])
+                pw = _mi_pair_weight(scales, idx[i], idx[j])
                 entries = [(0, (i, j), _sym_val(i, j, pw))]
                 if even:
                     l = tuple(v // 2 for v in r)
@@ -187,20 +188,20 @@ def build_upper_multi_compact(
     pos = {k: i for i, k in enumerate(idx)}
     nvar = len(idx)
     scales = _scales(level * modes + 1, scale)
-    G = []
-    for k in idx:
-        Gk = np.zeros((nvar, nvar))
-        for i, ki in enumerate(idx):
-            for j, kj in enumerate(idx):
-                r = tuple(a + b for a, b in zip(ki, kj))
-                if all(v % 2 == 0 for v in r):
-                    l = tuple(v // 2 for v in r)
-                    if mi_leq(k, l):
-                        Gk[i, j] = float(
-                            Fraction(_mi_moment_coeff(l, k))
-                            * _mi_pair_weight(scales, scale, ki, kj)
-                        )
-        G.append(Gk)
+    coeff = functools.cache(_mi_moment_coeff)  # once per (l, k)
+    # G[k][i, j] = coeff(l, k) * pair weight, for ki + kj = 2l and k <= l;
+    # every such k lies in idx
+    G = np.zeros((nvar, nvar, nvar))
+    for i, ki in enumerate(idx):
+        for j in range(i, nvar):
+            kj = idx[j]
+            r = tuple(a + b for a, b in zip(ki, kj))
+            if any(v % 2 for v in r):
+                continue
+            l = tuple(v // 2 for v in r)
+            pw = _mi_pair_weight(scales, ki, kj)
+            for k in itertools.product(*(range(v + 1) for v in l)):
+                G[pos[k], i, j] = G[pos[k], j, i] = float(coeff(l, k) * pw)
     w = np.zeros(nvar)
     for k, v in spec.a.items():
         if k in pos:

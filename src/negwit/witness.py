@@ -116,8 +116,6 @@ def _scales(m: int, mode: str):
     """
     if mode == "none":
         return [Fraction(1)] * (m + 1)
-    if mode == "factorial":
-        return [Fraction(1, math.factorial(u)) for u in range(m + 1)]
     if mode == "balanced":
         # 1/sqrt(u! 2^u): moment entries on antidiagonal 2l are ~2^l l!,
         # so the congruence keeps the matrix O(1)
@@ -125,14 +123,10 @@ def _scales(m: int, mode: str):
             Fraction(1.0 / math.sqrt(math.factorial(u) * 2.0**u))
             for u in range(m + 1)
         ]
-    if mode == "grow":
-        return [
-            Fraction(math.sqrt(math.factorial(u) * 2.0**u)) for u in range(m + 1)
-        ]
     raise ValueError(f"unknown scale mode {mode!r}")
 
 
-def _pair_weight(scales, mode: str, i: int, j: int) -> Fraction:
+def _pair_weight(scales, i: int, j: int) -> Fraction:
     return scales[i] * scales[j]
 
 
@@ -221,7 +215,7 @@ def build_lower(spec: WitnessSpec, m: int, scale: str = "none") -> conic.SdpProb
         for i in range(max(0, 2 * l - 1 - m), m + 1):
             j = 2 * l - 1 - i
             if 0 <= j <= m and i <= j:
-                pw = _pair_weight(scales, scale, i, j)
+                pw = _pair_weight(scales, i, j)
                 entries.append((0, (i, j), _sym_val(i, j, 2 * pw)))
         pb.add_constraint(entries, 0)
     for l in range(m + 1):
@@ -229,7 +223,7 @@ def build_lower(spec: WitnessSpec, m: int, scale: str = "none") -> conic.SdpProb
         for i in range(max(0, 2 * l - m), m + 1):
             j = 2 * l - i
             if 0 <= j <= m and i <= j:
-                pw = _pair_weight(scales, scale, i, j)
+                pw = _pair_weight(scales, i, j)
                 mult = 1 if i == j else 2
                 entries.append((0, (i, j), _sym_val(i, j, mult * pw)))
         for k in range(l, m + 1):
@@ -289,7 +283,7 @@ def build_upper(
             pb.add_constraint([(blk, key, _sym_val(*key, Fraction(1)))], 0)
             continue
         l = (i + j) // 2
-        pw = _pair_weight(scales, scale, i, j)
+        pw = _pair_weight(scales, i, j)
         blk, key = block_key(i, j)
         entries = [(blk, key, _sym_val(*key, pw))]
         for k in range(l + 1):
@@ -343,7 +337,7 @@ def _upper_gram(m: int, scale: str):
             for j in range(m + 1):
                 l, odd = divmod(i + j, 2)
                 if not odd and k <= l:
-                    Gk[i, j] = moment_coeff(l, k) * _pair_weight(scales, scale, i, j)
+                    Gk[i, j] = moment_coeff(l, k) * _pair_weight(scales, i, j)
         out.append((Gk,))
     return out
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from negwit import conic
+from negwit import multimode as MM
 from negwit import witness as W
 
 
@@ -169,3 +171,140 @@ def test_extended_precision_improves_deep_levels():
         precision="extended",
     )
     assert ext.info.get("comp", 1.0) <= max(dbl.info.get("comp", 1.0), 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the direct LAPACK kernels give the bits of the scipy.linalg wrappers
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and a.strides == b.strides
+        and a.tobytes() == b.tobytes()
+    )
+
+
+def _triangles(rng, n):
+    """A Cholesky factor and a general lower triangle, each in C and F order."""
+    g = rng.standard_normal((n, n))
+    chol = np.linalg.cholesky(g @ g.T + n * np.eye(n))
+    tri = np.tril(rng.standard_normal((n, n)))
+    np.fill_diagonal(tri, rng.uniform(0.1, 2.0, n) * rng.choice([-1.0, 1.0], n))
+    for L in (chol, tri):
+        yield L
+        yield np.asfortranarray(L)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_triangular_solves_match_scipy_bitwise(n):
+    rng = np.random.default_rng(100 + n)
+    rhs = (
+        rng.standard_normal(n),
+        rng.standard_normal((n, 3)),
+        np.asfortranarray(rng.standard_normal((n, 4))),
+    )
+    for L in _triangles(rng, n):
+        for b in rhs:
+            ref = sla.solve_triangular(L, b, lower=True, check_finite=False)
+            assert _same_bits(conic._solve_lower(L, b), ref)
+            # L.T is how _chol_solve passes the upper factor
+            for U in (L.T, np.ascontiguousarray(L.T)):
+                ref = sla.solve_triangular(U, b, lower=False, check_finite=False)
+                assert _same_bits(conic._solve_upper(U, b), ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_singular_triangle_raises(n):
+    L = np.tril(np.ones((n, n)))
+    L[n // 2, n // 2] = 0.0
+    b = np.ones(n)
+    with pytest.raises(np.linalg.LinAlgError):
+        sla.solve_triangular(L, b, lower=True, check_finite=False)
+    for a in (L, np.asfortranarray(L)):
+        with pytest.raises(np.linalg.LinAlgError):
+            conic._solve_lower(a, b)
+        with pytest.raises(np.linalg.LinAlgError):
+            conic._solve_upper(a.T, b)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_min_eigenvalue_matches_scipy_bitwise(n):
+    rng = np.random.default_rng(200 + n)
+    mats = []
+    for scale in (1e-150, 1.0, 1e150):
+        g = rng.standard_normal((n, n)) * scale
+        mats.append((g + g.T) / 2.0)
+    g = rng.standard_normal((n, n))
+    mats.append(g @ g.T)  # positive semidefinite, as the step-length matrices
+    for A in mats:
+        for a in (A, np.asfortranarray(A)):
+            ref = sla.eigh(a, eigvals_only=True, check_finite=False)[0]
+            assert np.float64(conic._min_eigenvalue(a)).tobytes() == ref.tobytes()
+
+
+def _through_scipy_wrappers(mp):
+    """Run the solver as before the direct kernels: scipy.linalg wrappers,
+    np.tensordot for A^T y, and fresh factors of every accepted iterate."""
+    mp.setattr(
+        conic,
+        "_trsolve",
+        lambda a, b, lower: sla.solve_triangular(a, b, lower=lower, check_finite=False),
+    )
+    mp.setattr(
+        conic,
+        "_min_eigenvalue",
+        lambda a: float(sla.eigh(a, eigvals_only=True, check_finite=False)[0]),
+    )
+
+    def apply_At(self, y):
+        return [
+            np.tensordot(y, stack, axes=(0, 0)) if size > 0 else y @ stack
+            for size, stack in zip(self.blocks, self.Bstack)
+        ]
+
+    mp.setattr(conic._BlockData, "apply_At", apply_At)
+    step = conic._interior_step
+
+    def refactor_step(*args):
+        iterate, _, alpha = step(*args)
+        return iterate, None, alpha
+
+    mp.setattr(conic, "_interior_step", refactor_step)
+
+
+SOLVER_CASES = {
+    "fock5-lower-dual-12-double": (
+        lambda: W.build_lower_dual(W.WitnessSpec.fock(5), 12, "balanced"), "double"
+    ),
+    "fock6-lower-dual-12-extended": (
+        lambda: W.build_lower_dual(W.WitnessSpec.fock(6), 12, "balanced"), "extended"
+    ),
+    "two-mode-rectangle2-lower-double": (
+        lambda: MM.build_lower_multi(MM.MultiWitnessSpec((1, 1)), "rectangle", 2),
+        "double",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+def test_solver_matches_scipy_wrappers_bitwise(case, monkeypatch):
+    build, precision = SOLVER_CASES[case]
+    prob = build()
+    new = conic.solve(prob, precision=precision)
+    with monkeypatch.context() as mp:
+        _through_scipy_wrappers(mp)
+        ref = conic.solve(prob, precision=precision)
+    assert new.status == ref.status
+    assert new.iterations == ref.iterations
+    assert new.info == ref.info
+    assert len(new.X) == len(ref.X)
+    assert all(_same_bits(a, b) for a, b in zip(new.X, ref.X))
+    assert _same_bits(new.y, ref.y)
+    for attr in ("primal_value", "dual_value", "gap"):
+        assert np.float64(getattr(new, attr)).tobytes() == np.float64(
+            getattr(ref, attr)
+        ).tobytes()

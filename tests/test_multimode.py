@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from negwit import conic
 from negwit import multimode as MM
 from negwit import witness as W
 from negwit.numerics import simplex_size
@@ -105,3 +108,52 @@ def test_two_mode_lower_exceeds_product_bound():
     assert sol.status == "optimal"
     assert v > 0.25 + 1e-3
     assert abs(v - 0.2667) < 2e-3
+
+
+def _compact_upper_reference(spec, mode, level, scale):
+    """build_upper_multi_compact as a plain loop over (k, i, j)."""
+    idx = MM.iterate_indices(mode, level, spec.modes)
+    nvar = len(idx)
+    scales = W._scales(level * spec.modes + 1, scale)
+    G = []
+    for k in idx:
+        Gk = np.zeros((nvar, nvar))
+        for i, ki in enumerate(idx):
+            for j, kj in enumerate(idx):
+                r = [a + b for a, b in zip(ki, kj)]
+                if any(v % 2 for v in r):
+                    continue
+                l = [v // 2 for v in r]
+                if any(c > lv for c, lv in zip(k, l)):
+                    continue
+                coeff, weight = 1, Fraction(1)
+                for a, b, c, lv in zip(ki, kj, k, l):
+                    coeff *= math.comb(lv, c) * math.factorial(lv)
+                    weight *= scales[a] * scales[b]
+                Gk[i, j] = float(coeff * weight)
+        G.append(Gk)
+    w = [spec.a.get(k, 0.0) for k in idx]
+    e = np.eye(nvar)
+    cons = tuple(
+        ((e[i] - e[0], G[i] - G[0]), -(w[i] - w[0])) for i in range(1, nvar)
+    )
+    return conic.SdpProblem(
+        blocks=(-nvar, nvar), objective=(-e[0], -G[0]), constraints=cons, sense="min"
+    )
+
+
+@pytest.mark.parametrize("scale", ["none", "balanced"])
+@pytest.mark.parametrize(
+    "mode,level", [("triangle", 2), ("triangle", 4), ("rectangle", 2), ("rectangle", 4)]
+)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MM.MultiWitnessSpec(n=(1, 1)),
+        MM.MultiWitnessSpec(n=(1, 2), a={(1, 2): 1.0, (0, 1): 0.5, (2, 0): 0.25}),
+    ],
+    ids=["fock11", "weighted"],
+)
+def test_compact_upper_matches_plain_loop(spec, mode, level, scale):
+    built = MM.build_upper_multi_compact(spec, mode, level, scale=scale)
+    assert built == _compact_upper_reference(spec, mode, level, scale)
