@@ -4,20 +4,25 @@
 The outputs are the ones the byte-identical rule protects: the `threshold`
 sweeps (single Fock n=1..6 and two weighted witnesses, at level 12 so that
 both the shallow and the deep path run), `cf --example` for the stock
-models, and the Torpedo values at d=2 and d=3.  Two checkouts give the same
-outputs exactly when their digests match:
+models, and the Torpedo values at d=2 and d=3.  Two more lines hash the
+`--emit-sdpa` file of `threshold --n 3` at levels 8 and 12, which covers the
+upper program as solved in the monomial and in the Laguerre basis.  Two
+checkouts give the same outputs exactly when their digests match:
 
     PYTHONPATH=src python3 scripts/output_digest.py > new.txt
     PYTHONPATH=/path/to/other/src python3 scripts/output_digest.py > old.txt
     diff old.txt new.txt
 
-Each line is `<sha256 of stdout>  exit=<code>  <arguments>`.  A run takes
-15 to 30 s on a 2-core machine.
+Each line is `<sha256 of stdout>  exit=<code>  <arguments>`; for the emitted
+files it is the hash of the file, and the arguments end in `--emit-sdpa FILE`.
+A run takes 15 to 30 s on a 2-core machine.
 """
 
 import contextlib
 import hashlib
 import io
+import os
+import tempfile
 
 from negwit import cli
 
@@ -40,6 +45,11 @@ def commands():
             yield ["torpedo", "--d-in", d, "--d-msg", d, "--mode", mode]
 
 
+def emit_commands():
+    for m_max in ("8", "12"):
+        yield ["threshold", "--n", "3", "--m-max", m_max, "--emit-sdpa"]
+
+
 def main():
     for argv in commands():
         out = io.StringIO()
@@ -47,6 +57,14 @@ def main():
             code = cli.main(argv)
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         print(f"{digest}  exit={code}  {' '.join(argv)}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "upper.dat-s")
+        for argv in emit_commands():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + [path])
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            print(f"{digest}  exit={code}  {' '.join(argv)} FILE", flush=True)
 
 
 if __name__ == "__main__":

@@ -57,14 +57,13 @@ def _weights_from_args(args):
 def cmd_threshold(args) -> int:
     spec = _weights_from_args(args)
     rows = witness.threshold_bounds(
-        spec,
-        m_max=args.m_max,
-        tol=args.tol,
-        precision=_precision(args),
-        jobs=args.jobs,
+        spec, m_max=args.m_max, tol=args.tol, precision=_precision(args)
     )
     if args.emit_sdpa:
-        prob = witness.build_upper(spec, args.m_max)
+        # the top-level upper program, in the basis its solve used; with no
+        # levels to solve the builder rejects m_max as bad input
+        scale = rows[-1].detail["upper_run"]["scale"] if rows else "none"
+        prob = witness.build_upper_compact(spec, args.m_max, scale=scale)
         with open(args.emit_sdpa, "w") as fh:
             fh.write(conic.export_sdpa(prob))
     lines = ["m,lower,upper"]
@@ -150,10 +149,6 @@ def cmd_torpedo(args) -> int:
     return 0
 
 
-def _curve(xs, fn):
-    return [(x, fn(x)) for x in xs]
-
-
 def cmd_plotdata(args) -> int:
     fig = args.figure
     lines = []
@@ -206,9 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=complex, default=0j)
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--jobs", type=int, default=1, help="parallel hierarchy levels")
     p.add_argument("--out", default="-")
-    p.add_argument("--emit-sdpa", help="also write the top-level program (.dat-s)")
+    p.add_argument(
+        "--emit-sdpa", help="also write the top-level upper program as solved (.dat-s)"
+    )
     p.set_defaults(fn=cmd_threshold)
 
     p = sub.add_parser("witness", help="witness expectation for a named state")

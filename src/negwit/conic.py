@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 import scipy.linalg as sla
@@ -589,49 +589,6 @@ def kkt_residuals(problem: SdpProblem, solution: SdpSolution) -> dict:
         "x_psd_violation": -x_min,
         "complementarity": comp,
     }
-
-
-def rescale_basis(problem: SdpProblem, scales: Sequence[float]) -> SdpProblem:
-    """Congruence-transform every matrix by diag(scales), renormalise rows.
-
-    One positive scale per matrix row/column index (blocks concatenated).
-    The optimal value is unchanged: variables absorb the congruence and
-    each constraint is divided by the magnitude of its largest entry.
-    """
-    scales = np.asarray(list(scales), dtype=float)
-    if scales.shape != (problem.dimension,):
-        raise ValueError("need one scale per matrix row/column index")
-    if np.any(scales <= 0):
-        raise ValueError("scales must be positive")
-    split = []
-    off = 0
-    for size in problem.blocks:
-        n = abs(size)
-        split.append(scales[off : off + n])
-        off += n
-
-    def congr(mats):
-        out = []
-        for size, d, mat in zip(problem.blocks, split, mats):
-            if size > 0:
-                out.append(np.outer(d, d) * mat)
-            else:
-                out.append(d * d * mat)
-        return out
-
-    new_cons = []
-    for mats, rhs in problem.constraints:
-        mm = congr(mats)
-        scale = max(float(np.max(np.abs(b))) for b in mm)
-        if scale == 0.0:
-            scale = 1.0
-        new_cons.append((tuple(b / scale for b in mm), rhs / scale))
-    return SdpProblem(
-        blocks=problem.blocks,
-        objective=tuple(congr(problem.objective)),
-        constraints=tuple(new_cons),
-        sense=problem.sense,
-    )
 
 
 # ---------------------------------------------------------------------------

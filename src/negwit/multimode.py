@@ -19,14 +19,7 @@ import numpy as np
 
 from . import conic
 from .numerics import mi_binomial, mi_factorial, mi_leq, mi_norm
-from .witness import (
-    WitnessSpec,
-    _ProbBuilder,
-    _scales,
-    _sym_val,
-    lower_even_coeff,
-    moment_coeff,
-)
+from .witness import _ProbBuilder, _scales
 
 INDEX_CAP = 10_000
 
@@ -105,24 +98,19 @@ def _mi_moment_coeff(l, k) -> int:
     return mi_binomial(l, k) * mi_factorial(l)
 
 
-def _build_multi(
-    spec: MultiWitnessSpec,
-    mode: str,
-    level: int,
-    kind: str,
-    scale: str = "none",
+def build_lower_multi(
+    spec: MultiWitnessSpec, mode: str, level: int
 ) -> conic.SdpProblem:
-    modes = spec.modes
+    """Multimode restriction: sum-of-squares radial profile, value <= threshold."""
     if mode == "rectangle":
         if level < max(spec.n):
             raise ValueError("rectangle level must cover max(n)")
     else:
         if level < mi_norm(spec.n):
             raise ValueError("triangle level must cover |n|")
-    idx = iterate_indices(mode, level, modes)
+    idx = iterate_indices(mode, level, spec.modes)
     pos = {k: i for i, k in enumerate(idx)}
     nvar = len(idx)
-    scales = _scales(level * modes + 1, scale)
     pb = _ProbBuilder(blocks=(nvar, -nvar))
     for k, w in spec.a.items():
         if k in pos and w:
@@ -137,46 +125,14 @@ def _build_multi(
             r = tuple(a + b for a, b in zip(ki, kj))
             pair_sum.setdefault(r, []).append((i, j))
     for r, pairs in sorted(pair_sum.items()):
-        even = all(v % 2 == 0 for v in r)
-        if kind == "lower":
-            entries = []
-            for i, j in pairs:
-                pw = _mi_pair_weight(scales, idx[i], idx[j])
-                mult = 1 if i == j else 2
-                entries.append((0, (i, j), _sym_val(i, j, mult * pw)))
-            if even:
-                l = tuple(v // 2 for v in r)
-                for k in idx:
-                    if mi_leq(l, k):
-                        entries.append((1, pos[k], -_mi_lower_even_coeff(l, k)))
-            pb.add_constraint(entries, 0)
-        else:  # upper: every matrix entry pinned
-            for i, j in pairs:
-                pw = _mi_pair_weight(scales, idx[i], idx[j])
-                entries = [(0, (i, j), _sym_val(i, j, pw))]
-                if even:
-                    l = tuple(v // 2 for v in r)
-                    for k in idx:
-                        if mi_leq(k, l):
-                            entries.append(
-                                (1, pos[k], -Fraction(_mi_moment_coeff(l, k)))
-                            )
-                pb.add_constraint(entries, 0)
+        entries = [(0, pair, 1) for pair in pairs]
+        if all(v % 2 == 0 for v in r):
+            l = tuple(v // 2 for v in r)
+            for k in idx:
+                if mi_leq(l, k):
+                    entries.append((1, pos[k], -_mi_lower_even_coeff(l, k)))
+        pb.add_constraint(entries, 0)
     return pb.build()
-
-
-def build_lower_multi(
-    spec: MultiWitnessSpec, mode: str, level: int, scale: str = "none"
-) -> conic.SdpProblem:
-    """Multimode restriction: sum-of-squares radial profile, value <= threshold."""
-    return _build_multi(spec, mode, level, "lower", scale)
-
-
-def build_upper_multi(
-    spec: MultiWitnessSpec, mode: str, level: int, scale: str = "none"
-) -> conic.SdpProblem:
-    """Multimode relaxation: psd moment matrix, value >= threshold."""
-    return _build_multi(spec, mode, level, "upper", scale)
 
 
 def build_upper_multi_compact(
@@ -222,27 +178,43 @@ def build_upper_multi_compact(
     )
 
 
+def _solve_multi(build, spec, mode, level, tol, precision, max_iterations):
+    """Solve in double, retrying in extended when double stalls.
+
+    ``"extended"`` skips the double attempt and ``"double"`` never retries;
+    ``max_iterations`` caps the extended attempt.
+    """
+    if precision not in ("double", "extended", "auto"):
+        raise ValueError(
+            f"precision must be 'double', 'extended' or 'auto', not {precision!r}"
+        )
+    prob = build(spec, mode, level)
+    if precision != "extended":
+        sol = conic.solve(prob, tol=tol, precision="double")
+        if (
+            precision == "double"
+            or sol.status == "optimal"
+            or sol.info.get("comp", 1.0) <= 100 * tol
+        ):
+            return sol
+    return conic.solve(
+        prob, tol=tol, precision="extended", max_iterations=max_iterations
+    )
+
+
 def solve_lower_multi(spec, mode, level, tol=1e-8, precision="auto"):
-    prob = build_lower_multi(spec, mode, level)
-    sol = conic.solve(prob, tol=tol, precision="double")
-    if (
-        sol.status != "optimal"
-        and sol.info.get("comp", 1.0) > 100 * tol
-        and precision in ("auto", "extended")
-    ):
-        sol = conic.solve(prob, tol=tol, precision="extended")
+    """Lower bound at this level; returns (value, solution)."""
+    sol = _solve_multi(
+        build_lower_multi, spec, mode, level, tol, precision, conic.MAX_ITERATIONS
+    )
     return sol.primal_value, sol
 
 
 def solve_upper_multi(spec, mode, level, tol=1e-8, precision="auto"):
-    prob = build_upper_multi_compact(spec, mode, level)
-    sol = conic.solve(prob, tol=tol, precision="double")
-    if (
-        sol.status != "optimal"
-        and sol.info.get("comp", 1.0) > 100 * tol
-        and precision in ("auto", "extended")
-    ):
-        sol = conic.solve(prob, tol=tol, precision="extended", max_iterations=300)
+    """Upper bound at this level; returns (value, solution)."""
+    sol = _solve_multi(
+        build_upper_multi_compact, spec, mode, level, tol, precision, 300
+    )
     return -sol.primal_value, sol
 
 

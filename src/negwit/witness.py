@@ -126,12 +126,12 @@ def _scales(m: int, mode: str):
     raise ValueError(f"unknown scale mode {mode!r}")
 
 
-def _pair_weight(scales, i: int, j: int) -> Fraction:
-    return scales[i] * scales[j]
-
-
 class _ProbBuilder:
-    """Accumulates exact rational block-sparse constraints, emits SdpProblem."""
+    """Accumulates exact rational block-sparse constraints, emits SdpProblem.
+
+    A matrix key (i, j) sets both entries (i, j) and (j, i), so a value v at
+    i < j weighs Q_ij + Q_ji by v in the inner product.
+    """
 
     def __init__(self, blocks, sense="max"):
         self.blocks = tuple(blocks)
@@ -142,23 +142,19 @@ class _ProbBuilder:
     def set_obj(self, blk, key, val):
         self.obj[blk][key] = Fraction(val)
 
-    def add_constraint(self, entries, rhs, normalise=True):
-        """entries: list of (block, key, Fraction); key (i,j) or i."""
+    def add_constraint(self, entries, rhs):
+        """entries: list of (block, key, Fraction); key (i,j) or i.
+
+        The row is divided by its largest coefficient magnitude.
+        """
         mats = [dict() for _ in self.blocks]
         for blk, key, val in entries:
             v = Fraction(val)
             if v:
                 mats[blk][key] = mats[blk].get(key, Fraction(0)) + v
-        rhs = Fraction(rhs)
-        if normalise:
-            mx = max(
-                (abs(v) for mat in mats for v in mat.values()), default=Fraction(1)
-            )
-            if mx == 0:
-                mx = Fraction(1)
-            mats = [{k: v / mx for k, v in mat.items()} for mat in mats]
-            rhs = rhs / mx
-        self.cons.append((mats, rhs))
+        mx = max((abs(v) for mat in mats for v in mat.values()), default=Fraction(1))
+        mats = [{k: v / mx for k, v in mat.items()} for mat in mats]
+        self.cons.append((mats, Fraction(rhs) / mx))
 
     def _dense(self, mats):
         out = []
@@ -182,11 +178,6 @@ class _ProbBuilder:
             constraints=tuple((self._dense(m), float(r)) for m, r in self.cons),
             sense=self.sense,
         )
-
-
-def _sym_val(i, j, val):
-    """Value to store for a symmetric coefficient so that <E, M> = sum."""
-    return val if i == j else Fraction(val) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -215,79 +206,16 @@ def build_lower(spec: WitnessSpec, m: int, scale: str = "none") -> conic.SdpProb
         for i in range(max(0, 2 * l - 1 - m), m + 1):
             j = 2 * l - 1 - i
             if 0 <= j <= m and i <= j:
-                pw = _pair_weight(scales, i, j)
-                entries.append((0, (i, j), _sym_val(i, j, 2 * pw)))
+                entries.append((0, (i, j), scales[i] * scales[j]))
         pb.add_constraint(entries, 0)
     for l in range(m + 1):
         entries = []
         for i in range(max(0, 2 * l - m), m + 1):
             j = 2 * l - i
             if 0 <= j <= m and i <= j:
-                pw = _pair_weight(scales, i, j)
-                mult = 1 if i == j else 2
-                entries.append((0, (i, j), _sym_val(i, j, mult * pw)))
+                entries.append((0, (i, j), scales[i] * scales[j]))
         for k in range(l, m + 1):
             entries.append((1, k, -lower_even_coeff(l, k)))
-        pb.add_constraint(entries, 0)
-    return pb.build()
-
-
-def build_upper(
-    spec: WitnessSpec, m: int, scale: str = "none", split_parity: bool = False
-) -> conic.SdpProblem:
-    """Level-m upper-bound program: the moment matrix of F must be psd.
-
-    Faithful layout has one (m+1) block A pinned entrywise to the moment
-    matrix; ``split_parity`` stores only the two parity-diagonal blocks the
-    zero pattern leaves (a permutation of the same program).
-    """
-    n = spec.n
-    if m < n:
-        raise ValueError("level m must be at least the top witness index n")
-    scales = _scales(m, scale)
-    w = _weights_exact(spec.a, m)
-    if not split_parity:
-        pb = _ProbBuilder(blocks=(m + 1, -(m + 1)))
-
-        def block_key(i, j):
-            return 0, (i, j)
-
-        pairs = [(i, j) for i in range(m + 1) for j in range(i, m + 1)]
-    else:
-        even = [u for u in range(m + 1) if u % 2 == 0]
-        odd = [u for u in range(m + 1) if u % 2 == 1]
-        pos = {u: (0, even.index(u)) for u in even}
-        pos.update({u: (1, odd.index(u)) for u in odd})
-        pb = _ProbBuilder(blocks=(len(even), len(odd), -(m + 1)))
-
-        def block_key(i, j):
-            bi, ii = pos[i]
-            bj, jj = pos[j]
-            assert bi == bj
-            return bi, (min(ii, jj), max(ii, jj))
-
-        pairs = [
-            (i, j)
-            for i in range(m + 1)
-            for j in range(i, m + 1)
-            if (i + j) % 2 == 0
-        ]
-    fblk = len(pb.blocks) - 1
-    for k in range(m + 1):
-        if w[k]:
-            pb.set_obj(fblk, k, w[k])
-    pb.add_constraint([(fblk, k, Fraction(1)) for k in range(m + 1)], 1)
-    for i, j in pairs:
-        if (i + j) % 2 == 1:
-            blk, key = block_key(i, j)
-            pb.add_constraint([(blk, key, _sym_val(*key, Fraction(1)))], 0)
-            continue
-        l = (i + j) // 2
-        pw = _pair_weight(scales, i, j)
-        blk, key = block_key(i, j)
-        entries = [(blk, key, _sym_val(*key, pw))]
-        for k in range(l + 1):
-            entries.append((fblk, k, -Fraction(moment_coeff(l, k))))
         pb.add_constraint(entries, 0)
     return pb.build()
 
@@ -337,7 +265,7 @@ def _upper_gram(m: int, scale: str):
             for j in range(m + 1):
                 l, odd = divmod(i + j, 2)
                 if not odd and k <= l:
-                    Gk[i, j] = moment_coeff(l, k) * _pair_weight(scales, i, j)
+                    Gk[i, j] = moment_coeff(l, k) * scales[i] * scales[j]
         out.append((Gk,))
     return out
 
@@ -435,55 +363,6 @@ def build_lower_dual(
                 A[i, j] = d[i] * d[j] / ref
         cons.append((tuple(mats), float(b_vec[var])))
     # constant side: slack_k = y - mu_k - a_k  => C carries the a_k offsets
-    Cmats = [np.zeros((b, b)) for b in blocks]
-    for k in range(m + 1):
-        Cmats[k][0, 0] = float(w[k])
-    return conic.SdpProblem(
-        blocks=tuple(blocks),
-        objective=tuple(Cmats),
-        constraints=tuple(cons),
-        sense="min",
-    )
-
-
-def build_upper_dual(spec: WitnessSpec, m: int) -> conic.SdpProblem:
-    """Dual of the level-m upper program, in its printed variables.
-
-    Minimise y over (y, mu) with a psd Q whose even antidiagonal sums equal
-    the signed binomial transform of mu; entries within an antidiagonal are
-    free, so they enter as explicit variables.
-    """
-    n = spec.n
-    if m < n:
-        raise ValueError("level m must be at least n")
-    w = _weights_exact(spec.a, m)
-    free_pairs = [(i, j) for i in range(m + 1) for j in range(i + 1, m + 1)]
-    nvar = 1 + (m + 1) + len(free_pairs)
-    blocks = [1] * (m + 1) + [m + 1]
-    b_vec = np.zeros(nvar)
-    b_vec[0] = 1.0
-    cons = []
-    for var in range(nvar):
-        mats = [np.zeros((b, b)) for b in blocks]
-        if var == 0:
-            for k in range(m + 1):
-                mats[k][0, 0] = 1.0
-        elif var <= m + 1:
-            k = var - 1
-            mats[k][0, 0] = -1.0
-            Q = mats[-1]
-            for l in range(m + 1):
-                c = float(lower_even_coeff(l, k)) if k >= l else 0.0
-                if c:
-                    Q[l, l] += c  # anchor diagonal entry carries the sum
-        else:
-            i, j = free_pairs[var - (m + 2)]
-            Q = mats[-1]
-            Q[i, j] = 1.0
-            Q[j, i] = 1.0
-            if (i + j) % 2 == 0:
-                Q[(i + j) // 2, (i + j) // 2] = -2.0  # keep antidiagonal sum
-        cons.append((tuple(mats), float(b_vec[var])))
     Cmats = [np.zeros((b, b)) for b in blocks]
     for k in range(m + 1):
         Cmats[k][0, 0] = float(w[k])
@@ -839,19 +718,6 @@ def certified_upper_interval(spec: WitnessSpec, m: int, tol: float = 1e-9):
     )
 
 
-def moment_matrix(s: Sequence[float], m: int) -> np.ndarray:
-    """Moment matrix of a coefficient sequence: entries on even antidiagonals."""
-    if len(s) < m + 1:
-        raise ValueError("sequence shorter than m+1")
-    A = np.zeros((m + 1, m + 1))
-    for i in range(m + 1):
-        for j in range(m + 1):
-            if (i + j) % 2 == 0:
-                l = (i + j) // 2
-                A[i, j] = sum(float(s[k]) * moment_coeff(l, k) for k in range(l + 1) if k < len(s))
-    return A
-
-
 # ---------------------------------------------------------------------------
 # solve drivers
 # ---------------------------------------------------------------------------
@@ -865,17 +731,19 @@ def _solve_with_policy(
     Above RESCALE_ABOVE every attempt uses ``deep_scale``; at or below it
     double runs unscaled and the extended retry uses the balanced congruence.
     """
-    rescale = deep_scale if m > RESCALE_ABOVE else "balanced"
-    attempts = []
-    if precision in ("double", "auto"):
-        scale = rescale if m > RESCALE_ABOVE else "none"
-        attempts.append(("double", scale))
-        if precision == "auto":
-            attempts.append(("extended", rescale))
-    if precision == "extended":
-        attempts.append(("extended", rescale if m > RESCALE_ABOVE else "none"))
+    deep = m > RESCALE_ABOVE
+    first = deep_scale if deep else "none"
+    plans = {
+        "double": [("double", first)],
+        "extended": [("extended", first)],
+        "auto": [("double", first), ("extended", deep_scale if deep else "balanced")],
+    }
+    if precision not in plans:
+        raise ValueError(
+            f"precision must be 'double', 'extended' or 'auto', not {precision!r}"
+        )
     last = None
-    for prec, scale in attempts:
+    for prec, scale in plans[precision]:
         sol = conic.solve(problem_fn(scale), tol=tol, precision=prec)
         if last is None or sol.status == "optimal" or (
             last[0].status != "optimal"
@@ -895,13 +763,9 @@ def solve_lower(
     Shallow levels use the primal layout; deep ones go through the printed
     dual, whose variables stay well-scaled under the moment-block congruence.
     """
-    if m <= RESCALE_ABOVE:
-        sol, prec, scale = _solve_with_policy(
-            lambda s: build_lower(spec, m, scale=s), m, tol, precision
-        )
-        return sol.primal_value, sol, {"precision": prec, "scale": scale}
+    build = build_lower if m <= RESCALE_ABOVE else build_lower_dual
     sol, prec, scale = _solve_with_policy(
-        lambda s: build_lower_dual(spec, m, scale=s), m, tol, precision
+        lambda s: build(spec, m, scale=s), m, tol, precision
     )
     return sol.primal_value, sol, {"precision": prec, "scale": scale}
 
@@ -927,19 +791,15 @@ def threshold_bounds(
     tol: float = 1e-8,
     precision: str = "auto",
     m_min: int | None = None,
-    jobs: int = 1,
 ) -> list:
     """Both hierarchies from level n (or m_min) to m_max.
 
     Solver failures at a level are recorded (NaN bound) and the sweep
     continues; surviving levels keep the hierarchy monotone within solver
-    tolerance.  Levels are independent, so ``jobs`` > 1 fans the solves out
-    across a thread pool; results are assembled in level order either way.
+    tolerance.
     """
-    start = max(spec.n, m_min or spec.n)
-    levels = list(range(start, m_max + 1))
-
-    def run_level(m: int) -> ThresholdBounds:
+    rows = []
+    for m in range(max(spec.n, m_min or spec.n), m_max + 1):
         lo, lo_sol, lo_info = solve_lower(spec, m, tol=tol, precision=precision)
         up, up_sol, up_info = solve_upper(spec, m, tol=tol, precision=precision)
         # a stalled solve still carries its best iterate; keep it only when
@@ -948,26 +808,22 @@ def threshold_bounds(
             lo = math.nan
         if up_sol.status != "optimal" and up_sol.info.get("comp", 1.0) > 1e-4:
             up = math.nan
-        return ThresholdBounds(
-            level=m,
-            lower=lo,
-            upper=up,
-            detail={
-                "lower_status": lo_sol.status,
-                "upper_status": up_sol.status,
-                "lower_run": lo_info,
-                "upper_run": up_info,
-                "lower_quality": lo_sol.info.get("comp"),
-                "upper_quality": up_sol.info.get("comp"),
-            },
+        rows.append(
+            ThresholdBounds(
+                level=m,
+                lower=lo,
+                upper=up,
+                detail={
+                    "lower_status": lo_sol.status,
+                    "upper_status": up_sol.status,
+                    "lower_run": lo_info,
+                    "upper_run": up_info,
+                    "lower_quality": lo_sol.info.get("comp"),
+                    "upper_quality": up_sol.info.get("comp"),
+                },
+            )
         )
-
-    if jobs <= 1:
-        return [run_level(m) for m in levels]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_level, levels))
+    return rows
 
 
 def final_bounds(rows: Sequence[ThresholdBounds]):

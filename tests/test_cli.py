@@ -111,14 +111,21 @@ def test_plotdata_curves(capsys):
 
 
 def test_emit_sdpa(tmp_path, capsys):
+    # the file holds the top-level upper program as solved: the monomial
+    # basis at level 3, the Laguerre basis at level 11
     path = tmp_path / "prog.dat-s"
-    code, _ = run_cli(
-        capsys, "threshold", "--n", "1", "--m-max", "3", "--emit-sdpa", str(path)
-    )
-    assert code == 0
-    prob = conic.parse_sdpa(path.read_text())
-    sol = conic.solve(prob, tol=1e-9)
-    assert sol.status == "optimal"
+    for n, m_max in (("1", "3"), ("3", "11")):
+        code, out = run_cli(
+            capsys, "threshold", "--n", n, "--m-max", m_max, "--emit-sdpa", str(path)
+        )
+        assert code == 0
+        upper = float(out.strip().splitlines()[-1].split(",")[2])
+        prob = conic.parse_sdpa(path.read_text())
+        assert prob.sense == "min"
+        sol = conic.solve(prob, tol=1e-8)
+        if sol.status != "optimal":
+            sol = conic.solve(prob, tol=1e-8, precision="extended")
+        assert abs(-sol.primal_value - upper) < 1e-7, (n, m_max)
 
 
 def test_bad_input_exit_code(capsys):
@@ -150,7 +157,7 @@ def test_plotdata_threshold_small(capsys):
         assert abs(float(lo) - 0.5) < 1e-9 and abs(float(up) - 0.5) < 1e-9
 
 
-def test_threshold_jobs_deterministic(capsys):
-    _, serial = run_cli(capsys, "threshold", "--n", "1", "--m-max", "3")
-    _, parallel = run_cli(capsys, "threshold", "--n", "1", "--m-max", "3", "--jobs", "3")
-    assert serial == parallel
+def test_threshold_rejects_jobs(capsys):
+    # levels are solved in order; there is no parallel option
+    code, _ = run_cli(capsys, "threshold", "--n", "1", "--m-max", "3", "--jobs", "2")
+    assert code == 1

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -80,7 +78,7 @@ def test_kkt_residuals_within_tolerance():
     for p in (
         one_var_problem(),
         W.build_lower(W.WitnessSpec.fock(2), 4),
-        W.build_upper(W.WitnessSpec.fock(1), 4),
+        W.build_upper_compact(W.WitnessSpec.fock(1), 4, scale="none"),
     ):
         sol = conic.solve(p, tol=1e-8)
         assert sol.status == "optimal"
@@ -102,7 +100,7 @@ def test_export_round_trip_identity():
 
 
 def test_export_resolve_same_optimum():
-    p = W.build_upper(W.WitnessSpec.fock(1), 3)
+    p = W.build_upper_compact(W.WitnessSpec.fock(1), 3, scale="none")
     v0 = conic.solve(p, tol=1e-9).primal_value
     v1 = conic.solve(conic.parse_sdpa(conic.export_sdpa(p)), tol=1e-9).primal_value
     assert abs(v0 - v1) < 1e-8
@@ -124,33 +122,15 @@ def test_solve_rejects_empty_and_bad_tol():
         conic.solve(one_var_problem(), tol=-1.0)
 
 
-def test_rescale_identity_scales():
-    p = W.build_lower(W.WitnessSpec.fock(2), 4)
-    assert conic.rescale_basis(p, [1.0] * p.dimension) == p
-
-
-def test_rescale_preserves_value():
-    p = W.build_lower(W.WitnessSpec.fock(2), 6)
-    scales = [1.0 / math.factorial(u) for u in range(7)] + [1.0] * 7
-    v0 = conic.solve(p, tol=1e-8).primal_value
-    v1 = conic.solve(conic.rescale_basis(p, scales), tol=1e-8).primal_value
-    assert abs(v0 - v1) < 1e-7
-
-
-def test_rescale_rejects_bad_scales():
-    p = one_var_problem()
-    with pytest.raises(ValueError):
-        conic.rescale_basis(p, [0.0])
-    with pytest.raises(ValueError):
-        conic.rescale_basis(p, [1.0, 1.0])
-
-
 def test_deep_level_needs_reformulation():
-    # the printed layout stalls in binary64 at level 12; the scaled compact
+    # the unscaled monomial basis stalls in binary64 at level 12; the scaled
     # encoding recovers the optimum (reference from an extended-precision run)
     spec = W.WitnessSpec.fock(3)
-    raw = conic.solve(W.build_upper(spec, 12), tol=1e-8, precision="double")
+    raw = conic.solve(
+        W.build_upper_compact(spec, 12, scale="none"), tol=1e-8, precision="double"
+    )
     assert raw.status == "numerical_limit"
+    assert raw.iterations == conic.MAX_ITERATIONS
     scaled = conic.solve(
         W.build_upper_compact(spec, 12, scale="balanced"),
         tol=1e-8,

@@ -41,6 +41,19 @@ def test_single_mode_reduction():
     assert sol.status == "optimal" and abs(v - 0.5766504) < 1e-5
 
 
+def test_solvers_honour_precision():
+    spec = MM.MultiWitnessSpec(n=(1, 1))
+    for solver in (MM.solve_lower_multi, MM.solve_upper_multi):
+        v_auto, _ = solver(spec, "triangle", 2)
+        v, sol = solver(spec, "triangle", 2, precision="extended")
+        assert sol.info["precision"] == "extended"  # no double attempt first
+        assert sol.status == "optimal" and abs(v - v_auto) < 1e-6
+        _, sol = solver(spec, "triangle", 2, precision="double")
+        assert sol.info["precision"] == "double"
+        with pytest.raises(ValueError, match="'quad'"):
+            solver(spec, "triangle", 2, precision="quad")
+
+
 def test_product_feasible_value_and_residuals():
     Q1, F1 = W.primal_certificate(1, 1)
     Qp, Fp = MM.product_feasible([(Q1, F1), (Q1, F1)], [1, 1])

@@ -37,15 +37,16 @@ def test_build_rejects_small_level():
     with pytest.raises(ValueError):
         W.build_lower(W.WitnessSpec.fock(3), 2)
     with pytest.raises(ValueError):
-        W.build_upper(W.WitnessSpec.fock(3), 2)
+        W.build_upper_compact(W.WitnessSpec.fock(3), 2, scale="none")
 
 
-def test_upper_split_matches_plain():
-    spec = W.WitnessSpec.fock(1)
-    v0 = conic.solve(W.build_upper(spec, 4)).primal_value
-    v1 = conic.solve(W.build_upper(spec, 4, split_parity=True)).primal_value
-    v2 = -conic.solve(W.build_upper_compact(spec, 4, scale="none")).primal_value
-    assert abs(v0 - v1) < 1e-7 and abs(v0 - v2) < 1e-7
+def test_upper_within_certified_interval():
+    # the solved upper value lies in its exact rational enclosure
+    for n, m in ((1, 3), (1, 4), (1, 5), (3, 3)):
+        spec = W.WitnessSpec.fock(n)
+        lo, hi = W.certified_upper_interval(spec, m)
+        value, _, _ = W.solve_upper(spec, m)
+        assert lo - 1e-7 <= value <= hi + 1e-7, (n, m)
 
 
 def test_dual_builders_match_primal_values():
@@ -54,9 +55,13 @@ def test_dual_builders_match_primal_values():
         lo = conic.solve(W.build_lower(spec, m), tol=1e-8).primal_value
         lo_d = conic.solve(W.build_lower_dual(spec, m), tol=1e-8).primal_value
         assert abs(lo - lo_d) < 1e-6, (n, m)
-        up = conic.solve(W.build_upper(spec, m), tol=1e-8).primal_value
-        up_d = conic.solve(W.build_upper_dual(spec, m), tol=1e-8).primal_value
-        assert abs(up - up_d) < 1e-6, (n, m)
+
+
+def test_solvers_reject_unknown_precision():
+    spec = W.WitnessSpec.fock(1)
+    for solver in (W.solve_lower, W.solve_upper):
+        with pytest.raises(ValueError, match="'quad'"):
+            solver(spec, 3, precision="quad")
 
 
 def test_lower_dual_active_constraint_at_base_level():
@@ -147,13 +152,20 @@ def test_exact_psd_checker():
     assert not W.exact_psd([[0, 1], [1, 1]])
 
 
+def _moment_matrix(s, m):
+    return np.array(
+        sum(float(sk) * g[0] for sk, g in zip(s, W._upper_gram(m, "none"))),
+        dtype=float,
+    )
+
+
 def test_moment_matrix_examples():
-    A = W.moment_matrix([1.0, 0.0, 0.0], 2)
+    A = _moment_matrix([1.0, 0.0, 0.0], 2)
     assert np.allclose(A, [[1, 0, 1], [0, 1, 0], [1, 0, 2]])
     assert np.min(sla.eigvalsh(A)) >= -1e-12
-    A2 = W.moment_matrix([float(v) for v in W.analytic_primal(2).F], 2)
+    A2 = _moment_matrix([float(v) for v in W.analytic_primal(2).F], 2)
     assert np.min(sla.eigvalsh(A2)) >= -1e-10
-    A3 = W.moment_matrix([0.0, 1.0], 1)
+    A3 = _moment_matrix([0.0, 1.0], 1)
     assert np.allclose(A3, [[0, 0], [0, 1]])
 
 
