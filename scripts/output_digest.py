@@ -5,9 +5,10 @@ The outputs are the ones the byte-identical rule protects: the `threshold`
 sweeps (single Fock n=1..6 and two weighted witnesses, at level 12 so that
 both the shallow and the deep path run), `cf --example` for the stock
 models, and the Torpedo values at d=2 and d=3.  Two more lines hash the
-`--emit-sdpa` file of `threshold --n 3` at levels 8 and 12, which covers the
-upper program as solved in the monomial and in the Laguerre basis.  Two
-checkouts give the same outputs exactly when their digests match:
+`--emit-sdpa` file of `threshold --n 3` at levels 8 and 12: the upper
+program as solved, in the Laguerre parity-block basis, at a sweep level and
+at a deep one.  Two checkouts give the same outputs exactly when their
+digests match:
 
     PYTHONPATH=src python3 scripts/output_digest.py > new.txt
     PYTHONPATH=/path/to/other/src python3 scripts/output_digest.py > old.txt

@@ -60,10 +60,9 @@ def cmd_threshold(args) -> int:
         spec, m_max=args.m_max, tol=args.tol, precision=_precision(args)
     )
     if args.emit_sdpa:
-        # the top-level upper program, in the basis its solve used; with no
-        # levels to solve the builder rejects m_max as bad input
-        scale = rows[-1].detail["upper_run"]["scale"] if rows else "none"
-        prob = witness.build_upper_compact(spec, args.m_max, scale=scale)
+        # the top-level upper program as solved; with no levels to solve the
+        # builder rejects m_max as bad input
+        prob = witness.build_upper_compact(spec, args.m_max)
         with open(args.emit_sdpa, "w") as fh:
             fh.write(conic.export_sdpa(prob))
     lines = ["m,lower,upper"]

@@ -427,6 +427,11 @@ def solve(
             _chol_solve(L, data.eye[size]) if size > 0 else 1.0 / s
             for size, s, L in zip(blocks, Sb, Ls)
         ]
+        # with S^{-1} and the Schur solutions finite, so is every direction,
+        # and no inf or NaN reaches the step-length eigenvalue solver
+        if not all(np.isfinite(si).all() for si in Sinv):
+            status = "numerical_limit"
+            break
 
         # Schur complement H_ij = sum_blocks Tr(B_i X B_j S^{-1})
         H = np.zeros((m, m), dtype=dtype)
@@ -491,6 +496,9 @@ def solve(
             -(x @ s) if size > 0 else -(x * s) for size, x, s in zip(blocks, Xb, Sb)
         ]
         dX_a, dy_a, dS_a = direction(Rc_aff)
+        if not np.isfinite(dy_a).all():  # the Schur solve overflowed
+            status = "numerical_limit"
+            break
         ap = min(1.0, _max_step(blocks, Xb, dX_a, Lx))
         ad = min(1.0, _max_step(blocks, Sb, dS_a, Ls))
         mu_aff = (
@@ -513,6 +521,9 @@ def solve(
             else:
                 Rc.append(dtype(sigma * mu) - x * s - dxa * dsa)
         dX, dy, dS = direction(Rc)
+        if not np.isfinite(dy).all():
+            status = "numerical_limit"
+            break
         ap = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(blocks, Xb, dX, Lx))
         ad = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(blocks, Sb, dS, Ls))
 

@@ -9,7 +9,6 @@ the same limits.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import conic
 from .numerics import mi_binomial, mi_factorial, mi_leq, mi_norm
-from .witness import _ProbBuilder, _scales
+from .witness import _ProbBuilder, _compact_upper, _upper_gram
 
 INDEX_CAP = 10_000
 
@@ -81,34 +80,27 @@ def iterate_indices(mode: str, level: int, modes: int) -> list:
     raise ValueError("mode must be 'triangle' or 'rectangle'")
 
 
-def _mi_pair_weight(scales, ki, kj) -> Fraction:
-    out = Fraction(1)
-    for a, b in zip(ki, kj):
-        out *= scales[a] * scales[b]
-    return out
-
-
 def _mi_lower_even_coeff(l, k) -> Fraction:
     """Coefficient of F_k in the even constraint at multi-level l (k >= l)."""
     sign = (-1) ** ((mi_norm(k) + mi_norm(l)) % 2)
     return Fraction(sign * mi_binomial(k, l), mi_factorial(l))
 
 
-def _mi_moment_coeff(l, k) -> int:
-    return mi_binomial(l, k) * mi_factorial(l)
+def _level_indices(spec: MultiWitnessSpec, mode: str, level: int) -> list:
+    """The index set of a level that covers the target index n."""
+    if mode == "rectangle":
+        if level < max(spec.n):
+            raise ValueError("rectangle level must cover max(n)")
+    elif level < mi_norm(spec.n):
+        raise ValueError("triangle level must cover |n|")
+    return iterate_indices(mode, level, spec.modes)
 
 
 def build_lower_multi(
     spec: MultiWitnessSpec, mode: str, level: int
 ) -> conic.SdpProblem:
     """Multimode restriction: sum-of-squares radial profile, value <= threshold."""
-    if mode == "rectangle":
-        if level < max(spec.n):
-            raise ValueError("rectangle level must cover max(n)")
-    else:
-        if level < mi_norm(spec.n):
-            raise ValueError("triangle level must cover |n|")
-    idx = iterate_indices(mode, level, spec.modes)
+    idx = _level_indices(spec, mode, level)
     pos = {k: i for i, k in enumerate(idx)}
     nvar = len(idx)
     pb = _ProbBuilder(blocks=(nvar, -nvar))
@@ -135,47 +127,56 @@ def build_lower_multi(
     return pb.build()
 
 
+def _upper_gram_multi(idx: list, level: int) -> list:
+    """Exact Gram blocks of the moment matrix over the index set ``idx``.
+
+    Moments factorise over modes, so in the tensor Laguerre basis
+    prod_t x_t^{p_t} L_{a_t}(x_t^2) the block of F_k on parity vector p is
+    the Kronecker product of the single-mode blocks _upper_gram(level)[k_t][p_t].
+    The congruence is lower triangular in each mode, so a downward-closed
+    ``idx`` keeps exactly the rows whose exponents 2a + p lie in it.
+    Returns one tuple of blocks per k in ``idx``; empty classes are dropped.
+    """
+    modes = len(idx[0])
+    single = _upper_gram(level)
+    members = set(idx)
+    classes = []
+    for p in itertools.product((0, 1), repeat=modes):
+        halves = [range((level - q) // 2 + 1) for q in p]
+        rows = [
+            i
+            for i, a in enumerate(itertools.product(*halves))
+            if tuple(2 * v + q for v, q in zip(a, p)) in members
+        ]
+        if rows:
+            classes.append((p, np.ix_(rows, rows)))
+    out = []
+    for k in idx:
+        blocks = []
+        for p, keep in classes:
+            g = np.ones((1, 1), dtype=object)
+            for kt, q in zip(k, p):
+                g = np.kron(g, single[kt][q])
+            blocks.append(g[keep])
+        out.append(tuple(blocks))
+    return out
+
+
 def build_upper_multi_compact(
-    spec: MultiWitnessSpec, mode: str, level: int, scale: str = "balanced"
+    spec: MultiWitnessSpec, mode: str, level: int
 ) -> conic.SdpProblem:
-    """Moment-eliminated multimode relaxation in the "min" reading."""
-    modes = spec.modes
-    idx = iterate_indices(mode, level, modes)
-    pos = {k: i for i, k in enumerate(idx)}
-    nvar = len(idx)
-    scales = _scales(level * modes + 1, scale)
-    coeff = functools.cache(_mi_moment_coeff)  # once per (l, k)
-    # G[k][i, j] = coeff(l, k) * pair weight, for ki + kj = 2l and k <= l;
-    # every such k lies in idx
-    G = np.zeros((nvar, nvar, nvar))
-    for i, ki in enumerate(idx):
-        for j in range(i, nvar):
-            kj = idx[j]
-            r = tuple(a + b for a, b in zip(ki, kj))
-            if any(v % 2 for v in r):
-                continue
-            l = tuple(v // 2 for v in r)
-            pw = _mi_pair_weight(scales, ki, kj)
-            for k in itertools.product(*(range(v + 1) for v in l)):
-                G[pos[k], i, j] = G[pos[k], j, i] = float(coeff(l, k) * pw)
-    w = np.zeros(nvar)
-    for k, v in spec.a.items():
-        if k in pos:
-            w[pos[k]] = v
+    """Moment-eliminated multimode relaxation in the "min" reading.
 
-    def unit(i):
-        v = np.zeros(nvar)
-        v[i] = 1.0
-        return v
-
-    objective = (-unit(0), -G[0])
-    cons = tuple(
-        ((unit(i) - unit(0), G[i] - G[0]), -(w[i] - w[0]))
-        for i in range(1, nvar)
-    )
-    return conic.SdpProblem(
-        blocks=(-nvar, nvar), objective=objective, constraints=cons, sense="min"
-    )
+    One PSD block per parity class of the tensor Laguerre basis (see
+    :func:`_upper_gram_multi`).  Every weight must lie in the index set: a
+    dropped weight would not bound the threshold from above.
+    """
+    idx = _level_indices(spec, mode, level)
+    members = set(idx)
+    if any(v and k not in members for k, v in spec.a.items()):
+        raise ValueError("every nonzero weight must lie in the level's index set")
+    w = [spec.a.get(k, 0.0) for k in idx]
+    return _compact_upper(_upper_gram_multi(idx, level), w)
 
 
 def _solve_multi(build, spec, mode, level, tol, precision, max_iterations):

@@ -25,7 +25,8 @@ import numpy as np
 from . import conic
 from .numerics import binomial
 
-# levels above which binary64 needs help; matches where unscaled solves decay
+# lower-hierarchy levels above which binary64 needs the dual layout and the
+# balanced congruence; matches where unscaled solves decay
 RESCALE_ABOVE = 10
 
 
@@ -220,95 +221,83 @@ def build_lower(spec: WitnessSpec, m: int, scale: str = "none") -> conic.SdpProb
     return pb.build()
 
 
-def _upper_gram(m: int, scale: str):
-    """Exact Gram blocks of the level-m moment matrix, one tuple per F_k.
+def _upper_gram(m: int):
+    """Exact Gram blocks of the level-m moment matrix: (even, odd) per F_k.
 
     Entry (i, j) of the moment matrix of F = e_k is the pseudo-moment of
-    x^i x^j, C(l, k) l! on antidiagonal 2l and zero off parity.  ``"none"``
-    and ``"balanced"`` keep the monomial basis (one block, diagonal
-    congruence).  ``"laguerre"`` splits the basis by parity and changes it,
-    by an exact triangular congruence, to L_a(x^2) and x L_a(x^2) with
-    L_a(t) = sum_c (-1)^c C(a,c) t^c / c!; the vacuum's even block is then
-    the identity and every entry is an integer.
+    x^i x^j, C(l, k) l! on antidiagonal 2l and zero off parity.  The basis
+    is split by parity and changed, by an exact triangular congruence, to
+    L_a(x^2) and x L_a(x^2) with L_a(t) = sum_c (-1)^c C(a,c) t^c / c!; the
+    vacuum's even block is then the identity and every entry is an integer.
     """
-    if scale == "laguerre":
-        out = [[] for _ in range(m + 1)]
-        for p in (0, 1):
-            s = (m - p) // 2 + 1
-            # T_ac = (-1)^c C(a,c)/c! takes t^c to L_a, and T H T^T = A W A^T
-            # with W_cd = H_{c+d}/(c! d!): the pseudo-moment's (c+d+p)! makes
-            # W an integer matrix
-            A = np.array(
-                [[(-1) ** c * binomial(a, c) for c in range(s)] for a in range(s)],
+    out = [[] for _ in range(m + 1)]
+    for p in (0, 1):
+        s = (m - p) // 2 + 1
+        # T_ac = (-1)^c C(a,c)/c! takes t^c to L_a, and T H T^T = A W A^T
+        # with W_cd = H_{c+d}/(c! d!): the pseudo-moment's (c+d+p)! makes
+        # W an integer matrix
+        A = np.array(
+            [[(-1) ** c * binomial(a, c) for c in range(s)] for a in range(s)],
+            dtype=object,
+        )
+        for k in range(m + 1):
+            W = np.array(
+                [
+                    [
+                        binomial(c + d, c)
+                        * (c + d + 1 if p else 1)
+                        * binomial(c + d + p, k)
+                        for d in range(s)
+                    ]
+                    for c in range(s)
+                ],
                 dtype=object,
             )
-            for k in range(m + 1):
-                W = np.array(
-                    [
-                        [
-                            binomial(c + d, c)
-                            * (c + d + 1 if p else 1)
-                            * binomial(c + d + p, k)
-                            for d in range(s)
-                        ]
-                        for c in range(s)
-                    ],
-                    dtype=object,
-                )
-                out[k].append(A @ W @ A.T)
-        return [tuple(g) for g in out]
-    scales = _scales(m, scale)
-    out = []
-    for k in range(m + 1):
-        Gk = np.full((m + 1, m + 1), Fraction(0), dtype=object)
-        for i in range(m + 1):
-            for j in range(m + 1):
-                l, odd = divmod(i + j, 2)
-                if not odd and k <= l:
-                    Gk[i, j] = moment_coeff(l, k) * scales[i] * scales[j]
-        out.append((Gk,))
-    return out
+            out[k].append(A @ W @ A.T)
+    return [tuple(g) for g in out]
 
 
-def build_upper_compact(
-    spec: WitnessSpec, m: int, scale: str = "laguerre", shrink: float = 0.0
-) -> conic.SdpProblem:
-    """Same level-m relaxation with the moment variable eliminated.
+def _compact_upper(G, w, shrink: float = 0.0) -> conic.SdpProblem:
+    """The moment-eliminated upper program from exact Gram blocks and weights.
 
-    Variables are F_1..F_m only (F_0 = 1 - sum), constrained by the linear
-    matrix inequality diag(F) (+) A(F) >= 0; encoded in the "min" reading,
-    so the solved value is -omega and extraction negates.  ``scale`` picks
-    the basis of A(F) (see :func:`_upper_gram`); the default Laguerre basis
-    keeps deep levels well conditioned.  Coefficients are formed
-    exactly and rounded once per G_k.  ``shrink`` tightens the inequality to
-    A(F) >= shrink*I (in that basis), used to round iterates to exactly
-    feasible certificates.
+    Variable k carries the Gram blocks ``G[k]`` and the weight ``w[k]``;
+    variable 0 is eliminated by the unit sum.  Each block is rounded once.
+    Encoded in the "min" reading, so the solved value is -omega.
     """
-    n = spec.n
-    if m < n:
-        raise ValueError("level m must be at least the top witness index n")
-    w = [float(v) for v in _weights_exact(spec.a, m)]
-    G = [tuple(np.array(g, dtype=float) for g in gk) for gk in _upper_gram(m, scale)]
-
-    def unit(k):
-        v = np.zeros(m + 1)
-        v[k] = 1.0
-        return v
-
-    objective = (-unit(0),) + tuple(-g + shrink * np.eye(len(g)) for g in G[0])
+    nvar = len(G)
+    G = [tuple(np.array(g, dtype=float) for g in gk) for gk in G]
+    w = [float(v) for v in w]
+    e = np.eye(nvar)
+    objective = (-e[0],) + tuple(-g + shrink * np.eye(len(g)) for g in G[0])
     cons = tuple(
         (
-            (unit(k) - unit(0),) + tuple(gk - g0 for gk, g0 in zip(G[k], G[0])),
+            (e[k] - e[0],) + tuple(gk - g0 for gk, g0 in zip(G[k], G[0])),
             -(w[k] - w[0]),
         )
-        for k in range(1, m + 1)
+        for k in range(1, nvar)
     )
     return conic.SdpProblem(
-        blocks=(-(m + 1),) + tuple(len(g) for g in G[0]),
+        blocks=(-nvar,) + tuple(len(g) for g in G[0]),
         objective=objective,
         constraints=cons,
         sense="min",
     )
+
+
+def build_upper_compact(
+    spec: WitnessSpec, m: int, shrink: float = 0.0
+) -> conic.SdpProblem:
+    """Level-m upper relaxation with the moment variable eliminated.
+
+    Variables are F_1..F_m only (F_0 = 1 - sum), constrained by the linear
+    matrix inequality diag(F) (+) A(F) >= 0, with A(F) in the Laguerre
+    parity blocks of :func:`_upper_gram`.  ``shrink`` tightens the
+    inequality to A(F) >= shrink*I (in that basis), used to round iterates
+    to exactly feasible certificates.
+    """
+    if m < spec.n:
+        raise ValueError("level m must be at least the top witness index n")
+    return _compact_upper(_upper_gram(m), _weights_exact(spec.a, m), shrink)
 
 
 def build_lower_dual(
@@ -674,7 +663,7 @@ def certified_upper_interval(spec: WitnessSpec, m: int, tol: float = 1e-9):
     outward; a side is None when its rounding fails.
     """
     w = _weights_exact(spec.a, m)
-    G = _upper_gram(m, "laguerre")
+    G = _upper_gram(m)
 
     def rational(v):
         return np.array([Fraction(float(x)) for x in np.ravel(v)], dtype=object).reshape(
@@ -723,33 +712,30 @@ def certified_upper_interval(spec: WitnessSpec, m: int, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 
 
-def _solve_with_policy(
-    problem_fn, m: int, tol: float, precision: str, deep_scale: str = "balanced"
-):
-    """Try double (rescaled when deep), escalate to extended on failure.
+def _solve_with_policy(build, tol: float, precision: str):
+    """Solve ``build(False)`` in double or extended; under "auto" a double
+    solve that fails is retried in extended on ``build(True)``.
 
-    Above RESCALE_ABOVE every attempt uses ``deep_scale``; at or below it
-    double runs unscaled and the extended retry uses the balanced congruence.
+    Returns (solution, precision, retried): the optimal attempt, else the
+    one with the smaller complementarity.
     """
-    deep = m > RESCALE_ABOVE
-    first = deep_scale if deep else "none"
     plans = {
-        "double": [("double", first)],
-        "extended": [("extended", first)],
-        "auto": [("double", first), ("extended", deep_scale if deep else "balanced")],
+        "double": [("double", False)],
+        "extended": [("extended", False)],
+        "auto": [("double", False), ("extended", True)],
     }
     if precision not in plans:
         raise ValueError(
             f"precision must be 'double', 'extended' or 'auto', not {precision!r}"
         )
     last = None
-    for prec, scale in plans[precision]:
-        sol = conic.solve(problem_fn(scale), tol=tol, precision=prec)
+    for prec, retry in plans[precision]:
+        sol = conic.solve(build(retry), tol=tol, precision=prec)
         if last is None or sol.status == "optimal" or (
             last[0].status != "optimal"
             and sol.info.get("comp", math.inf) < last[0].info.get("comp", math.inf)
         ):
-            last = (sol, prec, scale)
+            last = (sol, prec, retry)
         if sol.status == "optimal":
             return last
     return last
@@ -760,29 +746,29 @@ def solve_lower(
 ):
     """Level-m lower bound; returns (value, solution, run info).
 
-    Shallow levels use the primal layout; deep ones go through the printed
-    dual, whose variables stay well-scaled under the moment-block congruence.
+    Shallow levels use the primal layout, unscaled except in the extended
+    retry; deep ones go through the printed dual, whose variables stay
+    well-scaled under the balanced moment-block congruence.
     """
-    build = build_lower if m <= RESCALE_ABOVE else build_lower_dual
-    sol, prec, scale = _solve_with_policy(
-        lambda s: build(spec, m, scale=s), m, tol, precision
+    deep = m > RESCALE_ABOVE
+    build = build_lower_dual if deep else build_lower
+    first = "balanced" if deep else "none"
+    sol, prec, retried = _solve_with_policy(
+        lambda retry: build(spec, m, scale="balanced" if retry else first),
+        tol,
+        precision,
     )
+    scale = "balanced" if retried else first
     return sol.primal_value, sol, {"precision": prec, "scale": scale}
 
 
 def solve_upper(
     spec: WitnessSpec, m: int, tol: float = 1e-8, precision: str = "auto",
 ):
-    """Level-m upper bound via the compact encoding; (value, solution, info).
-
-    Deep levels use the Laguerre basis; in the monomial basis the level-30
-    solves stall above the quality floor.
-    """
-    sol, prec, scale = _solve_with_policy(
-        lambda s: build_upper_compact(spec, m, scale=s), m, tol, precision,
-        deep_scale="laguerre",
-    )
-    return -sol.primal_value, sol, {"precision": prec, "scale": scale}
+    """Level-m upper bound via the compact encoding; (value, solution, info)."""
+    prob = build_upper_compact(spec, m)
+    sol, prec, _ = _solve_with_policy(lambda retry: prob, tol, precision)
+    return -sol.primal_value, sol, {"precision": prec}
 
 
 def threshold_bounds(

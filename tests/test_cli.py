@@ -111,8 +111,8 @@ def test_plotdata_curves(capsys):
 
 
 def test_emit_sdpa(tmp_path, capsys):
-    # the file holds the top-level upper program as solved: the monomial
-    # basis at level 3, the Laguerre basis at level 11
+    # the file holds the top-level upper program as solved, at a shallow
+    # level and at a deep one
     path = tmp_path / "prog.dat-s"
     for n, m_max in (("1", "3"), ("3", "11")):
         code, out = run_cli(

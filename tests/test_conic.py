@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -5,6 +7,8 @@ import scipy.linalg as sla
 from negwit import conic
 from negwit import multimode as MM
 from negwit import witness as W
+
+import monomial
 
 
 def one_var_problem():
@@ -78,7 +82,7 @@ def test_kkt_residuals_within_tolerance():
     for p in (
         one_var_problem(),
         W.build_lower(W.WitnessSpec.fock(2), 4),
-        W.build_upper_compact(W.WitnessSpec.fock(1), 4, scale="none"),
+        monomial.upper_compact(W.WitnessSpec.fock(1), 4),
     ):
         sol = conic.solve(p, tol=1e-8)
         assert sol.status == "optimal"
@@ -100,7 +104,7 @@ def test_export_round_trip_identity():
 
 
 def test_export_resolve_same_optimum():
-    p = W.build_upper_compact(W.WitnessSpec.fock(1), 3, scale="none")
+    p = monomial.upper_compact(W.WitnessSpec.fock(1), 3)
     v0 = conic.solve(p, tol=1e-9).primal_value
     v1 = conic.solve(conic.parse_sdpa(conic.export_sdpa(p)), tol=1e-9).primal_value
     assert abs(v0 - v1) < 1e-8
@@ -124,33 +128,62 @@ def test_solve_rejects_empty_and_bad_tol():
 
 def test_deep_level_needs_reformulation():
     # the unscaled monomial basis stalls in binary64 at level 12; the scaled
-    # encoding recovers the optimum (reference from an extended-precision run)
+    # encoding recovers the optimum (reference from an extended-precision
+    # run), and the Laguerre basis of the package converges outright
     spec = W.WitnessSpec.fock(3)
     raw = conic.solve(
-        W.build_upper_compact(spec, 12, scale="none"), tol=1e-8, precision="double"
+        monomial.upper_compact(spec, 12), tol=1e-8, precision="double"
     )
     assert raw.status == "numerical_limit"
     assert raw.iterations == conic.MAX_ITERATIONS
     scaled = conic.solve(
-        W.build_upper_compact(spec, 12, scale="balanced"),
-        tol=1e-8,
-        precision="double",
+        monomial.upper_compact(spec, 12, "balanced"), tol=1e-8, precision="double"
     )
     assert abs(-scaled.primal_value - 0.4691621) < 1e-4
     assert scaled.info.get("comp", 1.0) < 1e-6
+    laguerre = conic.solve(
+        W.build_upper_compact(spec, 12), tol=1e-8, precision="double"
+    )
+    assert laguerre.status == "optimal"
+    assert abs(-laguerre.primal_value - 0.4691621) < 1e-4
 
 
 def test_extended_precision_improves_deep_levels():
     spec = W.WitnessSpec.fock(3)
-    dbl = conic.solve(
-        W.build_upper_compact(spec, 20, scale="balanced"), tol=1e-8, precision="double"
-    )
-    ext = conic.solve(
-        W.build_upper_compact(spec, 20, scale="balanced"),
-        tol=1e-8,
-        precision="extended",
-    )
+    prob = monomial.upper_compact(spec, 20, "balanced")
+    dbl = conic.solve(prob, tol=1e-8, precision="double")
+    ext = conic.solve(prob, tol=1e-8, precision="extended")
     assert ext.info.get("comp", 1.0) <= max(dbl.info.get("comp", 1.0), 1e-8)
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("overflow", ["schur", "inverse"])
+def test_nonfinite_direction_ends_numerical_limit(overflow, precision, monkeypatch):
+    # from the second iteration on, the Schur solves (vector right-hand
+    # sides, three per direction, two directions per iteration) or S^{-1}
+    # (the identity as right-hand side, once per iteration) overflow: the
+    # solve stops with the best finite iterate instead of raising from the
+    # step length
+    prob = W.build_lower(W.WitnessSpec.fock(2), 4)
+    chol_solve = conic._chol_solve
+    ndim, per_iteration = {"schur": (1, 6), "inverse": (2, 1)}[overflow]
+    calls = []
+
+    def overflowing(L, b):
+        out = chol_solve(L, b)
+        if b.ndim == ndim:
+            calls.append(None)
+            if len(calls) > per_iteration:
+                out = np.full_like(out, np.inf)
+        return out
+
+    monkeypatch.setattr(conic, "_chol_solve", overflowing)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sol = conic.solve(prob, precision=precision)
+    assert sol.status == "numerical_limit"
+    assert sol.iterations == 2
+    assert all(np.isfinite(x).all() for x in sol.X)
+    assert np.isfinite(sol.y).all() and math.isfinite(sol.primal_value)
 
 
 # ---------------------------------------------------------------------------

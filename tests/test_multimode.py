@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from negwit import conic
 from negwit import multimode as MM
 from negwit import witness as W
 from negwit.numerics import simplex_size
+
+import monomial
 
 
 def test_iterate_indices_counts():
@@ -123,36 +126,51 @@ def test_two_mode_lower_exceeds_product_bound():
     assert abs(v - 0.2667) < 2e-3
 
 
-def _compact_upper_reference(spec, mode, level, scale):
-    """build_upper_multi_compact as a plain loop over (k, i, j)."""
+def _laguerre_congruence(idx):
+    """Exact T over idx: x^e goes to prod_t x^{p_t} L_{a_t}(x_t^2), e = 2a + p."""
+    T = np.full((len(idx), len(idx)), Fraction(0), dtype=object)
+    for i, e in enumerate(idx):
+        for j, f in enumerate(idx):
+            if all(ft <= et and (et - ft) % 2 == 0 for et, ft in zip(e, f)):
+                T[i, j] = math.prod(
+                    (-1) ** (ft // 2)
+                    * Fraction(math.comb(et // 2, ft // 2), math.factorial(ft // 2))
+                    for et, ft in zip(e, f)
+                )
+    return T
+
+
+def _check_laguerre_congruence(spec, mode, level, scale="none"):
+    """Each block the builder makes is T' G'_k T'^T, exactly, on one parity
+    class, where G'_k = D G_k D is the plain-loop monomial Gram matrix in the
+    diagonal scaling D of ``W._scales`` and T' = T D^{-1} takes that basis to
+    the Laguerre one; T' G'_k T'^T vanishes across the classes.
+    """
     idx = MM.iterate_indices(mode, level, spec.modes)
-    nvar = len(idx)
-    scales = W._scales(level * spec.modes + 1, scale)
-    G = []
-    for k in idx:
-        Gk = np.zeros((nvar, nvar))
-        for i, ki in enumerate(idx):
-            for j, kj in enumerate(idx):
-                r = [a + b for a, b in zip(ki, kj)]
-                if any(v % 2 for v in r):
-                    continue
-                l = [v // 2 for v in r]
-                if any(c > lv for c, lv in zip(k, l)):
-                    continue
-                coeff, weight = 1, Fraction(1)
-                for a, b, c, lv in zip(ki, kj, k, l):
-                    coeff *= math.comb(lv, c) * math.factorial(lv)
-                    weight *= scales[a] * scales[b]
-                Gk[i, j] = float(coeff * weight)
-        G.append(Gk)
+    scales = W._scales(level, scale)
+    d = np.array([math.prod(scales[v] for v in e) for e in idx], dtype=object)
+    Ts = _laguerre_congruence(idx) / d
+    classes = [
+        [i for i, e in enumerate(idx) if tuple(v % 2 for v in e) == p]
+        for p in itertools.product((0, 1), repeat=spec.modes)
+    ]
+    classes = [rows for rows in classes if rows]
+    inside = np.zeros((len(idx), len(idx)), dtype=bool)
+    for rows in classes:
+        inside[np.ix_(rows, rows)] = True
+    built = MM._upper_gram_multi(idx, level)
+    want = []
+    for k, blocks in zip(idx, built):
+        H = Ts @ (monomial.gram(idx, k) * np.outer(d, d)) @ Ts.T
+        assert not H[~inside].any(), k
+        ref = [H[np.ix_(rows, rows)] for rows in classes]
+        assert len(blocks) == len(ref)
+        for b, r in zip(blocks, ref):
+            assert b.shape == r.shape and (b == r).all(), k
+        want.append(ref)
     w = [spec.a.get(k, 0.0) for k in idx]
-    e = np.eye(nvar)
-    cons = tuple(
-        ((e[i] - e[0], G[i] - G[0]), -(w[i] - w[0])) for i in range(1, nvar)
-    )
-    return conic.SdpProblem(
-        blocks=(-nvar, nvar), objective=(-e[0], -G[0]), constraints=cons, sense="min"
-    )
+    prob = MM.build_upper_multi_compact(spec, mode, level)
+    assert prob == monomial.compact_program(want, w)
 
 
 @pytest.mark.parametrize("scale", ["none", "balanced"])
@@ -168,5 +186,37 @@ def _compact_upper_reference(spec, mode, level, scale):
     ids=["fock11", "weighted"],
 )
 def test_compact_upper_matches_plain_loop(spec, mode, level, scale):
-    built = MM.build_upper_multi_compact(spec, mode, level, scale=scale)
-    assert built == _compact_upper_reference(spec, mode, level, scale)
+    # ``scale`` picks the monomial scaling the reference starts from: the
+    # unscaled basis, or the balanced one of the former default program
+    if mode == "triangle" and level < sum(spec.n):
+        # the index set misses the target, whose weight would be dropped
+        with pytest.raises(ValueError, match="cover"):
+            MM.build_upper_multi_compact(spec, mode, level)
+        return
+    _check_laguerre_congruence(spec, mode, level, scale)
+
+
+@pytest.mark.parametrize("mode", ["triangle", "rectangle"])
+def test_compact_upper_matches_plain_loop_three_modes(mode):
+    _check_laguerre_congruence(MM.MultiWitnessSpec(n=(1, 0, 1)), mode, 2)
+
+
+def test_upper_rejects_levels_below_the_target():
+    with pytest.raises(ValueError):
+        MM.solve_upper_multi(MM.MultiWitnessSpec(n=(1, 1)), "triangle", 1)
+    # a weight outside the index set would be dropped, and the value would
+    # rise with the level
+    outside = MM.MultiWitnessSpec(n=(1, 1), a={(1, 1): 1.0, (3, 0): 1.0})
+    with pytest.raises(ValueError, match="index set"):
+        MM.build_upper_multi_compact(outside, "rectangle", 2)
+    v4, sol4 = MM.solve_upper_multi(outside, "rectangle", 4)
+    v6, sol6 = MM.solve_upper_multi(outside, "rectangle", 6)
+    assert sol4.status == sol6.status == "optimal"
+    assert v6 <= v4 + 1e-6
+
+
+def test_rectangle_ten_upper_converges_in_double():
+    spec = MM.MultiWitnessSpec(n=(1, 1))
+    v, sol = MM.solve_upper_multi(spec, "rectangle", 10, precision="double")
+    assert sol.status == "optimal"
+    assert 0.315 <= v <= 0.33

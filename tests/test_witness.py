@@ -9,6 +9,8 @@ import scipy.linalg as sla
 from negwit import conic
 from negwit import witness as W
 
+import monomial
+
 
 def test_witness_spec_validation():
     with pytest.raises(ValueError):
@@ -37,7 +39,7 @@ def test_build_rejects_small_level():
     with pytest.raises(ValueError):
         W.build_lower(W.WitnessSpec.fock(3), 2)
     with pytest.raises(ValueError):
-        W.build_upper_compact(W.WitnessSpec.fock(3), 2, scale="none")
+        W.build_upper_compact(W.WitnessSpec.fock(3), 2)
 
 
 def test_upper_within_certified_interval():
@@ -153,9 +155,9 @@ def test_exact_psd_checker():
 
 
 def _moment_matrix(s, m):
+    idx = [(i,) for i in range(m + 1)]
     return np.array(
-        sum(float(sk) * g[0] for sk, g in zip(s, W._upper_gram(m, "none"))),
-        dtype=float,
+        sum(float(sk) * monomial.gram(idx, k) for sk, k in zip(s, idx)), dtype=float
     )
 
 
