@@ -9,7 +9,8 @@ over block-diagonal symmetric matrices; both readings share the same data
 (blocks, C, (B_i, b_i)) and the solver always produces the primal-dual pair,
 so a problem tagged "min" simply reports the second reading as its value.
 Blocks with positive size are dense PSD blocks; negative sizes are diagonal
-blocks (modelling LP variables).
+blocks (modelling LP variables).  Inside the solver each run of consecutive
+1x1 PSD blocks is held as one vector block, with the same arithmetic.
 
 The solver is an infeasible-start primal-dual path-following method with the
 HKM search direction and a Mehrotra predictor-corrector, dense Cholesky
@@ -231,33 +232,87 @@ def _chol_solve(L: np.ndarray, b: np.ndarray):
 # solver internals
 # ---------------------------------------------------------------------------
 
+# Kinds of the solver's internal blocks, fixed once per problem.  A "units"
+# block is a run of consecutive 1x1 PSD blocks of the problem, held as one
+# vector: LAPACK spends a call set per block and iteration on such blocks
+# (a Cholesky factor, two triangular solves, step-length solves), which on a
+# 1x1 block are a square root and divisions, done here in one array operation.
+_PSD, _DIAG, _UNITS = "psd", "diag", "units"
+
+
+def _unit_runs(blocks) -> list:
+    """(start, stop) of each maximal run of consecutive 1x1 PSD blocks."""
+    runs = []
+    for i, size in enumerate(blocks):
+        if size != 1:
+            continue
+        if runs and runs[-1][1] == i:
+            runs[-1] = (runs[-1][0], i + 1)
+        else:
+            runs.append((i, i + 1))
+    return runs
+
+
+def _fold(acc, terms):
+    """acc + terms[0] + terms[1] + ..., added left to right.
+
+    This is the order of a loop over the blocks of a run; np.add.accumulate
+    keeps it where a reduction may sum pairwise.
+    """
+    return np.add.accumulate(np.concatenate((np.asarray(acc)[None], terms)))[-1]
+
 
 class _BlockData:
-    """Per-block stacked constraint data in the working dtype."""
+    """Stacked constraint data in the working dtype, per internal block.
+
+    ``kinds[k]`` and ``sizes[k]`` describe internal block k, which covers the
+    problem blocks ``spans[k]``.  Its stack is (m, n, n) for a PSD block,
+    (m, n) for a diagonal one and (n, m) for a run of n units, so that each
+    unit's row is contiguous.  Sums over blocks stay in the problem's block
+    order, and the units' arithmetic is LAPACK's on a 1x1 block: the solver
+    takes the same steps, bit for bit, as with one PSD block per unit.
+    """
 
     def __init__(self, problem: SdpProblem, dtype):
-        self.blocks = problem.blocks
         self.dtype = dtype
         m = problem.num_constraints
         self.b = np.array([rhs for _, rhs in problem.constraints], dtype=dtype)
+        runs = dict(_unit_runs(problem.blocks))
+        self.kinds, self.sizes, self.spans = [], [], []
+        i = 0
+        while i < len(problem.blocks):
+            size = problem.blocks[i]
+            if i in runs:
+                kind, stop, n = _UNITS, runs[i], runs[i] - i
+            else:
+                kind, stop, n = _PSD if size > 0 else _DIAG, i + 1, abs(size)
+            self.kinds.append(kind)
+            self.sizes.append(n)
+            self.spans.append((i, stop))
+            i = stop
         self.C = []
         self.Bstack = []
-        self.Bflat = []  # (m, n*n) views of the PSD stacks; diagonal stacks as is
-        for bi, size in enumerate(problem.blocks):
-            n = abs(size)
-            cb = np.asarray(problem.objective[bi], dtype=dtype)
-            if size > 0:
-                stack = np.empty((m, n, n), dtype=dtype)
+        self.Bflat = []  # (m, n*n) views of the PSD stacks; other stacks as is
+        for kind, n, (start, stop) in zip(self.kinds, self.sizes, self.spans):
+            if kind is _UNITS:
+                units = range(start, stop)
+                cb = np.array([problem.objective[j][0, 0] for j in units], dtype=dtype)
+                stack = np.array(
+                    [[mats[j][0, 0] for mats, _ in problem.constraints] for j in units],
+                    dtype=dtype,
+                )
             else:
-                stack = np.empty((m, n), dtype=dtype)
-            for ci, (mats, _) in enumerate(problem.constraints):
-                stack[ci] = np.asarray(mats[bi], dtype=dtype)
+                cb = np.asarray(problem.objective[start], dtype=dtype)
+                shape = (m, n, n) if kind is _PSD else (m, n)
+                stack = np.empty(shape, dtype=dtype)
+                for ci, (mats, _) in enumerate(problem.constraints):
+                    stack[ci] = np.asarray(mats[start], dtype=dtype)
             self.C.append(cb)
             self.Bstack.append(stack)
-            self.Bflat.append(stack.reshape(m, -1))
+            self.Bflat.append(stack.reshape(m, -1) if kind is _PSD else stack)
         # read-only identities for the Schur jitter, S^{-1} and the centring term
         self.eye = {}
-        for n in {m, *(b for b in problem.blocks if b > 0)}:
+        for n in {m, *(n for k, n in zip(self.kinds, self.sizes) if k is _PSD)}:
             self.eye[n] = np.eye(n, dtype=dtype)
             self.eye[n].setflags(write=False)
         self.norm_b = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
@@ -268,72 +323,115 @@ class _BlockData:
     def apply_A(self, Xb) -> np.ndarray:
         """Vector of <B_i, X>."""
         out = np.zeros(len(self.b), dtype=self.dtype)
-        for flat, x in zip(self.Bflat, Xb):
-            out += flat @ x.reshape(-1)
+        for kind, flat, x in zip(self.kinds, self.Bflat, Xb):
+            if kind is _UNITS:
+                out = _fold(out, flat * x[:, None])
+            else:
+                out += flat @ x.reshape(-1)
         return out
 
     def apply_At(self, y) -> list:
         """Block matrix sum_i y_i B_i."""
         out = []
         row = y.reshape(1, -1)
-        for size, flat in zip(self.blocks, self.Bflat):
-            if size > 0:
+        for kind, n, flat in zip(self.kinds, self.sizes, self.Bflat):
+            if kind is _PSD:
                 # the product np.tensordot(y, stack, axes=(0, 0)) performs
-                out.append(np.dot(row, flat).reshape(size, size))
-            else:
+                out.append(np.dot(row, flat).reshape(n, n))
+            elif kind is _DIAG:
                 out.append(y @ flat)
+            else:
+                # one (1, m) @ (m, 1) product per unit, as for a 1x1 PSD
+                # block; y @ flat.T sums in another order
+                out.append(np.matmul(row, flat[:, :, None]).reshape(n))
         return out
 
+    def split(self, Vb) -> list:
+        """The internal blocks Vb as one array per problem block."""
+        out = []
+        for kind, v in zip(self.kinds, Vb):
+            if kind is _UNITS:
+                out.extend(v.reshape(-1, 1, 1))
+            else:
+                out.append(v)
+        return out
 
-def _blk_inner(blocks, A, B):
+    def join(self, Vb) -> list:
+        """Arrays per problem block, as the internal blocks."""
+        return [
+            np.array([Vb[j][0, 0] for j in range(start, stop)])
+            if kind is _UNITS
+            else Vb[start]
+            for kind, (start, stop) in zip(self.kinds, self.spans)
+        ]
+
+
+def _blk_inner(kinds, A, B):
     total = 0.0
-    for _, a, b in zip(blocks, A, B):
-        total = total + (a * b).sum()
+    for kind, a, b in zip(kinds, A, B):
+        if kind is _UNITS:
+            total = _fold(total, a * b)
+        else:
+            total = total + (a * b).sum()
     return total
 
 
-def _identity_blocks(blocks, dtype, scale=1.0):
+def _identity_blocks(kinds, sizes, dtype, scale=1.0):
     out = []
-    for size in blocks:
-        if size > 0:
-            out.append(np.eye(size, dtype=dtype) * dtype(scale))
+    for kind, n in zip(kinds, sizes):
+        if kind is _PSD:
+            out.append(np.eye(n, dtype=dtype) * dtype(scale))
         else:
-            out.append(np.full(-size, dtype(scale), dtype=dtype))
+            out.append(np.full(n, dtype(scale), dtype=dtype))
     return out
 
 
-def _max_step(blocks, Xb, dXb, chols):
+def _max_step(kinds, Xb, dXb, chols):
     """Largest alpha <= 1e32 with X + alpha dX psd (per-block boundary)."""
     alpha = np.inf
-    for size, x, dx, L in zip(blocks, Xb, dXb, chols):
-        if size > 0:
+    for kind, x, dx, L in zip(kinds, Xb, dXb, chols):
+        if kind is _PSD:
             K = _solve_lower(L, _solve_lower(L, dx).T)
             Kd = np.asarray(K, dtype=np.float64)
             lam = _min_eigenvalue((Kd + Kd.T) / 2.0)
             if lam < -1e-300:
                 alpha = min(alpha, -1.0 / lam)
-        else:
+        elif kind is _DIAG:
             neg = dx < 0
             if np.any(neg):
                 alpha = min(alpha, float(np.min(-x[neg] / dx[neg])))
+        else:  # a 1x1 block is its own eigenvalue, symmetrised as above
+            Kd = np.asarray(dx / L / L, dtype=np.float64)
+            lam = (Kd + Kd) / 2.0
+            neg = lam < -1e-300
+            if np.any(neg):
+                alpha = min(alpha, float(np.min(-1.0 / lam[neg])))
     return alpha
 
 
-def _psd_ok(blocks, Xb):
+def _psd_ok(kinds, Xb):
+    chols = []
     try:
-        return [_chol(x) if size > 0 else _diag_chol(x) for size, x in zip(blocks, Xb)]
+        for kind, x in zip(kinds, Xb):
+            if kind is _PSD:
+                chols.append(_chol(x))
+            elif kind is _DIAG:
+                chols.append(_diag_chol(x))
+            else:
+                chols.append(_units_chol(x))
     except np.linalg.LinAlgError:
         return None
+    return chols
 
 
-def _interior_step(blocks, Vb, dVb, alpha, dtype):
+def _interior_step(kinds, Vb, dVb, alpha, dtype):
     """Backtrack alpha until V + alpha dV factors; the step, its factors, alpha.
 
     The factors are None when 60 reductions do not reach an interior point.
     """
     for _ in range(60):
         trial = [v + dtype(alpha) * d for v, d in zip(Vb, dVb)]
-        chols = _psd_ok(blocks, trial)
+        chols = _psd_ok(kinds, trial)
         if chols is not None:
             return trial, chols, alpha
         alpha *= 0.8
@@ -344,6 +442,15 @@ def _diag_chol(x):
     if np.any(x <= 0):
         raise np.linalg.LinAlgError("diagonal block not positive")
     return x
+
+
+def _units_chol(x):
+    """The 1x1 Cholesky factors sqrt(x), failing where the per-block kernel does."""
+    # LAPACK's potrf passes a NaN through; the longdouble kernel rejects it
+    bad = x <= 0 if x.dtype == np.float64 else ~(x > 0)
+    if np.any(bad):
+        raise np.linalg.LinAlgError("1x1 block not positive")
+    return np.sqrt(x)
 
 
 def solve(
@@ -367,32 +474,33 @@ def solve(
         raise ValueError("problem needs at least one constraint")
     dtype = np.float64 if precision == "double" else np.longdouble
     data = _BlockData(problem, dtype)
-    blocks = problem.blocks
+    kinds = data.kinds
     m = problem.num_constraints
-    ntot = sum(abs(b) for b in blocks)
+    ntot = sum(abs(b) for b in problem.blocks)
 
-    Xb = _identity_blocks(blocks, dtype, math.sqrt(ntot))
-    Sb = _identity_blocks(blocks, dtype, max(1.0, data.norm_C))
+    Xb = _identity_blocks(kinds, data.sizes, dtype, math.sqrt(ntot))
+    Sb = _identity_blocks(kinds, data.sizes, dtype, max(1.0, data.norm_C))
     y = np.zeros(m, dtype=dtype)
 
     best = None
     stalls = 0
     Lx = Ls = None  # factors of Xb and Sb, when the last step already made them
     status: Status = "numerical_limit"
+    stop_reason = "iteration_cap"
     it = 0
     for it in range(1, max_iterations + 1):
-        pobj = _blk_inner(blocks, data.C, Xb)
+        pobj = _blk_inner(kinds, data.C, Xb)
         dobj = float(data.b @ y)
         rp = data.b - data.apply_A(Xb)
         Aty = data.apply_At(y)
         Rd = [c + s - a for c, s, a in zip(data.C, Sb, Aty)]
-        mu = _blk_inner(blocks, Xb, Sb) / ntot
+        mu = _blk_inner(kinds, Xb, Sb) / ntot
         rp_norm = float(np.max(np.abs(rp))) / data.norm_b if m else 0.0
         rd_norm = max(float(np.max(np.abs(r))) for r in Rd) / data.norm_C
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         # complementarity guards against near-feasible iterate pairs whose
         # small mutual gap hides large multiplier-weighted infeasibility
-        comp = abs(_blk_inner(blocks, Xb, Sb)) / (1.0 + abs(pobj) + abs(dobj))
+        comp = abs(_blk_inner(kinds, Xb, Sb)) / (1.0 + abs(pobj) + abs(dobj))
         quality = max(relgap, rp_norm, rd_norm, comp)
         # plain floats, so that info stays JSON-safe after extended solves
         residuals = {
@@ -406,44 +514,49 @@ def solve(
                 quality, [np.array(x) for x in Xb], np.array(y), pobj, dobj, residuals
             )
         if converged:
-            status = "optimal"
+            status, stop_reason = "optimal", "converged"
             break
         # crude divergence certificates
         if dobj < -1.0 / tol * data.norm_b and rd_norm < math.sqrt(tol):
-            status = "primal_infeasible"
+            status = stop_reason = "primal_infeasible"
             break
         if pobj > 1.0 / tol * data.norm_b and rp_norm < math.sqrt(tol):
-            status = "dual_infeasible"
+            status = stop_reason = "dual_infeasible"
             break
 
         if Lx is None:
-            Lx = _psd_ok(blocks, Xb)
+            Lx = _psd_ok(kinds, Xb)
         if Ls is None:
-            Ls = _psd_ok(blocks, Sb)
+            Ls = _psd_ok(kinds, Sb)
         if Lx is None or Ls is None:
-            status = "numerical_limit"
+            status, stop_reason = "numerical_limit", "factorisation_failed"
             break
-        Sinv = [
-            _chol_solve(L, data.eye[size]) if size > 0 else 1.0 / s
-            for size, s, L in zip(blocks, Sb, Ls)
-        ]
+        Sinv = []
+        for kind, n, s, L in zip(kinds, data.sizes, Sb, Ls):
+            if kind is _PSD:
+                Sinv.append(_chol_solve(L, data.eye[n]))
+            elif kind is _DIAG:
+                Sinv.append(1.0 / s)
+            else:  # the two triangular solves of a 1x1 block
+                Sinv.append(1.0 / L / L)
         # with S^{-1} and the Schur solutions finite, so is every direction,
         # and no inf or NaN reaches the step-length eigenvalue solver
         if not all(np.isfinite(si).all() for si in Sinv):
-            status = "numerical_limit"
+            status, stop_reason = "numerical_limit", "nonfinite_direction"
             break
 
         # Schur complement H_ij = sum_blocks Tr(B_i X B_j S^{-1})
         H = np.zeros((m, m), dtype=dtype)
-        for size, stack, flat, x, si in zip(
-            blocks, data.Bstack, data.Bflat, Xb, Sinv
-        ):
-            if size > 0:
+        for kind, stack, flat, x, si in zip(kinds, data.Bstack, data.Bflat, Xb, Sinv):
+            if kind is _PSD:
                 T = np.matmul(np.matmul(x, stack), si)
                 H += flat @ T.reshape(m, -1).T
-            else:
+            elif kind is _DIAG:
                 w = x * si
                 H += (stack * w) @ stack.T
+            else:  # one rank-one term B_i X B_j S^{-1} per unit
+                T = (x[:, None] * stack) * si[:, None]
+                H = _fold(H, stack[:, :, None] * T[:, None, :])
         H = (H + H.T) / 2.0
 
         Lh = None
@@ -456,20 +569,20 @@ def solve(
             except np.linalg.LinAlgError:
                 jitter = 1e-14 if jitter == 0.0 else jitter * 100.0
         if Lh is None:
-            status = "numerical_limit"
+            status, stop_reason = "numerical_limit", "schur_factorisation_failed"
             break
 
         def rhs_for(Rc):
             # A(Rc S^{-1}) + A(X Rd S^{-1}) - rp
             vec = -rp.astype(dtype)
-            for size, flat, rc, rd, x, si in zip(
-                blocks, data.Bflat, Rc, Rd, Xb, Sinv
-            ):
-                if size > 0:
+            for kind, flat, rc, rd, x, si in zip(kinds, data.Bflat, Rc, Rd, Xb, Sinv):
+                if kind is _PSD:
                     Mx = (rc + x @ rd) @ si
                     vec += flat @ Mx.reshape(-1)
-                else:
+                elif kind is _DIAG:
                     vec += flat @ ((rc + x * rd) * si)
+                else:
+                    vec = _fold(vec, flat * ((rc + x * rd) * si)[:, None])
             return vec
 
         def schur_solve(rhs):
@@ -483,27 +596,30 @@ def solve(
             dy = schur_solve(rhs_for(Rc))
             dS = [a - r for a, r in zip(data.apply_At(dy), Rd)]
             dX = []
-            for size, rc, x, ds, si in zip(blocks, Rc, Xb, dS, Sinv):
-                if size > 0:
+            for kind, rc, x, ds, si in zip(kinds, Rc, Xb, dS, Sinv):
+                if kind is _PSD:
                     v = (rc - x @ ds) @ si
                     dX.append((v + v.T) / 2.0)
-                else:
+                elif kind is _DIAG:
                     dX.append((rc - x * ds) * si)
+                else:  # symmetrised as a 1x1 block, which overflows alike
+                    v = (rc - x * ds) * si
+                    dX.append((v + v) / 2.0)
             return dX, dy, dS
 
         # predictor
         Rc_aff = [
-            -(x @ s) if size > 0 else -(x * s) for size, x, s in zip(blocks, Xb, Sb)
+            -(x @ s) if kind is _PSD else -(x * s) for kind, x, s in zip(kinds, Xb, Sb)
         ]
         dX_a, dy_a, dS_a = direction(Rc_aff)
         if not np.isfinite(dy_a).all():  # the Schur solve overflowed
-            status = "numerical_limit"
+            status, stop_reason = "numerical_limit", "nonfinite_direction"
             break
-        ap = min(1.0, _max_step(blocks, Xb, dX_a, Lx))
-        ad = min(1.0, _max_step(blocks, Sb, dS_a, Ls))
+        ap = min(1.0, _max_step(kinds, Xb, dX_a, Lx))
+        ad = min(1.0, _max_step(kinds, Sb, dS_a, Ls))
         mu_aff = (
             _blk_inner(
-                blocks,
+                kinds,
                 [x + ap * d for x, d in zip(Xb, dX_a)],
                 [s + ad * d for s, d in zip(Sb, dS_a)],
             )
@@ -513,28 +629,26 @@ def solve(
 
         # corrector
         Rc = []
-        for size, x, s, dxa, dsa in zip(blocks, Xb, Sb, dX_a, dS_a):
-            if size > 0:
-                Rc.append(
-                    dtype(sigma * mu) * data.eye[size] - x @ s - dxa @ dsa
-                )
+        for kind, n, x, s, dxa, dsa in zip(kinds, data.sizes, Xb, Sb, dX_a, dS_a):
+            if kind is _PSD:
+                Rc.append(dtype(sigma * mu) * data.eye[n] - x @ s - dxa @ dsa)
             else:
                 Rc.append(dtype(sigma * mu) - x * s - dxa * dsa)
         dX, dy, dS = direction(Rc)
         if not np.isfinite(dy).all():
-            status = "numerical_limit"
+            status, stop_reason = "numerical_limit", "nonfinite_direction"
             break
-        ap = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(blocks, Xb, dX, Lx))
-        ad = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(blocks, Sb, dS, Ls))
+        ap = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(kinds, Xb, dX, Lx))
+        ad = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(kinds, Sb, dS, Ls))
 
         # keep iterates safely interior
-        X_next, Lx, ap = _interior_step(blocks, Xb, dX, ap, dtype)
-        S_next, Ls, ad = _interior_step(blocks, Sb, dS, ad, dtype)
+        X_next, Lx, ap = _interior_step(kinds, Xb, dX, ap, dtype)
+        S_next, Ls, ad = _interior_step(kinds, Sb, dS, ad, dtype)
 
         if max(ap, ad) < 1e-10:
             stalls += 1
             if stalls >= 3:
-                status = "numerical_limit"
+                status, stop_reason = "numerical_limit", "stalled_steps"
                 break
         else:
             stalls = 0
@@ -549,10 +663,10 @@ def solve(
     if best is not None and status in ("optimal", "numerical_limit"):
         _, Xb, y, pobj, dobj, diag = best
     else:
-        pobj = _blk_inner(blocks, data.C, Xb)
+        pobj = _blk_inner(kinds, data.C, Xb)
         dobj = float(data.b @ y)
 
-    X_out = tuple(np.asarray(x, dtype=np.float64) for x in Xb)
+    X_out = tuple(np.asarray(x, dtype=np.float64) for x in data.split(Xb))
     y_out = np.asarray(y, dtype=np.float64)
     pv, dv = float(pobj), float(dobj)
     relgap = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
@@ -566,9 +680,8 @@ def solve(
         gap=relgap,
         status=status,
         iterations=it,
-        info={"precision": precision, "tol": tol, **diag},
+        info={"precision": precision, "tol": tol, **diag, "stop_reason": stop_reason},
     )
-
 
 def verify_strong_duality(solution: SdpSolution, tol: float) -> bool:
     """True iff the reported primal and dual values agree within tol."""
@@ -580,20 +693,20 @@ def verify_strong_duality(solution: SdpSolution, tol: float) -> bool:
 def kkt_residuals(problem: SdpProblem, solution: SdpSolution) -> dict:
     """Primal feasibility, dual feasibility and complementarity residuals."""
     data = _BlockData(problem, np.float64)
-    Xb = solution.X
-    y = solution.y
+    Xb = data.join(solution.X)
     rp = float(np.max(np.abs(data.b - data.apply_A(Xb)))) if len(data.b) else 0.0
-    S = [a - c for a, c in zip(data.apply_At(y), data.C)]
+    Sb = [a - c for a, c in zip(data.apply_At(solution.y), data.C)]
     dual_min = 0.0
     x_min = 0.0
-    for size, s, x in zip(problem.blocks, S, Xb):
+    # eigenvalues on the problem's own blocks
+    for size, s, x in zip(problem.blocks, data.split(Sb), solution.X):
         if size > 0:
             dual_min = min(dual_min, float(np.min(sla.eigvalsh(s))))
             x_min = min(x_min, float(np.min(sla.eigvalsh(x))))
         else:
             dual_min = min(dual_min, float(np.min(s)))
             x_min = min(x_min, float(np.min(x)))
-    comp = abs(_blk_inner(problem.blocks, Xb, S)) / (1.0 + abs(solution.primal_value))
+    comp = abs(_blk_inner(data.kinds, Xb, Sb)) / (1.0 + abs(solution.primal_value))
     return {
         "primal": rp,
         "dual_psd_violation": -dual_min,

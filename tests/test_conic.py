@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -89,6 +90,62 @@ def test_kkt_residuals_within_tolerance():
         res = conic.kkt_residuals(p, sol)
         for key, val in res.items():
             assert val <= 1e-7, (key, val)
+
+
+def test_kkt_residuals_on_problem_blocks():
+    # the solver holds the 12 slack blocks as one vector; the residuals are
+    # still taken on the problem's own 1x1 blocks
+    prob = W.build_lower_dual(W.WitnessSpec.fock(3), 11, "balanced")
+    sol = conic.solve(prob)
+    assert len(sol.X) == len(prob.blocks)
+    assert all(x.shape == (1, 1) for x in sol.X[:-1])
+    res = conic.kkt_residuals(prob, sol)
+    Ax = [
+        sum((a * x).sum() for a, x in zip(mats, sol.X)) for mats, _ in prob.constraints
+    ]
+    rp = max(abs(rhs - ax) for (_, rhs), ax in zip(prob.constraints, Ax))
+    S = [
+        sum(yi * mats[k] for yi, (mats, _) in zip(sol.y, prob.constraints)) - c
+        for k, c in enumerate(prob.objective)
+    ]
+    dual_min = min(0.0, *(np.linalg.eigvalsh(s)[0] for s in S))
+    x_min = min(0.0, *(np.linalg.eigvalsh(x)[0] for x in sol.X))
+    comp = abs(sum((x * s).sum() for x, s in zip(sol.X, S))) / (
+        1.0 + abs(sol.primal_value)
+    )
+    expected = {
+        "primal": rp,
+        "dual_psd_violation": -dual_min,
+        "x_psd_violation": -x_min,
+        "complementarity": comp,
+    }
+    assert res.keys() == expected.keys()
+    for key, val in expected.items():
+        assert res[key] == pytest.approx(val, rel=1e-9, abs=1e-15), key
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_stop_reason_reported(precision):
+    cases = [
+        (one_var_problem(), "optimal", "converged"),
+        (W.build_lower_dual(W.WitnessSpec.fock(6), 12, "balanced"), "numerical_limit",
+         None),
+    ]
+    for prob, status, reason in cases:
+        sol = conic.solve(prob, precision=precision)
+        assert sol.status == status
+        assert isinstance(sol.info["stop_reason"], str)
+        if reason is not None:
+            assert sol.info["stop_reason"] == reason
+        else:
+            assert sol.info["stop_reason"] in (
+                "factorisation_failed", "schur_factorisation_failed",
+                "nonfinite_direction", "stalled_steps", "iteration_cap",
+            )
+        json.dumps(sol.info)
+    capped = conic.solve(one_var_problem(), precision=precision, max_iterations=2)
+    assert capped.info["stop_reason"] == "iteration_cap"
+    json.dumps(capped.info)
 
 
 def test_export_round_trip_identity():
@@ -260,8 +317,10 @@ def test_min_eigenvalue_matches_scipy_bitwise(n):
 
 
 def _through_scipy_wrappers(mp):
-    """Run the solver as before the direct kernels: scipy.linalg wrappers,
-    np.tensordot for A^T y, and fresh factors of every accepted iterate."""
+    """Run the solver as before the direct kernels: one PSD block per 1x1
+    block, scipy.linalg wrappers, np.tensordot for A^T y, and fresh factors
+    of every accepted iterate."""
+    mp.setattr(conic, "_unit_runs", lambda blocks: [])
     mp.setattr(
         conic,
         "_trsolve",
@@ -274,9 +333,10 @@ def _through_scipy_wrappers(mp):
     )
 
     def apply_At(self, y):
+        assert conic._UNITS not in self.kinds
         return [
-            np.tensordot(y, stack, axes=(0, 0)) if size > 0 else y @ stack
-            for size, stack in zip(self.blocks, self.Bstack)
+            np.tensordot(y, stack, axes=(0, 0)) if kind == conic._PSD else y @ stack
+            for kind, stack in zip(self.kinds, self.Bstack)
         ]
 
     mp.setattr(conic._BlockData, "apply_At", apply_At)
@@ -289,12 +349,70 @@ def _through_scipy_wrappers(mp):
     mp.setattr(conic, "_interior_step", refactor_step)
 
 
+def _runs_problem(blocks, dense_rows=0):
+    """Random objective under a trace constraint, plus dense_rows random
+    constraints that X = I / n satisfies; the trace bounds the feasible set.
+
+    With one constraint every Schur sum has a single entry; dense rows make
+    every product and sum of the 1x1 arithmetic round."""
+    rng = np.random.default_rng(7)
+
+    def random_blocks():
+        out = []
+        for size in blocks:
+            if size > 0:
+                g = rng.standard_normal((size, size))
+                out.append((g + g.T) / 2.0)
+            else:
+                out.append(rng.standard_normal(-size))
+        return tuple(out)
+
+    n = sum(abs(b) for b in blocks)
+    objective = random_blocks()
+    constraints = [(tuple(np.eye(b) if b > 0 else np.ones(-b) for b in blocks), 1.0)]
+    for _ in range(dense_rows):
+        mats = random_blocks()
+        centre = sum(np.trace(a) if a.ndim == 2 else a.sum() for a in mats) / n
+        constraints.append((mats, float(centre)))
+    return conic.SdpProblem(
+        blocks=blocks, objective=objective, constraints=tuple(constraints)
+    )
+
+
 SOLVER_CASES = {
     "fock5-lower-dual-12-double": (
         lambda: W.build_lower_dual(W.WitnessSpec.fock(5), 12, "balanced"), "double"
     ),
     "fock6-lower-dual-12-extended": (
         lambda: W.build_lower_dual(W.WitnessSpec.fock(6), 12, "balanced"), "extended"
+    ),
+    "fock3-lower-dual-12-double": (
+        lambda: W.build_lower_dual(W.WitnessSpec.fock(3), 12, "balanced"), "double"
+    ),
+    "fock1-upper-1-double": (
+        lambda: W.build_upper_compact(W.WitnessSpec.fock(1), 1), "double"
+    ),
+    "fock1-upper-2-double": (
+        lambda: W.build_upper_compact(W.WitnessSpec.fock(1), 2), "double"
+    ),
+    "split-runs-one-constraint-double": (
+        lambda: _runs_problem((1, 3, 1, 1, -2)), "double"
+    ),
+    "split-runs-one-constraint-extended": (
+        lambda: _runs_problem((1, 3, 1, 1, -2)), "extended"
+    ),
+    # a run of ten: a pairwise sum over the run no longer gives these bits
+    "long-run-one-constraint-double": (
+        lambda: _runs_problem((1, 3) + (1,) * 10 + (-2,)), "double"
+    ),
+    "long-run-one-constraint-extended": (
+        lambda: _runs_problem((1, 3) + (1,) * 10 + (-2,)), "extended"
+    ),
+    "dense-runs-double": (
+        lambda: _runs_problem((1,) * 6 + (3,) + (1,) * 4 + (-2,), 4), "double"
+    ),
+    "dense-runs-extended": (
+        lambda: _runs_problem((1,) * 6 + (3,) + (1,) * 4 + (-2,), 4), "extended"
     ),
     "two-mode-rectangle2-lower-double": (
         lambda: MM.build_lower_multi(MM.MultiWitnessSpec((1, 1)), "rectangle", 2),
@@ -321,3 +439,22 @@ def test_solver_matches_scipy_wrappers_bitwise(case, monkeypatch):
         assert np.float64(getattr(new, attr)).tobytes() == np.float64(
             getattr(ref, attr)
         ).tobytes()
+
+
+def test_unit_blocks_never_reach_lapack(monkeypatch):
+    # the lower dual's 13 slack blocks are solved as one vector: no 1x1
+    # matrix is factored, triangular-solved or eigen-solved
+    shapes = []
+    for name in ("_trsolve", "_chol", "_min_eigenvalue"):
+        kernel = getattr(conic, name)
+
+        def recording(a, *args, kernel=kernel, name=name, **kwargs):
+            shapes.append((name, a.shape))
+            return kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(conic, name, recording)
+    prob = W.build_lower_dual(W.WitnessSpec.fock(5), 12, "balanced")
+    assert prob.blocks.count(1) == 13
+    conic.solve(prob, precision="double")
+    assert {name for name, _ in shapes} == {"_trsolve", "_chol", "_min_eigenvalue"}
+    assert [s for s in shapes if s[1][:2] == (1, 1)] == []
