@@ -10,7 +10,7 @@ are fixed:
 - the upper program (`build_upper_compact`) of Fock n=1 at levels 1..12 and
   of the weighted witness (0.5, 0, 1) at levels 3..12, in double;
 - the two-mode |1,1> lower and upper programs on triangles and rectangles 2
-  and 4, in double.
+  and 4, and the lower programs on rectangles 6 and 8, in double.
 
 Two checkouts solve these programs to the same bits exactly when their
 digests match:
@@ -18,6 +18,10 @@ digests match:
     PYTHONPATH=src python3 scripts/solver_digest.py > new.txt
     PYTHONPATH=/path/to/other/src python3 scripts/solver_digest.py > old.txt
     diff old.txt new.txt
+
+Make both digests with the same BLAS thread count: OpenBLAS splits the
+larger products of the rectangle-6 and rectangle-8 lower programs by thread,
+so their lines change with `OPENBLAS_NUM_THREADS`.
 
 Each line is `<sha256>  <status>  <iterations>  <program>`.  A run takes
 about 5 s on a 2-core machine.
@@ -65,6 +69,12 @@ def programs():
                     ),
                     "double",
                 )
+    for level in (6, 8):
+        yield (
+            f"two-mode lower rectangle {level} double",
+            lambda level=level: MM.build_lower_multi(spec, "rectangle", level),
+            "double",
+        )
 
 
 def digest(sol) -> str:

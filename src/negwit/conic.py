@@ -132,9 +132,13 @@ class SdpSolution:
 
 def _chol(a: np.ndarray):
     """Lower Cholesky; raises LinAlgError when not positive definite."""
-    if a.dtype == np.float64:
-        return np.linalg.cholesky(a)
-    return _chol_blocked(a)
+    if a.dtype != np.float64:
+        return _chol_blocked(a)
+    L = np.linalg.cholesky(a)
+    # potrf passes NaN through without an error; reject it as _chol_blocked does
+    if not np.all(np.diagonal(L) > 0):
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return L
 
 
 def _chol_blocked(a: np.ndarray, blk: int = 64):
@@ -439,16 +443,14 @@ def _interior_step(kinds, Vb, dVb, alpha, dtype):
 
 
 def _diag_chol(x):
-    if np.any(x <= 0):
+    if not np.all(x > 0):
         raise np.linalg.LinAlgError("diagonal block not positive")
     return x
 
 
 def _units_chol(x):
     """The 1x1 Cholesky factors sqrt(x), failing where the per-block kernel does."""
-    # LAPACK's potrf passes a NaN through; the longdouble kernel rejects it
-    bad = x <= 0 if x.dtype == np.float64 else ~(x > 0)
-    if np.any(bad):
+    if not np.all(x > 0):
         raise np.linalg.LinAlgError("1x1 block not positive")
     return np.sqrt(x)
 

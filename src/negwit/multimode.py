@@ -18,7 +18,7 @@ import numpy as np
 
 from . import conic
 from .numerics import mi_binomial, mi_factorial, mi_leq, mi_norm
-from .witness import _ProbBuilder, _compact_upper, _upper_gram
+from .witness import _compact_upper, _upper_gram
 
 INDEX_CAP = 10_000
 
@@ -99,32 +99,29 @@ def _level_indices(spec: MultiWitnessSpec, mode: str, level: int) -> list:
 def build_lower_multi(
     spec: MultiWitnessSpec, mode: str, level: int
 ) -> conic.SdpProblem:
-    """Multimode restriction: sum-of-squares radial profile, value <= threshold."""
-    idx = _level_indices(spec, mode, level)
-    pos = {k: i for i, k in enumerate(idx)}
-    nvar = len(idx)
-    pb = _ProbBuilder(blocks=(nvar, -nvar))
-    for k, w in spec.a.items():
-        if k in pos and w:
-            pb.set_obj(1, pos[k], Fraction(w))
-    pb.add_constraint([(1, i, Fraction(1)) for i in range(nvar)], 1)
+    """Multimode restriction: sum-of-squares radial profile, value <= threshold.
 
-    # all achievable antidiagonal index sums r = ki + kj
-    pair_sum = {}
-    for i, ki in enumerate(idx):
-        for j in range(i, nvar):
-            kj = idx[j]
-            r = tuple(a + b for a, b in zip(ki, kj))
-            pair_sum.setdefault(r, []).append((i, j))
-    for r, pairs in sorted(pair_sum.items()):
-        entries = [(0, pair, 1) for pair in pairs]
-        if all(v % 2 == 0 for v in r):
-            l = tuple(v // 2 for v in r)
-            for k in idx:
-                if mi_leq(l, k):
-                    entries.append((1, pos[k], -_mi_lower_even_coeff(l, k)))
-        pb.add_constraint(entries, 0)
-    return pb.build()
+    Maximise sum a_k F_k over F >= 0 with sum F = 1, one PSD block Q_p per
+    parity class of the tensor Laguerre basis and one row <G_k, Q> = F_k per
+    index, G_k the upper side's blocks (:func:`_upper_gram_multi`): the
+    coefficient-matching program reduced by the sign flips x_t -> -x_t.
+    """
+    idx = _level_indices(spec, mode, level)
+    G = [
+        tuple(np.array(g, dtype=float) for g in gk)
+        for gk in _upper_gram_multi(idx, level)
+    ]
+    nvar = len(idx)
+    e = np.eye(nvar)
+    zero = tuple(np.zeros_like(g) for g in G[0])
+    cons = [((np.ones(nvar),) + zero, 1.0)]
+    cons += [((-e[i],) + gk, 0.0) for i, gk in enumerate(G)]
+    return conic.SdpProblem(
+        blocks=(-nvar,) + tuple(len(g) for g in G[0]),
+        objective=(np.array([spec.a.get(k, 0.0) for k in idx]),) + zero,
+        constraints=tuple(cons),
+        sense="max",
+    )
 
 
 def _upper_gram_multi(idx: list, level: int) -> list:

@@ -243,6 +243,27 @@ def test_nonfinite_direction_ends_numerical_limit(overflow, precision, monkeypat
     assert np.isfinite(sol.y).all() and math.isfinite(sol.primal_value)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize(
+    "kind,block",
+    [
+        (conic._PSD, np.diag([1.0, np.nan, 1.0])),
+        (conic._PSD, np.full((3, 3), np.nan)),
+        (conic._PSD, np.array([[np.nan]])),
+        (conic._DIAG, np.array([1.0, np.nan, 1.0])),
+        (conic._UNITS, np.array([1.0, np.nan, 1.0])),
+    ],
+    ids=["psd-diagonal", "psd-full", "psd-1x1", "diag", "units"],
+)
+def test_nan_block_is_not_interior(kind, block, dtype):
+    # LAPACK's potrf returns NaN factors for NaN input without an error
+    block = block.astype(dtype)
+    assert conic._psd_ok([kind], [block]) is None
+    shift = np.eye(len(block), dtype=dtype) if kind is conic._PSD else 1.0
+    fine = np.nan_to_num(block, nan=0.0) + 2 * shift
+    assert conic._psd_ok([kind], [fine]) is not None
+
+
 # ---------------------------------------------------------------------------
 # the direct LAPACK kernels give the bits of the scipy.linalg wrappers
 # ---------------------------------------------------------------------------

@@ -220,3 +220,50 @@ def test_rectangle_ten_upper_converges_in_double():
     v, sol = MM.solve_upper_multi(spec, "rectangle", 10, precision="double")
     assert sol.status == "optimal"
     assert 0.315 <= v <= 0.33
+
+
+@pytest.mark.parametrize("modes,level", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_lower_parity_blocks_match_coefficients_exactly(modes, level):
+    # a random integer PSD Q_p per parity block, taken to the monomial basis
+    # by T^T Q T, with F_k = <G_k, Q>, matches every coefficient exactly
+    rng = np.random.default_rng(10 * modes + level)
+    idx = MM.iterate_indices("rectangle", level, modes)
+    G = MM._upper_gram_multi(idx, level)
+    classes = [
+        [i for i, e in enumerate(idx) if tuple(v % 2 for v in e) == p]
+        for p in itertools.product((0, 1), repeat=modes)
+    ]
+    Q = np.zeros((len(idx), len(idx)), dtype=object)
+    blocks = []
+    for rows in classes:
+        R = rng.integers(-3, 4, size=(len(rows), len(rows))).astype(object)
+        blocks.append(R @ R.T)
+        Q[np.ix_(rows, rows)] = blocks[-1]
+    F = [sum((g * q).sum() for g, q in zip(Gk, blocks)) for Gk in G]
+    T = _laguerre_congruence(idx)
+    Qm = T.T @ Q @ T
+    Qout = {(ki, kj): Qm[i, j] for i, ki in enumerate(idx) for j, kj in enumerate(idx)}
+    res = MM.product_feasibility_residuals(Qout, dict(zip(idx, F)), [level] * modes)
+    assert len(res) == 1 + (2 * level + 1) ** modes
+    assert all(r == 0 for r in res[1:])
+    # the builder's rows are these: sum F and <G_k, Q> - F_k
+    spec = MM.MultiWitnessSpec(n=(1,) * modes)
+    prob = MM.build_lower_multi(spec, "rectangle", level)
+    assert prob.blocks == (-len(idx), *(len(rows) for rows in classes))
+    X = (np.array(F, dtype=float), *(np.array(b, dtype=float) for b in blocks))
+    scale = float(max(F))
+    Ax = [sum((a * x).sum() for a, x in zip(mats, X)) for mats, _ in prob.constraints]
+    assert Ax[0] == pytest.approx(float(sum(F)), rel=1e-12)
+    assert all(abs(v) <= 1e-12 * scale for v in Ax[1:])
+
+
+def test_deep_rectangle_lower_converges_in_double():
+    spec = MM.MultiWitnessSpec(n=(1, 1))
+    lo, sol = MM.solve_lower_multi(spec, "rectangle", 8)
+    assert sol.status == "optimal" and sol.info["precision"] == "double"
+    assert abs(lo - 0.2674575) <= 1e-6
+    up, _ = MM.solve_upper_multi(spec, "rectangle", 8)
+    assert lo <= up
+    lo10, sol10 = MM.solve_lower_multi(spec, "rectangle", 10)
+    assert sol10.status == "optimal" and sol10.info["precision"] == "double"
+    assert lo - 1e-8 <= lo10 <= up
