@@ -2,8 +2,8 @@
 """Print one SHA-256 line per default CLI output, to check outputs are unchanged.
 
 The outputs are the ones the byte-identical rule protects: the `threshold`
-sweeps (single Fock n=1..6 and two weighted witnesses, at level 12 so that
-both the shallow and the deep path run), `cf --example` for the stock
+sweeps (single Fock n=1..6 and two weighted witnesses, to level 12, where
+the lower side's first extended retry appears), `cf --example` for the stock
 models, and the Torpedo values at d=2 and d=3.  Two more lines hash the
 `--emit-sdpa` file of `threshold --n 3` at levels 8 and 12: the upper
 program as solved, in the Laguerre parity-block basis, at a sweep level and

@@ -5,8 +5,8 @@ Each line hashes what one solve returns: the shape and bytes of every X block
 and of y, the status, the iteration count and the info dict.  The programs
 are fixed:
 
-- the lower dual (`build_lower_dual`, balanced) of Fock n=1..6 at levels 11
-  and 12, in double and in extended precision;
+- the lower program (`build_lower`) of Fock n=1..6 at levels 11 and 12, in
+  double and in extended precision;
 - the upper program (`build_upper_compact`) of Fock n=1 at levels 1..12 and
   of the weighted witness (0.5, 0, 1) at levels 3..12, in double;
 - the two-mode |1,1> lower and upper programs on triangles and rectangles 2
@@ -42,10 +42,8 @@ def programs():
         for m in (11, 12):
             for precision in ("double", "extended"):
                 yield (
-                    f"lower-dual fock({n}) m={m} {precision}",
-                    lambda n=n, m=m: W.build_lower_dual(
-                        W.WitnessSpec.fock(n), m, "balanced"
-                    ),
+                    f"lower fock({n}) m={m} {precision}",
+                    lambda n=n, m=m: W.build_lower(W.WitnessSpec.fock(n), m),
                     precision,
                 )
     weighted = W.WitnessSpec((0.5, 0.0, 1.0))

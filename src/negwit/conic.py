@@ -9,8 +9,7 @@ over block-diagonal symmetric matrices; both readings share the same data
 (blocks, C, (B_i, b_i)) and the solver always produces the primal-dual pair,
 so a problem tagged "min" simply reports the second reading as its value.
 Blocks with positive size are dense PSD blocks; negative sizes are diagonal
-blocks (modelling LP variables).  Inside the solver each run of consecutive
-1x1 PSD blocks is held as one vector block, with the same arithmetic.
+blocks (modelling LP variables).
 
 The solver is an infeasible-start primal-dual path-following method with the
 HKM search direction and a Mehrotra predictor-corrector, dense Cholesky
@@ -130,13 +129,18 @@ class SdpSolution:
 # ---------------------------------------------------------------------------
 
 
+def _interior(d):
+    """Where d is finite and positive; NaN and +inf fail both comparisons."""
+    return (d > 0) & (d < np.inf)
+
+
 def _chol(a: np.ndarray):
     """Lower Cholesky; raises LinAlgError when not positive definite."""
     if a.dtype != np.float64:
         return _chol_blocked(a)
     L = np.linalg.cholesky(a)
-    # potrf passes NaN through without an error; reject it as _chol_blocked does
-    if not np.all(np.diagonal(L) > 0):
+    # potrf passes NaN and +inf through without an error
+    if not np.all(_interior(np.diagonal(L))):
         raise np.linalg.LinAlgError("matrix is not positive definite")
     return L
 
@@ -150,7 +154,7 @@ def _chol_blocked(a: np.ndarray, blk: int = 64):
             L[j0:, j0:j1] = L[j0:, j0:j1] - L[j0:, :j0] @ L[j0:j1, :j0].T
         for j in range(j0, j1):
             d = L[j, j] - np.dot(L[j, j0:j], L[j, j0:j])
-            if not d > 0:
+            if not _interior(d):
                 raise np.linalg.LinAlgError("matrix is not positive definite")
             d = np.sqrt(d)
             L[j, j] = d
@@ -236,87 +240,32 @@ def _chol_solve(L: np.ndarray, b: np.ndarray):
 # solver internals
 # ---------------------------------------------------------------------------
 
-# Kinds of the solver's internal blocks, fixed once per problem.  A "units"
-# block is a run of consecutive 1x1 PSD blocks of the problem, held as one
-# vector: LAPACK spends a call set per block and iteration on such blocks
-# (a Cholesky factor, two triangular solves, step-length solves), which on a
-# 1x1 block are a square root and divisions, done here in one array operation.
-_PSD, _DIAG, _UNITS = "psd", "diag", "units"
-
-
-def _unit_runs(blocks) -> list:
-    """(start, stop) of each maximal run of consecutive 1x1 PSD blocks."""
-    runs = []
-    for i, size in enumerate(blocks):
-        if size != 1:
-            continue
-        if runs and runs[-1][1] == i:
-            runs[-1] = (runs[-1][0], i + 1)
-        else:
-            runs.append((i, i + 1))
-    return runs
-
-
-def _fold(acc, terms):
-    """acc + terms[0] + terms[1] + ..., added left to right.
-
-    This is the order of a loop over the blocks of a run; np.add.accumulate
-    keeps it where a reduction may sum pairwise.
-    """
-    return np.add.accumulate(np.concatenate((np.asarray(acc)[None], terms)))[-1]
-
-
 class _BlockData:
-    """Stacked constraint data in the working dtype, per internal block.
+    """Per-block stacked constraint data in the working dtype.
 
-    ``kinds[k]`` and ``sizes[k]`` describe internal block k, which covers the
-    problem blocks ``spans[k]``.  Its stack is (m, n, n) for a PSD block,
-    (m, n) for a diagonal one and (n, m) for a run of n units, so that each
-    unit's row is contiguous.  Sums over blocks stay in the problem's block
-    order, and the units' arithmetic is LAPACK's on a 1x1 block: the solver
-    takes the same steps, bit for bit, as with one PSD block per unit.
+    The stack of a PSD block is (m, n, n) and that of a diagonal block is
+    (m, n), for m constraints.
     """
 
     def __init__(self, problem: SdpProblem, dtype):
+        self.blocks = problem.blocks
         self.dtype = dtype
         m = problem.num_constraints
         self.b = np.array([rhs for _, rhs in problem.constraints], dtype=dtype)
-        runs = dict(_unit_runs(problem.blocks))
-        self.kinds, self.sizes, self.spans = [], [], []
-        i = 0
-        while i < len(problem.blocks):
-            size = problem.blocks[i]
-            if i in runs:
-                kind, stop, n = _UNITS, runs[i], runs[i] - i
-            else:
-                kind, stop, n = _PSD if size > 0 else _DIAG, i + 1, abs(size)
-            self.kinds.append(kind)
-            self.sizes.append(n)
-            self.spans.append((i, stop))
-            i = stop
         self.C = []
         self.Bstack = []
-        self.Bflat = []  # (m, n*n) views of the PSD stacks; other stacks as is
-        for kind, n, (start, stop) in zip(self.kinds, self.sizes, self.spans):
-            if kind is _UNITS:
-                units = range(start, stop)
-                cb = np.array([problem.objective[j][0, 0] for j in units], dtype=dtype)
-                stack = np.array(
-                    [[mats[j][0, 0] for mats, _ in problem.constraints] for j in units],
-                    dtype=dtype,
-                )
-            else:
-                cb = np.asarray(problem.objective[start], dtype=dtype)
-                shape = (m, n, n) if kind is _PSD else (m, n)
-                stack = np.empty(shape, dtype=dtype)
-                for ci, (mats, _) in enumerate(problem.constraints):
-                    stack[ci] = np.asarray(mats[start], dtype=dtype)
-            self.C.append(cb)
+        self.Bflat = []  # (m, n*n) views of the PSD stacks; diagonal stacks as is
+        for bi, size in enumerate(problem.blocks):
+            n = abs(size)
+            self.C.append(np.asarray(problem.objective[bi], dtype=dtype))
+            stack = np.empty((m, n, n) if size > 0 else (m, n), dtype=dtype)
+            for ci, (mats, _) in enumerate(problem.constraints):
+                stack[ci] = np.asarray(mats[bi], dtype=dtype)
             self.Bstack.append(stack)
-            self.Bflat.append(stack.reshape(m, -1) if kind is _PSD else stack)
+            self.Bflat.append(stack.reshape(m, -1))
         # read-only identities for the Schur jitter, S^{-1} and the centring term
         self.eye = {}
-        for n in {m, *(n for k, n in zip(self.kinds, self.sizes) if k is _PSD)}:
+        for n in {m, *(b for b in problem.blocks if b > 0)}:
             self.eye[n] = np.eye(n, dtype=dtype)
             self.eye[n].setflags(write=False)
         self.norm_b = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
@@ -327,115 +276,74 @@ class _BlockData:
     def apply_A(self, Xb) -> np.ndarray:
         """Vector of <B_i, X>."""
         out = np.zeros(len(self.b), dtype=self.dtype)
-        for kind, flat, x in zip(self.kinds, self.Bflat, Xb):
-            if kind is _UNITS:
-                out = _fold(out, flat * x[:, None])
-            else:
-                out += flat @ x.reshape(-1)
+        for flat, x in zip(self.Bflat, Xb):
+            out += flat @ x.reshape(-1)
         return out
 
     def apply_At(self, y) -> list:
         """Block matrix sum_i y_i B_i."""
         out = []
         row = y.reshape(1, -1)
-        for kind, n, flat in zip(self.kinds, self.sizes, self.Bflat):
-            if kind is _PSD:
+        for size, flat in zip(self.blocks, self.Bflat):
+            if size > 0:
                 # the product np.tensordot(y, stack, axes=(0, 0)) performs
-                out.append(np.dot(row, flat).reshape(n, n))
-            elif kind is _DIAG:
+                out.append(np.dot(row, flat).reshape(size, size))
+            else:
                 out.append(y @ flat)
-            else:
-                # one (1, m) @ (m, 1) product per unit, as for a 1x1 PSD
-                # block; y @ flat.T sums in another order
-                out.append(np.matmul(row, flat[:, :, None]).reshape(n))
         return out
 
-    def split(self, Vb) -> list:
-        """The internal blocks Vb as one array per problem block."""
-        out = []
-        for kind, v in zip(self.kinds, Vb):
-            if kind is _UNITS:
-                out.extend(v.reshape(-1, 1, 1))
-            else:
-                out.append(v)
-        return out
 
-    def join(self, Vb) -> list:
-        """Arrays per problem block, as the internal blocks."""
-        return [
-            np.array([Vb[j][0, 0] for j in range(start, stop)])
-            if kind is _UNITS
-            else Vb[start]
-            for kind, (start, stop) in zip(self.kinds, self.spans)
-        ]
-
-
-def _blk_inner(kinds, A, B):
+def _blk_inner(A, B):
     total = 0.0
-    for kind, a, b in zip(kinds, A, B):
-        if kind is _UNITS:
-            total = _fold(total, a * b)
-        else:
-            total = total + (a * b).sum()
+    for a, b in zip(A, B):
+        total = total + (a * b).sum()
     return total
 
 
-def _identity_blocks(kinds, sizes, dtype, scale=1.0):
+def _identity_blocks(blocks, dtype, scale=1.0):
     out = []
-    for kind, n in zip(kinds, sizes):
-        if kind is _PSD:
-            out.append(np.eye(n, dtype=dtype) * dtype(scale))
+    for size in blocks:
+        if size > 0:
+            out.append(np.eye(size, dtype=dtype) * dtype(scale))
         else:
-            out.append(np.full(n, dtype(scale), dtype=dtype))
+            out.append(np.full(-size, dtype(scale), dtype=dtype))
     return out
 
 
-def _max_step(kinds, Xb, dXb, chols):
+def _max_step(blocks, Xb, dXb, chols):
     """Largest alpha <= 1e32 with X + alpha dX psd (per-block boundary)."""
     alpha = np.inf
-    for kind, x, dx, L in zip(kinds, Xb, dXb, chols):
-        if kind is _PSD:
+    for size, x, dx, L in zip(blocks, Xb, dXb, chols):
+        if size > 0:
             K = _solve_lower(L, _solve_lower(L, dx).T)
             Kd = np.asarray(K, dtype=np.float64)
             lam = _min_eigenvalue((Kd + Kd.T) / 2.0)
             if lam < -1e-300:
                 alpha = min(alpha, -1.0 / lam)
-        elif kind is _DIAG:
+        else:
             neg = dx < 0
             if np.any(neg):
                 alpha = min(alpha, float(np.min(-x[neg] / dx[neg])))
-        else:  # a 1x1 block is its own eigenvalue, symmetrised as above
-            Kd = np.asarray(dx / L / L, dtype=np.float64)
-            lam = (Kd + Kd) / 2.0
-            neg = lam < -1e-300
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(-1.0 / lam[neg])))
     return alpha
 
 
-def _psd_ok(kinds, Xb):
-    chols = []
+def _psd_ok(blocks, Xb):
     try:
-        for kind, x in zip(kinds, Xb):
-            if kind is _PSD:
-                chols.append(_chol(x))
-            elif kind is _DIAG:
-                chols.append(_diag_chol(x))
-            else:
-                chols.append(_units_chol(x))
+        return [
+            _chol(x) if size > 0 else _diag_chol(x) for size, x in zip(blocks, Xb)
+        ]
     except np.linalg.LinAlgError:
         return None
-    return chols
 
 
-def _interior_step(kinds, Vb, dVb, alpha, dtype):
+def _interior_step(blocks, Vb, dVb, alpha, dtype):
     """Backtrack alpha until V + alpha dV factors; the step, its factors, alpha.
 
     The factors are None when 60 reductions do not reach an interior point.
     """
     for _ in range(60):
         trial = [v + dtype(alpha) * d for v, d in zip(Vb, dVb)]
-        chols = _psd_ok(kinds, trial)
+        chols = _psd_ok(blocks, trial)
         if chols is not None:
             return trial, chols, alpha
         alpha *= 0.8
@@ -443,16 +351,9 @@ def _interior_step(kinds, Vb, dVb, alpha, dtype):
 
 
 def _diag_chol(x):
-    if not np.all(x > 0):
+    if not np.all(_interior(x)):
         raise np.linalg.LinAlgError("diagonal block not positive")
     return x
-
-
-def _units_chol(x):
-    """The 1x1 Cholesky factors sqrt(x), failing where the per-block kernel does."""
-    if not np.all(x > 0):
-        raise np.linalg.LinAlgError("1x1 block not positive")
-    return np.sqrt(x)
 
 
 def solve(
@@ -476,12 +377,12 @@ def solve(
         raise ValueError("problem needs at least one constraint")
     dtype = np.float64 if precision == "double" else np.longdouble
     data = _BlockData(problem, dtype)
-    kinds = data.kinds
+    blocks = problem.blocks
     m = problem.num_constraints
-    ntot = sum(abs(b) for b in problem.blocks)
+    ntot = sum(abs(b) for b in blocks)
 
-    Xb = _identity_blocks(kinds, data.sizes, dtype, math.sqrt(ntot))
-    Sb = _identity_blocks(kinds, data.sizes, dtype, max(1.0, data.norm_C))
+    Xb = _identity_blocks(blocks, dtype, math.sqrt(ntot))
+    Sb = _identity_blocks(blocks, dtype, max(1.0, data.norm_C))
     y = np.zeros(m, dtype=dtype)
 
     best = None
@@ -491,18 +392,18 @@ def solve(
     stop_reason = "iteration_cap"
     it = 0
     for it in range(1, max_iterations + 1):
-        pobj = _blk_inner(kinds, data.C, Xb)
+        pobj = _blk_inner(data.C, Xb)
         dobj = float(data.b @ y)
         rp = data.b - data.apply_A(Xb)
         Aty = data.apply_At(y)
         Rd = [c + s - a for c, s, a in zip(data.C, Sb, Aty)]
-        mu = _blk_inner(kinds, Xb, Sb) / ntot
+        mu = _blk_inner(Xb, Sb) / ntot
         rp_norm = float(np.max(np.abs(rp))) / data.norm_b if m else 0.0
         rd_norm = max(float(np.max(np.abs(r))) for r in Rd) / data.norm_C
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         # complementarity guards against near-feasible iterate pairs whose
         # small mutual gap hides large multiplier-weighted infeasibility
-        comp = abs(_blk_inner(kinds, Xb, Sb)) / (1.0 + abs(pobj) + abs(dobj))
+        comp = abs(_blk_inner(Xb, Sb)) / (1.0 + abs(pobj) + abs(dobj))
         quality = max(relgap, rp_norm, rd_norm, comp)
         # plain floats, so that info stays JSON-safe after extended solves
         residuals = {
@@ -527,20 +428,16 @@ def solve(
             break
 
         if Lx is None:
-            Lx = _psd_ok(kinds, Xb)
+            Lx = _psd_ok(blocks, Xb)
         if Ls is None:
-            Ls = _psd_ok(kinds, Sb)
+            Ls = _psd_ok(blocks, Sb)
         if Lx is None or Ls is None:
             status, stop_reason = "numerical_limit", "factorisation_failed"
             break
-        Sinv = []
-        for kind, n, s, L in zip(kinds, data.sizes, Sb, Ls):
-            if kind is _PSD:
-                Sinv.append(_chol_solve(L, data.eye[n]))
-            elif kind is _DIAG:
-                Sinv.append(1.0 / s)
-            else:  # the two triangular solves of a 1x1 block
-                Sinv.append(1.0 / L / L)
+        Sinv = [
+            _chol_solve(L, data.eye[size]) if size > 0 else 1.0 / s
+            for size, s, L in zip(blocks, Sb, Ls)
+        ]
         # with S^{-1} and the Schur solutions finite, so is every direction,
         # and no inf or NaN reaches the step-length eigenvalue solver
         if not all(np.isfinite(si).all() for si in Sinv):
@@ -549,16 +446,15 @@ def solve(
 
         # Schur complement H_ij = sum_blocks Tr(B_i X B_j S^{-1})
         H = np.zeros((m, m), dtype=dtype)
-        for kind, stack, flat, x, si in zip(kinds, data.Bstack, data.Bflat, Xb, Sinv):
-            if kind is _PSD:
+        for size, stack, flat, x, si in zip(
+            blocks, data.Bstack, data.Bflat, Xb, Sinv
+        ):
+            if size > 0:
                 T = np.matmul(np.matmul(x, stack), si)
                 H += flat @ T.reshape(m, -1).T
-            elif kind is _DIAG:
+            else:
                 w = x * si
                 H += (stack * w) @ stack.T
-            else:  # one rank-one term B_i X B_j S^{-1} per unit
-                T = (x[:, None] * stack) * si[:, None]
-                H = _fold(H, stack[:, :, None] * T[:, None, :])
         H = (H + H.T) / 2.0
 
         Lh = None
@@ -577,14 +473,12 @@ def solve(
         def rhs_for(Rc):
             # A(Rc S^{-1}) + A(X Rd S^{-1}) - rp
             vec = -rp.astype(dtype)
-            for kind, flat, rc, rd, x, si in zip(kinds, data.Bflat, Rc, Rd, Xb, Sinv):
-                if kind is _PSD:
+            for size, flat, rc, rd, x, si in zip(blocks, data.Bflat, Rc, Rd, Xb, Sinv):
+                if size > 0:
                     Mx = (rc + x @ rd) @ si
                     vec += flat @ Mx.reshape(-1)
-                elif kind is _DIAG:
-                    vec += flat @ ((rc + x * rd) * si)
                 else:
-                    vec = _fold(vec, flat * ((rc + x * rd) * si)[:, None])
+                    vec += flat @ ((rc + x * rd) * si)
             return vec
 
         def schur_solve(rhs):
@@ -598,30 +492,26 @@ def solve(
             dy = schur_solve(rhs_for(Rc))
             dS = [a - r for a, r in zip(data.apply_At(dy), Rd)]
             dX = []
-            for kind, rc, x, ds, si in zip(kinds, Rc, Xb, dS, Sinv):
-                if kind is _PSD:
+            for size, rc, x, ds, si in zip(blocks, Rc, Xb, dS, Sinv):
+                if size > 0:
                     v = (rc - x @ ds) @ si
                     dX.append((v + v.T) / 2.0)
-                elif kind is _DIAG:
+                else:
                     dX.append((rc - x * ds) * si)
-                else:  # symmetrised as a 1x1 block, which overflows alike
-                    v = (rc - x * ds) * si
-                    dX.append((v + v) / 2.0)
             return dX, dy, dS
 
         # predictor
         Rc_aff = [
-            -(x @ s) if kind is _PSD else -(x * s) for kind, x, s in zip(kinds, Xb, Sb)
+            -(x @ s) if size > 0 else -(x * s) for size, x, s in zip(blocks, Xb, Sb)
         ]
         dX_a, dy_a, dS_a = direction(Rc_aff)
         if not np.isfinite(dy_a).all():  # the Schur solve overflowed
             status, stop_reason = "numerical_limit", "nonfinite_direction"
             break
-        ap = min(1.0, _max_step(kinds, Xb, dX_a, Lx))
-        ad = min(1.0, _max_step(kinds, Sb, dS_a, Ls))
+        ap = min(1.0, _max_step(blocks, Xb, dX_a, Lx))
+        ad = min(1.0, _max_step(blocks, Sb, dS_a, Ls))
         mu_aff = (
             _blk_inner(
-                kinds,
                 [x + ap * d for x, d in zip(Xb, dX_a)],
                 [s + ad * d for s, d in zip(Sb, dS_a)],
             )
@@ -631,21 +521,21 @@ def solve(
 
         # corrector
         Rc = []
-        for kind, n, x, s, dxa, dsa in zip(kinds, data.sizes, Xb, Sb, dX_a, dS_a):
-            if kind is _PSD:
-                Rc.append(dtype(sigma * mu) * data.eye[n] - x @ s - dxa @ dsa)
+        for size, x, s, dxa, dsa in zip(blocks, Xb, Sb, dX_a, dS_a):
+            if size > 0:
+                Rc.append(dtype(sigma * mu) * data.eye[size] - x @ s - dxa @ dsa)
             else:
                 Rc.append(dtype(sigma * mu) - x * s - dxa * dsa)
         dX, dy, dS = direction(Rc)
         if not np.isfinite(dy).all():
             status, stop_reason = "numerical_limit", "nonfinite_direction"
             break
-        ap = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(kinds, Xb, dX, Lx))
-        ad = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(kinds, Sb, dS, Ls))
+        ap = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(blocks, Xb, dX, Lx))
+        ad = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(blocks, Sb, dS, Ls))
 
         # keep iterates safely interior
-        X_next, Lx, ap = _interior_step(kinds, Xb, dX, ap, dtype)
-        S_next, Ls, ad = _interior_step(kinds, Sb, dS, ad, dtype)
+        X_next, Lx, ap = _interior_step(blocks, Xb, dX, ap, dtype)
+        S_next, Ls, ad = _interior_step(blocks, Sb, dS, ad, dtype)
 
         if max(ap, ad) < 1e-10:
             stalls += 1
@@ -665,10 +555,10 @@ def solve(
     if best is not None and status in ("optimal", "numerical_limit"):
         _, Xb, y, pobj, dobj, diag = best
     else:
-        pobj = _blk_inner(kinds, data.C, Xb)
+        pobj = _blk_inner(data.C, Xb)
         dobj = float(data.b @ y)
 
-    X_out = tuple(np.asarray(x, dtype=np.float64) for x in data.split(Xb))
+    X_out = tuple(np.asarray(x, dtype=np.float64) for x in Xb)
     y_out = np.asarray(y, dtype=np.float64)
     pv, dv = float(pobj), float(dobj)
     relgap = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
@@ -695,20 +585,19 @@ def verify_strong_duality(solution: SdpSolution, tol: float) -> bool:
 def kkt_residuals(problem: SdpProblem, solution: SdpSolution) -> dict:
     """Primal feasibility, dual feasibility and complementarity residuals."""
     data = _BlockData(problem, np.float64)
-    Xb = data.join(solution.X)
+    Xb = solution.X
     rp = float(np.max(np.abs(data.b - data.apply_A(Xb)))) if len(data.b) else 0.0
     Sb = [a - c for a, c in zip(data.apply_At(solution.y), data.C)]
     dual_min = 0.0
     x_min = 0.0
-    # eigenvalues on the problem's own blocks
-    for size, s, x in zip(problem.blocks, data.split(Sb), solution.X):
+    for size, s, x in zip(problem.blocks, Sb, Xb):
         if size > 0:
             dual_min = min(dual_min, float(np.min(sla.eigvalsh(s))))
             x_min = min(x_min, float(np.min(sla.eigvalsh(x))))
         else:
             dual_min = min(dual_min, float(np.min(s)))
             x_min = min(x_min, float(np.min(x)))
-    comp = abs(_blk_inner(data.kinds, Xb, Sb)) / (1.0 + abs(solution.primal_value))
+    comp = abs(_blk_inner(Xb, Sb)) / (1.0 + abs(solution.primal_value))
     return {
         "primal": rp,
         "dual_psd_violation": -dual_min,

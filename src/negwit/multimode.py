@@ -18,7 +18,7 @@ import numpy as np
 
 from . import conic
 from .numerics import mi_binomial, mi_factorial, mi_leq, mi_norm
-from .witness import _compact_upper, _upper_gram
+from .witness import _compact_lower, _compact_upper, _solve_with_policy, _upper_gram
 
 INDEX_CAP = 10_000
 
@@ -107,21 +107,8 @@ def build_lower_multi(
     coefficient-matching program reduced by the sign flips x_t -> -x_t.
     """
     idx = _level_indices(spec, mode, level)
-    G = [
-        tuple(np.array(g, dtype=float) for g in gk)
-        for gk in _upper_gram_multi(idx, level)
-    ]
-    nvar = len(idx)
-    e = np.eye(nvar)
-    zero = tuple(np.zeros_like(g) for g in G[0])
-    cons = [((np.ones(nvar),) + zero, 1.0)]
-    cons += [((-e[i],) + gk, 0.0) for i, gk in enumerate(G)]
-    return conic.SdpProblem(
-        blocks=(-nvar,) + tuple(len(g) for g in G[0]),
-        objective=(np.array([spec.a.get(k, 0.0) for k in idx]),) + zero,
-        constraints=tuple(cons),
-        sense="max",
-    )
+    w = [spec.a.get(k, 0.0) for k in idx]
+    return _compact_lower(_upper_gram_multi(idx, level), w)
 
 
 def _upper_gram_multi(idx: list, level: int) -> list:
@@ -176,43 +163,16 @@ def build_upper_multi_compact(
     return _compact_upper(_upper_gram_multi(idx, level), w)
 
 
-def _solve_multi(build, spec, mode, level, tol, precision, max_iterations):
-    """Solve in double, retrying in extended when double stalls.
-
-    ``"extended"`` skips the double attempt and ``"double"`` never retries;
-    ``max_iterations`` caps the extended attempt.
-    """
-    if precision not in ("double", "extended", "auto"):
-        raise ValueError(
-            f"precision must be 'double', 'extended' or 'auto', not {precision!r}"
-        )
-    prob = build(spec, mode, level)
-    if precision != "extended":
-        sol = conic.solve(prob, tol=tol, precision="double")
-        if (
-            precision == "double"
-            or sol.status == "optimal"
-            or sol.info.get("comp", 1.0) <= 100 * tol
-        ):
-            return sol
-    return conic.solve(
-        prob, tol=tol, precision="extended", max_iterations=max_iterations
-    )
-
-
 def solve_lower_multi(spec, mode, level, tol=1e-8, precision="auto"):
     """Lower bound at this level; returns (value, solution)."""
-    sol = _solve_multi(
-        build_lower_multi, spec, mode, level, tol, precision, conic.MAX_ITERATIONS
-    )
+    sol, _ = _solve_with_policy(build_lower_multi(spec, mode, level), tol, precision)
     return sol.primal_value, sol
 
 
 def solve_upper_multi(spec, mode, level, tol=1e-8, precision="auto"):
     """Upper bound at this level; returns (value, solution)."""
-    sol = _solve_multi(
-        build_upper_multi_compact, spec, mode, level, tol, precision, 300
-    )
+    prob = build_upper_multi_compact(spec, mode, level)
+    sol, _ = _solve_with_policy(prob, tol, precision)
     return -sol.primal_value, sol
 
 

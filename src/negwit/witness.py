@@ -25,10 +25,6 @@ import numpy as np
 from . import conic
 from .numerics import binomial
 
-# lower-hierarchy levels above which binary64 needs the dual layout and the
-# balanced congruence; matches where unscaled solves decay
-RESCALE_ABOVE = 10
-
 
 @dataclass(frozen=True)
 class WitnessSpec:
@@ -109,116 +105,9 @@ def moment_coeff(l: int, k: int) -> int:
     return binomial(l, k) * math.factorial(l)
 
 
-def _scales(m: int, mode: str):
-    """Per-monomial congruence weights used to tame factorial growth.
-
-    Irrational targets are snapped to the exact binary value of their float,
-    which keeps the transform an honest congruence (one weight per index).
-    """
-    if mode == "none":
-        return [Fraction(1)] * (m + 1)
-    if mode == "balanced":
-        # 1/sqrt(u! 2^u): moment entries on antidiagonal 2l are ~2^l l!,
-        # so the congruence keeps the matrix O(1)
-        return [
-            Fraction(1.0 / math.sqrt(math.factorial(u) * 2.0**u))
-            for u in range(m + 1)
-        ]
-    raise ValueError(f"unknown scale mode {mode!r}")
-
-
-class _ProbBuilder:
-    """Accumulates exact rational block-sparse constraints, emits SdpProblem.
-
-    A matrix key (i, j) sets both entries (i, j) and (j, i), so a value v at
-    i < j weighs Q_ij + Q_ji by v in the inner product.
-    """
-
-    def __init__(self, blocks, sense="max"):
-        self.blocks = tuple(blocks)
-        self.sense = sense
-        self.obj = [dict() for _ in blocks]
-        self.cons = []
-
-    def set_obj(self, blk, key, val):
-        self.obj[blk][key] = Fraction(val)
-
-    def add_constraint(self, entries, rhs):
-        """entries: list of (block, key, Fraction); key (i,j) or i.
-
-        The row is divided by its largest coefficient magnitude.
-        """
-        mats = [dict() for _ in self.blocks]
-        for blk, key, val in entries:
-            v = Fraction(val)
-            if v:
-                mats[blk][key] = mats[blk].get(key, Fraction(0)) + v
-        mx = max((abs(v) for mat in mats for v in mat.values()), default=Fraction(1))
-        mats = [{k: v / mx for k, v in mat.items()} for mat in mats]
-        self.cons.append((mats, Fraction(rhs) / mx))
-
-    def _dense(self, mats):
-        out = []
-        for size, mat in zip(self.blocks, mats):
-            if size > 0:
-                a = np.zeros((size, size))
-                for (i, j), v in mat.items():
-                    a[i, j] = float(v)
-                    a[j, i] = float(v)
-            else:
-                a = np.zeros(-size)
-                for i, v in mat.items():
-                    a[i] = float(v)
-            out.append(a)
-        return tuple(out)
-
-    def build(self) -> conic.SdpProblem:
-        return conic.SdpProblem(
-            blocks=self.blocks,
-            objective=self._dense(self.obj),
-            constraints=tuple((self._dense(m), float(r)) for m, r in self.cons),
-            sense=self.sense,
-        )
-
-
 # ---------------------------------------------------------------------------
 # hierarchy builders
 # ---------------------------------------------------------------------------
-
-
-def build_lower(spec: WitnessSpec, m: int, scale: str = "none") -> conic.SdpProblem:
-    """Level-m lower-bound program: variables Q in Sym(m+1) and F in R^{m+1}.
-
-    maximise sum a_k F_k  s.t.  sum F = 1, F >= 0, odd antidiagonal sums of Q
-    vanish, even ones match the signed binomial transform of F, Q psd.
-    """
-    n = spec.n
-    if m < n:
-        raise ValueError("level m must be at least the top witness index n")
-    scales = _scales(m, scale)
-    pb = _ProbBuilder(blocks=(m + 1, -(m + 1)))
-    w = _weights_exact(spec.a, m)
-    for k in range(m + 1):
-        if w[k]:
-            pb.set_obj(1, k, w[k])
-    pb.add_constraint([(1, k, Fraction(1)) for k in range(m + 1)], 1)
-    for l in range(1, m + 1):
-        entries = []
-        for i in range(max(0, 2 * l - 1 - m), m + 1):
-            j = 2 * l - 1 - i
-            if 0 <= j <= m and i <= j:
-                entries.append((0, (i, j), scales[i] * scales[j]))
-        pb.add_constraint(entries, 0)
-    for l in range(m + 1):
-        entries = []
-        for i in range(max(0, 2 * l - m), m + 1):
-            j = 2 * l - i
-            if 0 <= j <= m and i <= j:
-                entries.append((0, (i, j), scales[i] * scales[j]))
-        for k in range(l, m + 1):
-            entries.append((1, k, -lower_even_coeff(l, k)))
-        pb.add_constraint(entries, 0)
-    return pb.build()
 
 
 def _upper_gram(m: int):
@@ -300,67 +189,45 @@ def build_upper_compact(
     return _compact_upper(_upper_gram(m), _weights_exact(spec.a, m), shrink)
 
 
-def build_lower_dual(
-    spec: WitnessSpec, m: int, scale: str = "none"
-) -> conic.SdpProblem:
-    """Dual of the level-m lower program, in its printed variables.
+def _compact_lower(G, w) -> conic.SdpProblem:
+    """The lower program from exact Gram blocks and weights.
 
-    Minimise y over (y, mu, odd-antidiagonal values of A) subject to
-    y >= a_k + mu_k for each k and the psd matrix A whose even antidiagonals
-    carry the inverse binomial transform of mu.  Encoded in the "min"
-    reading of the standard form, so the solved value is min y.  ``scale``
-    applies a congruence to the matrix block and renormalises the free
-    antidiagonal variables, which leaves the optimal value unchanged.
+    Maximise sum w_k F_k over F >= 0 (one diagonal block) with sum F = 1,
+    one PSD block Q_p per parity block of ``G`` and one row <G_k, Q> = F_k
+    per variable k.  Each block is rounded once.
     """
-    n = spec.n
-    if m < n:
-        raise ValueError("level m must be at least n")
-    w = _weights_exact(spec.a, m)
-    scales = _scales(m, scale)
-    d = np.array([float(v) for v in scales])
-    # variables: y, mu_0..mu_m, nu'_1..nu'_m  -> constraints of the min form
-    nvar = 1 + (m + 1) + m
-    blocks = [1] * (m + 1) + [m + 1]
-    b_vec = np.zeros(nvar)
-    b_vec[0] = 1.0
-    cons = []
-    for var in range(nvar):
-        mats = [np.zeros((b, b)) for b in blocks]
-        if var == 0:  # y
-            for k in range(m + 1):
-                mats[k][0, 0] = 1.0
-        elif var <= m + 1:  # mu_k
-            k = var - 1
-            mats[k][0, 0] = -1.0
-            A = mats[-1]
-            for l in range(k, m + 1):
-                c = float(moment_coeff(l, k))
-                for i in range(max(0, 2 * l - m), m + 1):
-                    j = 2 * l - i
-                    if 0 <= j <= m:
-                        A[i, j] = c * d[i] * d[j]
-        else:  # nu'_l, odd antidiagonal 2l-1; column renormalised
-            l = var - (m + 1)
-            A = mats[-1]
-            pairs = [
-                (i, 2 * l - 1 - i)
-                for i in range(max(0, 2 * l - 1 - m), m + 1)
-                if 0 <= 2 * l - 1 - i <= m
-            ]
-            ref = max(d[i] * d[j] for i, j in pairs)
-            for i, j in pairs:
-                A[i, j] = d[i] * d[j] / ref
-        cons.append((tuple(mats), float(b_vec[var])))
-    # constant side: slack_k = y - mu_k - a_k  => C carries the a_k offsets
-    Cmats = [np.zeros((b, b)) for b in blocks]
-    for k in range(m + 1):
-        Cmats[k][0, 0] = float(w[k])
+    nvar = len(G)
+    G = [tuple(np.array(g, dtype=float) for g in gk) for gk in G]
+    e = np.eye(nvar)
+    zero = tuple(np.zeros_like(g) for g in G[0])
+    cons = [((np.ones(nvar),) + zero, 1.0)]
+    cons += [((-e[k],) + gk, 0.0) for k, gk in enumerate(G)]
     return conic.SdpProblem(
-        blocks=tuple(blocks),
-        objective=tuple(Cmats),
+        blocks=(-nvar,) + tuple(len(g) for g in G[0]),
+        objective=(np.array([float(v) for v in w]),) + zero,
         constraints=tuple(cons),
-        sense="min",
+        sense="max",
     )
+
+
+def build_lower(spec: WitnessSpec, m: int) -> conic.SdpProblem:
+    """Level-m lower-bound program: a sum-of-squares radial profile.
+
+    Variables F_0..F_m >= 0 with unit sum and a PSD Gram matrix Q in the
+    Laguerre parity blocks of :func:`_upper_gram`, tied by <G_k, Q> = F_k.
+    This is the coefficient-matching program (odd antidiagonal sums of the
+    monomial Gram matrix vanish, even ones match the signed binomial
+    transform of F) reduced by the sign flip x -> -x, whose averaging kills
+    the cross-parity entries and the odd rows.
+    """
+    if m < spec.n:
+        raise ValueError("level m must be at least the top witness index n")
+    return _compact_lower(_upper_gram(m), _weights_exact(spec.a, m))
+
+
+# the name of an earlier layout of the lower program, kept only because
+# perfbench/tracing.py patches witness functions by name and looks it up
+build_lower_dual = build_lower
 
 
 def strictly_feasible_pair(m: int):
@@ -651,6 +518,22 @@ def _float_up(q: Fraction) -> float:
     return math.nextafter(f, math.inf) if f < q else f
 
 
+def _rational(v):
+    """The float array v as an exact object array of Fractions."""
+    return np.array([Fraction(float(x)) for x in np.ravel(v)], dtype=object).reshape(
+        np.shape(v)
+    )
+
+
+def _shifted_psd(X):
+    """X symmetrised and rationalised, its diagonal raised by twice its most
+    negative float eigenvalue and 1e-25, to be checked by :func:`exact_psd`."""
+    X = (X + X.T) / 2.0
+    ev = float(np.min(np.linalg.eigvalsh(X)))
+    shift = Fraction(max(0.0, -ev)) * 2 + Fraction(1, 10**25)
+    return _rational(X) + np.diag([shift] * len(X))
+
+
 def certified_upper_interval(spec: WitnessSpec, m: int, tol: float = 1e-9):
     """Exactly certified enclosure of the level-m upper-hierarchy value.
 
@@ -665,18 +548,13 @@ def certified_upper_interval(spec: WitnessSpec, m: int, tol: float = 1e-9):
     w = _weights_exact(spec.a, m)
     G = _upper_gram(m)
 
-    def rational(v):
-        return np.array([Fraction(float(x)) for x in np.ravel(v)], dtype=object).reshape(
-            np.shape(v)
-        )
-
     # --- lower end: an exactly feasible F.  Solve with the inequality
     # shrunk so the iterate carries real margin through the rounding.
     lo = None
     for eps in (1e-7, 1e-5, 1e-3):
         ps = build_upper_compact(spec, m, shrink=eps)
         ss = conic.solve(ps, tol=tol, precision="extended", max_iterations=300)
-        y = rational(ss.y)
+        y = _rational(ss.y)
         F = [max(v, Fraction(0)) for v in [1 - sum(y), *y]]
         tot = sum(F)
         F = [f / tot for f in F]
@@ -689,13 +567,7 @@ def certified_upper_interval(spec: WitnessSpec, m: int, tol: float = 1e-9):
     sol = conic.solve(
         build_upper_compact(spec, m), tol=tol, precision="extended", max_iterations=300
     )
-    V = []
-    for X in sol.X[1:]:
-        X = (X + X.T) / 2.0
-        ev = float(np.min(np.linalg.eigvalsh(X)))
-        # diagonal shift keeps V psd after rationalisation
-        shift = Fraction(max(0.0, -ev)) * 2 + Fraction(1, 10**25)
-        V.append(rational(X) + np.diag([shift] * len(X)))
+    V = [_shifted_psd(X) for X in sol.X[1:]]
     hi = None
     if all(exact_psd(v.tolist()) for v in V):
         hi = max(
@@ -707,67 +579,103 @@ def certified_upper_interval(spec: WitnessSpec, m: int, tol: float = 1e-9):
     )
 
 
+def certified_lower_interval(spec: WitnessSpec, m: int, tol: float = 1e-8):
+    """Exactly certified enclosure of the level-m lower-hierarchy value.
+
+    Both ends are checked in exact rationals against the Gram blocks G_k of
+    :func:`build_lower`, from the solve that :func:`solve_lower` reports.
+    Lower end: the solved Q, rationalised and shifted to be exactly psd,
+    with F_k = <G_k, Q> renormalised to unit sum, is a feasible point of
+    value sum a_k F_k; the end is None when the shift fails or some F_k < 0.
+    Upper end: the multipliers z_k of the rows <G_k, Q> = F_k, rationalised,
+    with z_0 raised until sum z_k G_k is exactly psd, bound the value by
+    max_k (a_k + z_k).  Returns (lo, hi) as floats rounded outward.
+    """
+    w = _weights_exact(spec.a, m)
+    G = _upper_gram(m)
+    _, sol, _ = solve_lower(spec, m, tol=tol)
+
+    lo = None
+    Q = [_shifted_psd(X) for X in sol.X[1:]]
+    if all(exact_psd(q.tolist()) for q in Q):
+        F = [sum((g * q).sum() for g, q in zip(gk, Q)) for gk in G]
+        if all(f >= 0 for f in F):
+            lo = sum(wk * fk for wk, fk in zip(w, F)) / sum(F)
+
+    # G_0, the vacuum's blocks, is positive definite: raising z_0 by t adds
+    # t G_0, which lifts the smallest eigenvalue of each block by at least
+    # t times that of G_0
+    z = list(_rational(sol.y[1:]))
+    Z = [sum(zk * g[b] for zk, g in zip(z, G)) for b in range(len(G[0]))]
+    t = Fraction(
+        max(
+            0.0,
+            *(
+                -np.linalg.eigvalsh(np.array(zb, dtype=float))[0]
+                / np.linalg.eigvalsh(np.array(g0, dtype=float))[0]
+                for zb, g0 in zip(Z, G[0])
+            ),
+        )
+    )
+    hi = None
+    for _ in range(8):
+        t = 2 * t + Fraction(1, 10**25)
+        if all(exact_psd((zb + t * g0).tolist()) for zb, g0 in zip(Z, G[0])):
+            z[0] += t
+            hi = max(wk + zk for wk, zk in zip(w, z))
+            break
+    return (
+        None if lo is None else _float_down(lo),
+        None if hi is None else _float_up(hi),
+    )
+
+
 # ---------------------------------------------------------------------------
 # solve drivers
 # ---------------------------------------------------------------------------
 
 
-def _solve_with_policy(build, tol: float, precision: str):
-    """Solve ``build(False)`` in double or extended; under "auto" a double
-    solve that fails is retried in extended on ``build(True)``.
+def _solve_with_policy(prob: conic.SdpProblem, tol: float, precision: str):
+    """Solve ``prob`` in double or extended; under "auto" a double solve that
+    fails is retried in extended.
 
-    Returns (solution, precision, retried): the optimal attempt, else the
-    one with the smaller complementarity.
+    Returns (solution, precision): the optimal attempt, else the one with
+    the smaller complementarity.
     """
     plans = {
-        "double": [("double", False)],
-        "extended": [("extended", False)],
-        "auto": [("double", False), ("extended", True)],
+        "double": ("double",),
+        "extended": ("extended",),
+        "auto": ("double", "extended"),
     }
     if precision not in plans:
         raise ValueError(
             f"precision must be 'double', 'extended' or 'auto', not {precision!r}"
         )
-    last = None
-    for prec, retry in plans[precision]:
-        sol = conic.solve(build(retry), tol=tol, precision=prec)
-        if last is None or sol.status == "optimal" or (
-            last[0].status != "optimal"
-            and sol.info.get("comp", math.inf) < last[0].info.get("comp", math.inf)
-        ):
-            last = (sol, prec, retry)
+    best = None
+    for prec in plans[precision]:
+        sol = conic.solve(prob, tol=tol, precision=prec)
         if sol.status == "optimal":
-            return last
-    return last
+            return sol, prec
+        if best is None or sol.info.get("comp", math.inf) < best[0].info.get(
+            "comp", math.inf
+        ):
+            best = (sol, prec)
+    return best
 
 
 def solve_lower(
     spec: WitnessSpec, m: int, tol: float = 1e-8, precision: str = "auto",
 ):
-    """Level-m lower bound; returns (value, solution, run info).
-
-    Shallow levels use the primal layout, unscaled except in the extended
-    retry; deep ones go through the printed dual, whose variables stay
-    well-scaled under the balanced moment-block congruence.
-    """
-    deep = m > RESCALE_ABOVE
-    build = build_lower_dual if deep else build_lower
-    first = "balanced" if deep else "none"
-    sol, prec, retried = _solve_with_policy(
-        lambda retry: build(spec, m, scale="balanced" if retry else first),
-        tol,
-        precision,
-    )
-    scale = "balanced" if retried else first
-    return sol.primal_value, sol, {"precision": prec, "scale": scale}
+    """Level-m lower bound; returns (value, solution, run info)."""
+    sol, prec = _solve_with_policy(build_lower(spec, m), tol, precision)
+    return sol.primal_value, sol, {"precision": prec}
 
 
 def solve_upper(
     spec: WitnessSpec, m: int, tol: float = 1e-8, precision: str = "auto",
 ):
     """Level-m upper bound via the compact encoding; (value, solution, info)."""
-    prob = build_upper_compact(spec, m)
-    sol, prec, _ = _solve_with_policy(lambda retry: prob, tol, precision)
+    sol, prec = _solve_with_policy(build_upper_compact(spec, m), tol, precision)
     return -sol.primal_value, sol, {"precision": prec}
 
 

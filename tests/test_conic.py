@@ -73,9 +73,10 @@ def test_verify_strong_duality():
 
 
 def test_dual_pairs_agree_across_hierarchies():
+    # the lower program and its monomial dual, solved apart, give one value
     spec = W.WitnessSpec.fock(5)
     lo = conic.solve(W.build_lower(spec, 5), tol=1e-8)
-    lo_d = conic.solve(W.build_lower_dual(spec, 5), tol=1e-8)
+    lo_d = conic.solve(monomial.lower_dual(spec, 5), tol=1e-8)
     assert abs(lo.primal_value - lo_d.primal_value) < 1e-6
 
 
@@ -93,9 +94,9 @@ def test_kkt_residuals_within_tolerance():
 
 
 def test_kkt_residuals_on_problem_blocks():
-    # the solver holds the 12 slack blocks as one vector; the residuals are
-    # still taken on the problem's own 1x1 blocks
-    prob = W.build_lower_dual(W.WitnessSpec.fock(3), 11, "balanced")
+    # the residuals against a plain per-block computation, on 12 1x1 blocks
+    # and a 12x12 one
+    prob = monomial.lower_dual(W.WitnessSpec.fock(3), 11, "balanced")
     sol = conic.solve(prob)
     assert len(sol.X) == len(prob.blocks)
     assert all(x.shape == (1, 1) for x in sol.X[:-1])
@@ -128,8 +129,8 @@ def test_kkt_residuals_on_problem_blocks():
 def test_stop_reason_reported(precision):
     cases = [
         (one_var_problem(), "optimal", "converged"),
-        (W.build_lower_dual(W.WitnessSpec.fock(6), 12, "balanced"), "numerical_limit",
-         None),
+        (monomial.lower_dual(W.WitnessSpec.fock(6), 12, "balanced"),
+         "numerical_limit", None),
     ]
     for prob, status, reason in cases:
         sol = conic.solve(prob, precision=precision)
@@ -218,12 +219,13 @@ def test_extended_precision_improves_deep_levels():
 def test_nonfinite_direction_ends_numerical_limit(overflow, precision, monkeypatch):
     # from the second iteration on, the Schur solves (vector right-hand
     # sides, three per direction, two directions per iteration) or S^{-1}
-    # (the identity as right-hand side, once per iteration) overflow: the
-    # solve stops with the best finite iterate instead of raising from the
-    # step length
+    # (the identity as right-hand side, once per PSD block and iteration)
+    # overflow: the solve stops with the best finite iterate instead of
+    # raising from the step length
     prob = W.build_lower(W.WitnessSpec.fock(2), 4)
     chol_solve = conic._chol_solve
-    ndim, per_iteration = {"schur": (1, 6), "inverse": (2, 1)}[overflow]
+    psd_blocks = sum(size > 0 for size in prob.blocks)
+    ndim, per_iteration = {"schur": (1, 6), "inverse": (2, psd_blocks)}[overflow]
     calls = []
 
     def overflowing(L, b):
@@ -245,23 +247,27 @@ def test_nonfinite_direction_ends_numerical_limit(overflow, precision, monkeypat
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize(
-    "kind,block",
+    "block",
     [
-        (conic._PSD, np.diag([1.0, np.nan, 1.0])),
-        (conic._PSD, np.full((3, 3), np.nan)),
-        (conic._PSD, np.array([[np.nan]])),
-        (conic._DIAG, np.array([1.0, np.nan, 1.0])),
-        (conic._UNITS, np.array([1.0, np.nan, 1.0])),
+        np.diag([1.0, np.nan, 1.0]),
+        np.full((3, 3), np.nan),
+        np.array([[np.nan]]),
+        np.array([1.0, np.nan, 1.0]),
+        np.diag([1.0, np.inf, 1.0]),
+        np.array([1.0, np.inf, 1.0]),
     ],
-    ids=["psd-diagonal", "psd-full", "psd-1x1", "diag", "units"],
+    ids=["psd-diagonal", "psd-full", "psd-1x1", "diag", "psd-inf", "diag-inf"],
 )
-def test_nan_block_is_not_interior(kind, block, dtype):
-    # LAPACK's potrf returns NaN factors for NaN input without an error
+def test_nan_block_is_not_interior(block, dtype):
+    # LAPACK's potrf returns NaN and +inf factors for such input without an
+    # error; a 1-d block is a diagonal one
     block = block.astype(dtype)
-    assert conic._psd_ok([kind], [block]) is None
-    shift = np.eye(len(block), dtype=dtype) if kind is conic._PSD else 1.0
-    fine = np.nan_to_num(block, nan=0.0) + 2 * shift
-    assert conic._psd_ok([kind], [fine]) is not None
+    psd = block.ndim == 2
+    size = len(block) if psd else -len(block)
+    assert conic._psd_ok([size], [block]) is None
+    shift = np.eye(len(block), dtype=dtype) if psd else 1.0
+    fine = np.nan_to_num(block, nan=0.0, posinf=0.0) + 2 * shift
+    assert conic._psd_ok([size], [fine]) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +344,8 @@ def test_min_eigenvalue_matches_scipy_bitwise(n):
 
 
 def _through_scipy_wrappers(mp):
-    """Run the solver as before the direct kernels: one PSD block per 1x1
-    block, scipy.linalg wrappers, np.tensordot for A^T y, and fresh factors
-    of every accepted iterate."""
-    mp.setattr(conic, "_unit_runs", lambda blocks: [])
+    """Run the solver as before the direct kernels: scipy.linalg wrappers,
+    np.tensordot for A^T y, and fresh factors of every accepted iterate."""
     mp.setattr(
         conic,
         "_trsolve",
@@ -354,10 +358,9 @@ def _through_scipy_wrappers(mp):
     )
 
     def apply_At(self, y):
-        assert conic._UNITS not in self.kinds
         return [
-            np.tensordot(y, stack, axes=(0, 0)) if kind == conic._PSD else y @ stack
-            for kind, stack in zip(self.kinds, self.Bstack)
+            np.tensordot(y, stack, axes=(0, 0)) if size > 0 else y @ stack
+            for size, stack in zip(self.blocks, self.Bstack)
         ]
 
     mp.setattr(conic._BlockData, "apply_At", apply_At)
@@ -375,7 +378,7 @@ def _runs_problem(blocks, dense_rows=0):
     constraints that X = I / n satisfies; the trace bounds the feasible set.
 
     With one constraint every Schur sum has a single entry; dense rows make
-    every product and sum of the 1x1 arithmetic round."""
+    every product and sum on the 1x1 blocks round."""
     rng = np.random.default_rng(7)
 
     def random_blocks():
@@ -402,13 +405,16 @@ def _runs_problem(blocks, dense_rows=0):
 
 SOLVER_CASES = {
     "fock5-lower-dual-12-double": (
-        lambda: W.build_lower_dual(W.WitnessSpec.fock(5), 12, "balanced"), "double"
+        lambda: monomial.lower_dual(W.WitnessSpec.fock(5), 12, "balanced"), "double"
     ),
     "fock6-lower-dual-12-extended": (
-        lambda: W.build_lower_dual(W.WitnessSpec.fock(6), 12, "balanced"), "extended"
+        lambda: monomial.lower_dual(W.WitnessSpec.fock(6), 12, "balanced"), "extended"
     ),
     "fock3-lower-dual-12-double": (
-        lambda: W.build_lower_dual(W.WitnessSpec.fock(3), 12, "balanced"), "double"
+        lambda: monomial.lower_dual(W.WitnessSpec.fock(3), 12, "balanced"), "double"
+    ),
+    "fock4-lower-12-extended": (
+        lambda: W.build_lower(W.WitnessSpec.fock(4), 12), "extended"
     ),
     "fock1-upper-1-double": (
         lambda: W.build_upper_compact(W.WitnessSpec.fock(1), 1), "double"
@@ -422,7 +428,6 @@ SOLVER_CASES = {
     "split-runs-one-constraint-extended": (
         lambda: _runs_problem((1, 3, 1, 1, -2)), "extended"
     ),
-    # a run of ten: a pairwise sum over the run no longer gives these bits
     "long-run-one-constraint-double": (
         lambda: _runs_problem((1, 3) + (1,) * 10 + (-2,)), "double"
     ),
@@ -460,22 +465,3 @@ def test_solver_matches_scipy_wrappers_bitwise(case, monkeypatch):
         assert np.float64(getattr(new, attr)).tobytes() == np.float64(
             getattr(ref, attr)
         ).tobytes()
-
-
-def test_unit_blocks_never_reach_lapack(monkeypatch):
-    # the lower dual's 13 slack blocks are solved as one vector: no 1x1
-    # matrix is factored, triangular-solved or eigen-solved
-    shapes = []
-    for name in ("_trsolve", "_chol", "_min_eigenvalue"):
-        kernel = getattr(conic, name)
-
-        def recording(a, *args, kernel=kernel, name=name, **kwargs):
-            shapes.append((name, a.shape))
-            return kernel(a, *args, **kwargs)
-
-        monkeypatch.setattr(conic, name, recording)
-    prob = W.build_lower_dual(W.WitnessSpec.fock(5), 12, "balanced")
-    assert prob.blocks.count(1) == 13
-    conic.solve(prob, precision="double")
-    assert {name for name, _ in shapes} == {"_trsolve", "_chol", "_min_eigenvalue"}
-    assert [s for s in shapes if s[1][:2] == (1, 1)] == []

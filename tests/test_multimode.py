@@ -143,11 +143,11 @@ def _laguerre_congruence(idx):
 def _check_laguerre_congruence(spec, mode, level, scale="none"):
     """Each block the builder makes is T' G'_k T'^T, exactly, on one parity
     class, where G'_k = D G_k D is the plain-loop monomial Gram matrix in the
-    diagonal scaling D of ``W._scales`` and T' = T D^{-1} takes that basis to
-    the Laguerre one; T' G'_k T'^T vanishes across the classes.
+    diagonal scaling D of ``monomial.scales`` and T' = T D^{-1} takes that
+    basis to the Laguerre one; T' G'_k T'^T vanishes across the classes.
     """
     idx = MM.iterate_indices(mode, level, spec.modes)
-    scales = W._scales(level, scale)
+    scales = monomial.scales(level, scale)
     d = np.array([math.prod(scales[v] for v in e) for e in idx], dtype=object)
     Ts = _laguerre_congruence(idx) / d
     classes = [
@@ -222,7 +222,9 @@ def test_rectangle_ten_upper_converges_in_double():
     assert 0.315 <= v <= 0.33
 
 
-@pytest.mark.parametrize("modes,level", [(2, 2), (2, 3), (2, 4), (3, 2)])
+@pytest.mark.parametrize(
+    "modes,level", [(1, 4), (1, 7), (2, 2), (2, 3), (2, 4), (3, 2)]
+)
 def test_lower_parity_blocks_match_coefficients_exactly(modes, level):
     # a random integer PSD Q_p per parity block, taken to the monomial basis
     # by T^T Q T, with F_k = <G_k, Q>, matches every coefficient exactly
@@ -255,6 +257,8 @@ def test_lower_parity_blocks_match_coefficients_exactly(modes, level):
     Ax = [sum((a * x).sum() for a, x in zip(mats, X)) for mats, _ in prob.constraints]
     assert Ax[0] == pytest.approx(float(sum(F)), rel=1e-12)
     assert all(abs(v) <= 1e-12 * scale for v in Ax[1:])
+    if modes == 1:  # the single-mode builder makes the one-mode program
+        assert W.build_lower(W.WitnessSpec.fock(1), level) == prob
 
 
 def test_deep_rectangle_lower_converges_in_double():

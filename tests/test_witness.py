@@ -51,14 +51,6 @@ def test_upper_within_certified_interval():
         assert lo - 1e-7 <= value <= hi + 1e-7, (n, m)
 
 
-def test_dual_builders_match_primal_values():
-    for n, m in ((3, 3), (1, 5)):
-        spec = W.WitnessSpec.fock(n)
-        lo = conic.solve(W.build_lower(spec, m), tol=1e-8).primal_value
-        lo_d = conic.solve(W.build_lower_dual(spec, m), tol=1e-8).primal_value
-        assert abs(lo - lo_d) < 1e-6, (n, m)
-
-
 def test_solvers_reject_unknown_precision():
     spec = W.WitnessSpec.fock(1)
     for solver in (W.solve_lower, W.solve_upper):
@@ -67,13 +59,37 @@ def test_solvers_reject_unknown_precision():
 
 
 def test_lower_dual_active_constraint_at_base_level():
-    # analytic dual at n=1, m=1: y = 1/2 with mu_1 = -1/2 active on y >= 1 + mu_1
+    # analytic dual at n=1, m=1: the multiplier y_0 of sum F = 1 is 1/2, and
+    # y_0 >= a_1 + z_1, z_1 the multiplier of <G_1, Q> = F_1, is active
     spec = W.WitnessSpec.fock(1)
-    sol = conic.solve(W.build_lower_dual(spec, 1), tol=1e-9)
-    y_var, mu = sol.y[0], sol.y[1:3]
-    assert abs(y_var - 0.5) < 1e-6
-    assert abs(mu[1] - (-0.5)) < 1e-5
-    assert abs(y_var - 1.0 - mu[1]) < 1e-5  # active
+    sol = conic.solve(W.build_lower(spec, 1), tol=1e-9)
+    y0, z = sol.y[0], sol.y[1:]
+    assert abs(y0 - 0.5) < 1e-6
+    assert abs(z[1] - (-0.5)) < 1e-5
+    assert abs(y0 - 1.0 - z[1]) < 1e-5  # active
+    assert all(y0 - z[k] >= -1e-7 for k in range(2))  # dual feasible
+
+
+@pytest.mark.parametrize(
+    "a,levels",
+    [
+        ((1.0,), (1, 4, 9)),
+        ((0.0, 0.0, 1.0), (3, 8, 11)),
+        ((0.0,) * 5 + (1.0,), (6, 10, 12)),
+        ((0.5, 0.0, 1.0), (3, 7, 12)),
+    ],
+    ids=["fock1", "fock3", "fock6", "weights-0.5-0-1"],
+)
+def test_lower_within_certified_interval(a, levels):
+    # the solved lower value lies in its exact rational enclosure, up to the
+    # solver tolerance: the reported iterate meets its rows only to ~1e-9
+    spec = W.WitnessSpec(a=a)
+    for m in levels:
+        lo, hi = W.certified_lower_interval(spec, m)
+        value, _, _ = W.solve_lower(spec, m)
+        assert lo is not None and hi is not None, m
+        assert lo - 1e-8 <= value <= hi + 1e-8, (m, lo, value, hi)
+        assert hi - lo <= 1e-7, m
 
 
 def test_analytic_primal_values():
@@ -196,9 +212,10 @@ def test_threshold_bounds_sweep_mechanics():
 
 
 def test_threshold_detail_is_json_safe():
-    # level 11 retries its lower side in extended precision
-    rows = W.threshold_bounds(W.WitnessSpec.fock(3), m_max=11, m_min=11)
+    # level 12 retries its lower side in extended precision
+    rows = W.threshold_bounds(W.WitnessSpec.fock(4), m_max=12, m_min=12)
     detail = rows[0].detail
+    assert detail["lower_run"]["precision"] == "extended"
     assert json.loads(json.dumps(detail))["lower_quality"] == detail["lower_quality"]
     assert type(detail["lower_quality"]) is float
     assert type(detail["upper_quality"]) is float
