@@ -10,12 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import conic, contextuality, states, torpedo, witness
-
-PRECISION_ENV = "NEGWIT_PRECISION"
 
 
 def _fmt(x) -> str:
@@ -24,13 +21,6 @@ def _fmt(x) -> str:
             return "nan"
         return f"{x:.11e}"
     return str(x)
-
-
-def _precision(args) -> str:
-    p = getattr(args, "precision", None) or os.environ.get(PRECISION_ENV, "auto")
-    if p not in ("double", "extended", "auto"):
-        raise ValueError(f"invalid precision {p!r}")
-    return p
 
 
 def _write(path, text):
@@ -57,7 +47,7 @@ def _weights_from_args(args):
 def cmd_threshold(args) -> int:
     spec = _weights_from_args(args)
     rows = witness.threshold_bounds(
-        spec, m_max=args.m_max, tol=args.tol, precision=_precision(args)
+        spec, m_max=args.m_max, tol=args.tol, precision=args.precision
     )
     if args.emit_sdpa:
         # the top-level upper program as solved; with no levels to solve the
@@ -191,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nonclassicality certification: negativity witnesses, "
         "contextual fractions, Torpedo-game values.",
     )
-    ap.add_argument("--precision", choices=("double", "extended", "auto"))
+    ap.add_argument(
+        "--precision", choices=("double", "extended", "auto"), default="auto"
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("threshold", help="witness threshold bound hierarchies")

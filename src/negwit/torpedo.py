@@ -7,14 +7,13 @@ each under its closed-form optimal decoding.  With the win counts as
 weights, over every grid up to message relabelling, it gives exact
 classical values; quantum strategies are evaluated by the Born rule against
 the MUB measurements; the bounded-memory noncontextual fraction is a linear
-program over deterministic strategy columns, generated lazily for d = 3 by
-the same kernel with the LP duals as weights.
+program over deterministic strategy columns, generated lazily by the same
+kernel with the LP duals as weights.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -448,31 +447,6 @@ def average_failure(behaviour: dict, game: TorpedoGame) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _all_deterministic_columns(d: int, game: TorpedoGame):
-    """Every composite deterministic bounded-memory behaviour (small d)."""
-    cells = [(x, z) for x in range(d) for z in range(d)]
-    nq = len(game.questions)
-    cols = []
-    for grid in itertools.product(range(d), repeat=d * d):
-        for fqs in itertools.product(
-            itertools.product(range(d), repeat=d), repeat=nq
-        ):
-            col = {}
-            for i, cell in enumerate(cells):
-                j = grid[i]
-                for qi, q in enumerate(game.questions):
-                    col[(cell[0], cell[1], q)] = fqs[qi][j]
-            cols.append(col)
-    return cols
-
-
-def _column_vector(col: dict, keys, d: int) -> np.ndarray:
-    v = np.zeros(len(keys) * d)
-    for r, (x, z, q) in enumerate(keys):
-        v[r * d + col[(x, z, q)]] = 1.0
-    return v
-
-
 def _master_lp(columns: np.ndarray, target: np.ndarray):
     """max 1.b s.t. columns^T b <= target, b >= 0 (returns res)."""
     ncols = columns.shape[0]
@@ -491,41 +465,50 @@ def _master_lp(columns: np.ndarray, target: np.ndarray):
 def bounded_memory_ncf(behaviour: dict, d: int) -> float:
     """Largest weight of a bounded-memory noncontextual part of the behaviour.
 
-    d = 2 solves the full column LP; d = 3 prices columns lazily: for fixed
-    encoding grid the best decodings decouple per question given the duals.
+    Column generation over the deterministic strategies S, for d = 2 and 3.
+    The master LP's duals y >= 0 are dual feasible when y . e^S >= 1 for
+    every S, so a column enters when the least y . e^S, found by the scoring
+    kernel (for a fixed encoding grid the best decodings decouple per
+    question), is below 1.  The loop stops when it is not, or when the
+    master value meets a dual bound: y over that least price, or the
+    forbidden-answer indicator over the fewest losses of any strategy.
     """
+    if d not in (2, 3):
+        raise ValueError("bounded-memory NCF implemented for d = 2 and 3")
     game = TorpedoGame(d)
     keys = [(x, z, q) for x in range(d) for z in range(d) for q in game.questions]
     target = np.array([behaviour[k][c] for k in keys for c in range(d)])
-    if d == 2:
-        cols = _all_deterministic_columns(d, game)
-        mat = np.array([_column_vector(c, keys, d) for c in cols])
-        res = _master_lp(mat, target)
-        return max(0.0, float(-res.fun)) + 0.0
-    if d != 3:
-        raise ValueError("bounded-memory NCF implemented for d = 2 and 3")
-
     grids = _canonical_grids(d * d, d)
     shape = (d * d, len(game.questions), d)
 
     def price(duals: np.ndarray):
-        """Best column value sum(y * e^S) over all strategies S, and e^S."""
-        values, decodings = _score(grids, duals.reshape(shape))
+        """Least column value sum(duals * e^S) over all strategies S, and e^S."""
+        values, decodings = _score(grids, -duals.reshape(shape))
         g = int(values.argmax())
         answers = decodings[g][grids[g].argmax(axis=1)]  # [cell, q]
         column = np.zeros(shape)
         np.put_along_axis(column, answers[..., None], 1.0, axis=2)
-        return float(values[g]), column.reshape(-1)
+        return -float(values[g]), column.reshape(-1)
 
-    # start from the behaviour-greedy column (duals = target)
-    mat = [price(target)[1]]
+    # forbidden . e^S counts the losses of S: over the fewest losses it is
+    # dual feasible, and bounds the value by epsilon / nu
+    forbidden = 1.0 - _win_weights(game).reshape(-1)
+    bound = float(target @ forbidden) / price(forbidden)[0]
+    # start from the behaviour-greedy column, the largest target . e^S
+    mat = [price(-target)[1]]
     while len(mat) <= COLUMN_CAP:
         res = _master_lp(np.array(mat), target)
+        value = max(0.0, float(-res.fun)) + 0.0
+        if value >= bound - 1e-10:
+            return value
         duals = -np.array(res.ineqlin.marginals)  # >= 0 for <= constraints
-        best_val, column = price(duals)
-        # a new column enters only at reduced cost 1 - duals . e^S < 0
-        if best_val <= 1.0 + 1e-10 or any(np.array_equal(column, m) for m in mat):
-            return max(0.0, float(-res.fun)) + 0.0
+        least, column = price(duals)
+        # duals / least is dual feasible; at least >= 1 the master is optimal.
+        # A master column prices below 1 only within the LP's own tolerance.
+        if least >= 1.0 - 1e-10 or any(np.array_equal(column, m) for m in mat):
+            return value
+        if least > 0:
+            bound = min(bound, value / least)
         mat.append(column)
     raise RuntimeError("column generation did not converge within the cap")
 

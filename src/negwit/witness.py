@@ -146,7 +146,7 @@ def _upper_gram(m: int):
     return [tuple(g) for g in out]
 
 
-def _compact_upper(G, w, shrink: float = 0.0) -> conic.SdpProblem:
+def _compact_upper(G, w) -> conic.SdpProblem:
     """The moment-eliminated upper program from exact Gram blocks and weights.
 
     Variable k carries the Gram blocks ``G[k]`` and the weight ``w[k]``;
@@ -157,7 +157,8 @@ def _compact_upper(G, w, shrink: float = 0.0) -> conic.SdpProblem:
     G = [tuple(np.array(g, dtype=float) for g in gk) for gk in G]
     w = [float(v) for v in w]
     e = np.eye(nvar)
-    objective = (-e[0],) + tuple(-g + shrink * np.eye(len(g)) for g in G[0])
+    # 0.0 - g, not -g: a zero entry is +0.0 in every block
+    objective = (-e[0],) + tuple(0.0 - g for g in G[0])
     cons = tuple(
         (
             (e[k] - e[0],) + tuple(gk - g0 for gk, g0 in zip(G[k], G[0])),
@@ -173,20 +174,16 @@ def _compact_upper(G, w, shrink: float = 0.0) -> conic.SdpProblem:
     )
 
 
-def build_upper_compact(
-    spec: WitnessSpec, m: int, shrink: float = 0.0
-) -> conic.SdpProblem:
+def build_upper_compact(spec: WitnessSpec, m: int) -> conic.SdpProblem:
     """Level-m upper relaxation with the moment variable eliminated.
 
     Variables are F_1..F_m only (F_0 = 1 - sum), constrained by the linear
     matrix inequality diag(F) (+) A(F) >= 0, with A(F) in the Laguerre
-    parity blocks of :func:`_upper_gram`.  ``shrink`` tightens the
-    inequality to A(F) >= shrink*I (in that basis), used to round iterates
-    to exactly feasible certificates.
+    parity blocks of :func:`_upper_gram`.
     """
     if m < spec.n:
         raise ValueError("level m must be at least the top witness index n")
-    return _compact_upper(_upper_gram(m), _weights_exact(spec.a, m), shrink)
+    return _compact_upper(_upper_gram(m), _weights_exact(spec.a, m))
 
 
 def _compact_lower(G, w) -> conic.SdpProblem:
@@ -525,109 +522,111 @@ def _rational(v):
     )
 
 
-def _shifted_psd(X):
-    """X symmetrised and rationalised, its diagonal raised by twice its most
-    negative float eigenvalue and 1e-25, to be checked by :func:`exact_psd`."""
-    X = (X + X.T) / 2.0
-    ev = float(np.min(np.linalg.eigvalsh(X)))
-    shift = Fraction(max(0.0, -ev)) * 2 + Fraction(1, 10**25)
-    return _rational(X) + np.diag([shift] * len(X))
-
-
-def certified_upper_interval(spec: WitnessSpec, m: int, tol: float = 1e-9):
-    """Exactly certified enclosure of the level-m upper-hierarchy value.
-
-    Both ends are checked in exact rationals against the Laguerre-basis Gram
-    blocks G_k of the compact program.  Lower end: the F of a margin-shrunk
-    solve, clipped at zero and renormalised, whose moment matrix sum F_k G_k
-    passes :func:`exact_psd` (value >= sum w_k F_k).  Upper end: the dual
-    matrix V, rationalised and shifted to be exactly psd, which bounds the
-    value by max_k (w_k + <G_k, V>).  Returns (lo, hi) as floats rounded
-    outward; a side is None when its rounding fails.
+def _psd_pairings(G, X):
+    """<G_k, V> for every k, V the blocks X made exactly psd; None when
+    that fails.  Each block is symmetrised and rationalised, and its
+    diagonal raised by twice its most negative float eigenvalue and 1e-25.
     """
-    w = _weights_exact(spec.a, m)
-    G = _upper_gram(m)
-
-    # --- lower end: an exactly feasible F.  Solve with the inequality
-    # shrunk so the iterate carries real margin through the rounding.
-    lo = None
-    for eps in (1e-7, 1e-5, 1e-3):
-        ps = build_upper_compact(spec, m, shrink=eps)
-        ss = conic.solve(ps, tol=tol, precision="extended", max_iterations=300)
-        y = _rational(ss.y)
-        F = [max(v, Fraction(0)) for v in [1 - sum(y), *y]]
-        tot = sum(F)
-        F = [f / tot for f in F]
-        blocks = [sum(f * g[b] for f, g in zip(F, G)) for b in range(len(G[0]))]
-        if all(exact_psd(A.tolist()) for A in blocks):
-            lo = sum(wk * fk for wk, fk in zip(w, F))
-            break
-
-    # --- upper end: any psd V, with the diagonal slack chosen to match
-    sol = conic.solve(
-        build_upper_compact(spec, m), tol=tol, precision="extended", max_iterations=300
-    )
-    V = [_shifted_psd(X) for X in sol.X[1:]]
-    hi = None
-    if all(exact_psd(v.tolist()) for v in V):
-        hi = max(
-            wk + sum((g * v).sum() for g, v in zip(gk, V)) for wk, gk in zip(w, G)
-        )
-    return (
-        None if lo is None else _float_down(lo),
-        None if hi is None else _float_up(hi),
-    )
+    V = []
+    for x in X:
+        x = (x + x.T) / 2.0
+        ev = float(np.linalg.eigvalsh(x)[0])
+        shift = Fraction(max(0.0, -ev)) * 2 + Fraction(1, 10**25)
+        V.append(_rational(x) + np.diag([shift] * len(x)))
+    if not all(exact_psd(v.tolist()) for v in V):
+        return None
+    return [sum((g * v).sum() for g, v in zip(gk, V)) for gk in G]
 
 
-def certified_lower_interval(spec: WitnessSpec, m: int, tol: float = 1e-8):
-    """Exactly certified enclosure of the level-m lower-hierarchy value.
+def _raise_vacuum(c, G):
+    """c with c_0 raised by the t, found by doubling, for which
+    sum_k c_k G_k + t G_0 is exactly psd; None when eight doublings do not
+    reach it.
 
-    Both ends are checked in exact rationals against the Gram blocks G_k of
-    :func:`build_lower`, from the solve that :func:`solve_lower` reports.
-    Lower end: the solved Q, rationalised and shifted to be exactly psd,
-    with F_k = <G_k, Q> renormalised to unit sum, is a feasible point of
-    value sum a_k F_k; the end is None when the shift fails or some F_k < 0.
-    Upper end: the multipliers z_k of the rows <G_k, Q> = F_k, rationalised,
-    with z_0 raised until sum z_k G_k is exactly psd, bound the value by
-    max_k (a_k + z_k).  Returns (lo, hi) as floats rounded outward.
+    G_0, the vacuum's blocks, is positive definite: adding t G_0 lifts the
+    smallest eigenvalue of each block by at least t times that of G_0.
     """
-    w = _weights_exact(spec.a, m)
-    G = _upper_gram(m)
-    _, sol, _ = solve_lower(spec, m, tol=tol)
-
-    lo = None
-    Q = [_shifted_psd(X) for X in sol.X[1:]]
-    if all(exact_psd(q.tolist()) for q in Q):
-        F = [sum((g * q).sum() for g, q in zip(gk, Q)) for gk in G]
-        if all(f >= 0 for f in F):
-            lo = sum(wk * fk for wk, fk in zip(w, F)) / sum(F)
-
-    # G_0, the vacuum's blocks, is positive definite: raising z_0 by t adds
-    # t G_0, which lifts the smallest eigenvalue of each block by at least
-    # t times that of G_0
-    z = list(_rational(sol.y[1:]))
-    Z = [sum(zk * g[b] for zk, g in zip(z, G)) for b in range(len(G[0]))]
+    C = [sum(ck * g[b] for ck, g in zip(c, G)) for b in range(len(G[0]))]
     t = Fraction(
         max(
             0.0,
             *(
-                -np.linalg.eigvalsh(np.array(zb, dtype=float))[0]
+                -np.linalg.eigvalsh(np.array(cb, dtype=float))[0]
                 / np.linalg.eigvalsh(np.array(g0, dtype=float))[0]
-                for zb, g0 in zip(Z, G[0])
+                for cb, g0 in zip(C, G[0])
             ),
         )
     )
-    hi = None
     for _ in range(8):
         t = 2 * t + Fraction(1, 10**25)
-        if all(exact_psd((zb + t * g0).tolist()) for zb, g0 in zip(Z, G[0])):
-            z[0] += t
-            hi = max(wk + zk for wk, zk in zip(w, z))
-            break
+        if all(exact_psd((cb + t * g0).tolist()) for cb, g0 in zip(C, G[0])):
+            return [c[0] + t, *c[1:]]
+    return None
+
+
+def _enclosure(w, F, d):
+    """Exact ends of a program value, rounded outward to floats.
+
+    A feasible F >= 0 gives lo = sum w_k F_k / sum F_k, and a dual vector
+    d, for which the value is at most max_k (w_k + d_k), gives hi.  A None
+    F or d leaves its end None.
+    """
+    w = [Fraction(v) for v in w]
+    lo = None if F is None else sum(wk * fk for wk, fk in zip(w, F)) / sum(F)
+    hi = None if d is None else max(wk + dk for wk, dk in zip(w, d))
     return (
         None if lo is None else _float_down(lo),
         None if hi is None else _float_up(hi),
     )
+
+
+def _upper_enclosure(G, w, sol):
+    """:func:`_enclosure` of the upper program on Gram blocks G and weights
+    w, from its solution ``sol``.
+
+    F: the solved one, clipped at zero, with F_0 raised by
+    :func:`_raise_vacuum` until sum F_k G_k is exactly psd.  d: <G_k, V>
+    for the solved dual matrix V made exactly psd; any psd V bounds the
+    value by max_k (w_k + <G_k, V>).
+    """
+    y = _rational(sol.y)
+    F = _raise_vacuum([max(v, Fraction(0)) for v in [1 - sum(y), *y]], G)
+    return _enclosure(w, F, _psd_pairings(G, sol.X[1:]))
+
+
+def _lower_enclosure(G, w, sol):
+    """:func:`_enclosure` of the lower program on Gram blocks G and weights
+    w, from its solution ``sol``.
+
+    F: <G_k, Q> for the solved Q made exactly psd; where some F_k < 0,
+    Q + sI with s = max_k (-F_k / tr G_k) gives F_k + s tr G_k instead,
+    which needs every tr G_k > 0.  d: the multipliers z_k of the rows
+    <G_k, Q> = F_k, with z_0 raised by :func:`_raise_vacuum` until
+    sum z_k G_k is exactly psd.
+    """
+    F = _psd_pairings(G, sol.X[1:])
+    if F is not None and min(F) < 0:
+        tr = [sum(np.trace(g) for g in gk) for gk in G]
+        if min(tr) > 0:
+            s = max(-f / t for f, t in zip(F, tr))
+            F = [f + s * t for f, t in zip(F, tr)]
+        else:
+            F = None
+    return _enclosure(w, F, _raise_vacuum(list(_rational(sol.y[1:])), G))
+
+
+def certified_upper_interval(spec: WitnessSpec, m: int, tol: float = 1e-9):
+    """Exactly certified enclosure (lo, hi) of the level-m upper-hierarchy
+    value: :func:`_upper_enclosure` of one :func:`solve_upper` at ``tol``."""
+    _, sol, _ = solve_upper(spec, m, tol=tol)
+    return _upper_enclosure(_upper_gram(m), _weights_exact(spec.a, m), sol)
+
+
+def certified_lower_interval(spec: WitnessSpec, m: int, tol: float = 1e-8):
+    """Exactly certified enclosure (lo, hi) of the level-m lower-hierarchy
+    value: :func:`_lower_enclosure` of the solve :func:`solve_lower` reports."""
+    _, sol, _ = solve_lower(spec, m, tol=tol)
+    return _lower_enclosure(_upper_gram(m), _weights_exact(spec.a, m), sol)
 
 
 # ---------------------------------------------------------------------------

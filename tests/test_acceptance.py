@@ -14,6 +14,8 @@ from negwit import states as S
 from negwit import torpedo as T
 from negwit import witness as W
 
+from test_torpedo import all_deterministic_columns, column_vector
+
 
 def report(name, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
@@ -286,10 +288,10 @@ def test_criterion_10_failure_bound():
     ok_bound = all(T.ncf_bound_holds(beh, d, th) for beh, d, th in suite)
     beh = T.behaviour_of_quantum(T.canonical_quantum_strategy(2), g2)
     lp = T.bounded_memory_ncf(beh, 2)
-    cols = T._all_deterministic_columns(2, g2)
+    cols = all_deterministic_columns(2, g2)
     keys = [(x, z, q) for x in range(2) for z in range(2) for q in g2.questions]
     target = np.array([beh[k][c] for k in keys for c in range(2)])
-    mat = np.array([T._column_vector(c, keys, 2) for c in cols])
+    mat = np.array([column_vector(c, keys, 2) for c in cols])
     brute = float(-T._master_lp(mat, target).fun)
     ok_match = len(cols) == 1024 and abs(lp - brute) <= 1e-12
     ok = ok_bound and ok_match

@@ -161,3 +161,16 @@ def test_threshold_rejects_jobs(capsys):
     # levels are solved in order; there is no parallel option
     code, _ = run_cli(capsys, "threshold", "--n", "1", "--m-max", "3", "--jobs", "2")
     assert code == 1
+
+
+def test_precision_option(capsys):
+    # --precision is the one precision setting; argparse validates it
+    code, out = run_cli(
+        capsys, "--precision", "double", "threshold", "--n", "1", "--m-max", "3"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "m,lower,upper"
+    code, _ = run_cli(
+        capsys, "--precision", "quad", "threshold", "--n", "1", "--m-max", "3"
+    )
+    assert code == 1

@@ -271,3 +271,24 @@ def test_deep_rectangle_lower_converges_in_double():
     lo10, sol10 = MM.solve_lower_multi(spec, "rectangle", 10)
     assert sol10.status == "optimal" and sol10.info["precision"] == "double"
     assert lo - 1e-8 <= lo10 <= up
+
+
+@pytest.mark.parametrize("mode,level", [("triangle", 4), ("rectangle", 6)])
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_two_mode_values_within_exact_enclosures(side, mode, level):
+    # the enclosure routines take any Gram blocks, weights and solution, so
+    # they serve two modes as they serve one; the value lies inside up to
+    # the solver tolerance, as for one mode
+    spec = MM.MultiWitnessSpec(n=(1, 1))
+    idx = MM._level_indices(spec, mode, level)
+    G = MM._upper_gram_multi(idx, level)
+    w = [spec.a.get(k, 0.0) for k in idx]
+    if side == "upper":
+        value, sol = MM.solve_upper_multi(spec, mode, level)
+        lo, hi = W._upper_enclosure(G, w, sol)
+    else:
+        value, sol = MM.solve_lower_multi(spec, mode, level)
+        lo, hi = W._lower_enclosure(G, w, sol)
+    assert lo is not None and hi is not None
+    assert lo - 1e-8 <= value <= hi + 1e-8, (lo, value, hi)
+    assert hi - lo <= 1e-7

@@ -144,18 +144,83 @@ def test_bounded_memory_ncf_perfect_quantum_zero():
     assert T.bounded_memory_ncf(beh, 3) == pytest.approx(0.0, abs=1e-8)
 
 
+def all_deterministic_columns(d: int, game):
+    """Every composite deterministic bounded-memory behaviour (small d)."""
+    cells = [(x, z) for x in range(d) for z in range(d)]
+    nq = len(game.questions)
+    cols = []
+    for grid in itertools.product(range(d), repeat=d * d):
+        for fqs in itertools.product(
+            itertools.product(range(d), repeat=d), repeat=nq
+        ):
+            col = {}
+            for i, cell in enumerate(cells):
+                j = grid[i]
+                for qi, q in enumerate(game.questions):
+                    col[(cell[0], cell[1], q)] = fqs[qi][j]
+            cols.append(col)
+    return cols
+
+
+def column_vector(col: dict, keys, d: int) -> np.ndarray:
+    v = np.zeros(len(keys) * d)
+    for r, (x, z, q) in enumerate(keys):
+        v[r * d + col[(x, z, q)]] = 1.0
+    return v
+
+
+def _d2_brute_force():
+    """(keys, matrix) of the full d = 2 column LP: all 1024 strategies."""
+    g = T.TorpedoGame(2)
+    cols = all_deterministic_columns(2, g)
+    assert len(cols) == 1024
+    keys = [(x, z, q) for x in range(2) for z in range(2) for q in g.questions]
+    return keys, np.array([column_vector(c, keys, 2) for c in cols])
+
+
 def test_bounded_memory_ncf_d2_matches_brute_force():
     g = T.TorpedoGame(2)
     beh = T.behaviour_of_quantum(T.canonical_quantum_strategy(2), g)
     by_lp = T.bounded_memory_ncf(beh, 2)
     # brute force over all 1024 deterministic strategies via the same LP
-    cols = T._all_deterministic_columns(2, g)
-    assert len(cols) == 1024
-    keys = [(x, z, q) for x in range(2) for z in range(2) for q in g.questions]
+    keys, mat = _d2_brute_force()
     target = np.array([beh[k][c] for k in keys for c in range(2)])
-    mat = np.array([T._column_vector(c, keys, 2) for c in cols])
     res = T._master_lp(mat, target)
     assert by_lp == pytest.approx(float(-res.fun), abs=1e-10)
+    assert by_lp == pytest.approx(0.8452994616, abs=1e-9)
+
+
+def test_bounded_memory_ncf_d2_random_mixtures():
+    # column generation meets the full LP on mixtures of a random
+    # deterministic strategy with the canonical quantum behaviour
+    g = T.TorpedoGame(2)
+    quantum = T.behaviour_of_quantum(T.canonical_quantum_strategy(2), g)
+    keys, mat = _d2_brute_force()
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        lam, bits = rng.random(), rng.integers(2, size=12)
+        grid = {(x, z): int(bits[2 * x + z]) for x in range(2) for z in range(2)}
+        maps = {q: (int(bits[4 + 2 * i]), int(bits[5 + 2 * i]))
+                for i, q in enumerate(g.questions)}
+        classical = T.behaviour_of_classical(
+            T.ClassicalStrategy.deterministic(2, 2, grid, maps)
+        )
+        beh = {
+            k: tuple(lam * a + (1 - lam) * b for a, b in zip(classical[k], quantum[k]))
+            for k in quantum
+        }
+        target = np.array([beh[k][c] for k in keys for c in range(2)])
+        brute = float(-T._master_lp(mat, target).fun)
+        assert T.bounded_memory_ncf(beh, 2) == pytest.approx(brute, abs=1e-12)
+
+
+def test_bounded_memory_ncf_d3_noisy_quantum():
+    # 0.7 quantum + 0.3 uniform: the master value meets its dual bound at 1.
+    # Pricing columns by the largest dual value instead stops early, at 0.1
+    g = T.TorpedoGame(3)
+    quantum = T.behaviour_of_quantum(T.canonical_quantum_strategy(3), g)
+    beh = {k: tuple(0.7 * v + 0.1 for v in p) for k, p in quantum.items()}
+    assert T.bounded_memory_ncf(beh, 3) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_failure_bound_on_suite():

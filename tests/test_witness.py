@@ -42,15 +42,6 @@ def test_build_rejects_small_level():
         W.build_upper_compact(W.WitnessSpec.fock(3), 2)
 
 
-def test_upper_within_certified_interval():
-    # the solved upper value lies in its exact rational enclosure
-    for n, m in ((1, 3), (1, 4), (1, 5), (3, 3)):
-        spec = W.WitnessSpec.fock(n)
-        lo, hi = W.certified_upper_interval(spec, m)
-        value, _, _ = W.solve_upper(spec, m)
-        assert lo - 1e-7 <= value <= hi + 1e-7, (n, m)
-
-
 def test_solvers_reject_unknown_precision():
     spec = W.WitnessSpec.fock(1)
     for solver in (W.solve_lower, W.solve_upper):
@@ -70,15 +61,33 @@ def test_lower_dual_active_constraint_at_base_level():
     assert all(y0 - z[k] >= -1e-7 for k in range(2))  # dual feasible
 
 
+ENCLOSURE_CASES = [
+    ((1.0,), (1, 4, 9)),
+    ((0.0, 0.0, 1.0), (3, 8, 11)),
+    ((0.0,) * 5 + (1.0,), (6, 10, 12)),
+    ((0.5, 0.0, 1.0), (3, 7, 12)),
+]
+ENCLOSURE_IDS = ["fock1", "fock3", "fock6", "weights-0.5-0-1"]
+
+
+@pytest.mark.parametrize("a,levels", ENCLOSURE_CASES, ids=ENCLOSURE_IDS)
+def test_upper_within_certified_interval(a, levels):
+    # the reported upper value lies in the exact enclosure of a separate,
+    # tighter solve, up to the solver tolerance of the reported one
+    spec = W.WitnessSpec(a=a)
+    for m in levels:
+        lo, hi = W.certified_upper_interval(spec, m)
+        value, _, _ = W.solve_upper(spec, m)
+        assert lo is not None and hi is not None, m
+        assert lo - 1e-8 <= value <= hi + 1e-8, (m, lo, value, hi)
+        assert hi - lo <= 1e-8, m
+
+
+# at fock(2), m = 11, the solved Q made psd gives some F_k < 0; Q + sI lifts them
 @pytest.mark.parametrize(
     "a,levels",
-    [
-        ((1.0,), (1, 4, 9)),
-        ((0.0, 0.0, 1.0), (3, 8, 11)),
-        ((0.0,) * 5 + (1.0,), (6, 10, 12)),
-        ((0.5, 0.0, 1.0), (3, 7, 12)),
-    ],
-    ids=["fock1", "fock3", "fock6", "weights-0.5-0-1"],
+    ENCLOSURE_CASES + [((0.0, 1.0), (11,))],
+    ids=ENCLOSURE_IDS + ["fock2"],
 )
 def test_lower_within_certified_interval(a, levels):
     # the solved lower value lies in its exact rational enclosure, up to the
