@@ -16,7 +16,7 @@ digests match:
 
 Each line is `<sha256 of stdout>  exit=<code>  <arguments>`; for the emitted
 files it is the hash of the file, and the arguments end in `--emit-sdpa FILE`.
-A run takes 15 to 30 s on a 2-core machine.
+A run takes about 6 s on a 2-core machine.
 """
 
 import contextlib

@@ -167,21 +167,33 @@ def _chol_blocked(a: np.ndarray, blk: int = 64):
     return L
 
 
-# float64 LAPACK routines, called directly: the scipy.linalg wrappers cost
-# more than the arithmetic on blocks this small.  Arguments mirror what
-# sla.solve_triangular and sla.eigh(eigvals_only=True) pass, so the results
-# are the same bits.
+# float64 LAPACK and BLAS routines, called directly: the scipy.linalg
+# wrappers cost more than the arithmetic on blocks this small.  Arguments
+# mirror what sla.solve_triangular and sla.eigh(eigvals_only=True) pass, so
+# the results are the same bits.
+#
+# A right-hand side with several columns (S^{-1}'s identity, the step-length
+# dX) goes to BLAS trsm, which runs the kernels trtrs uses for nrhs >= 2.
+# trtrs threads those at any size, and numpy and scipy each load their own
+# OpenBLAS with its own thread pool, so two busy pools fight over the cores;
+# trsm stays on one thread for blocks this small.  A single column stays on
+# trtrs: its nrhs = 1 path (trsv) rounds differently.
 _trtrs, _syevr, _syevr_lwork = sla.get_lapack_funcs(
     ("trtrs", "syevr", "syevr_lwork"), (np.empty(0),)
 )
+_trsm = sla.get_blas_funcs("trsm", (np.empty(0),))
 
 
 def _trsolve(a: np.ndarray, b: np.ndarray, lower: bool):
     # LAPACK wants Fortran order; a C-ordered a is the transposed system
-    if a.flags.f_contiguous:
-        x, info = _trtrs(a, b, lower=lower, trans=0)
-    else:
-        x, info = _trtrs(a.T, b, lower=not lower, trans=1)
+    trans = not a.flags.f_contiguous
+    if trans:
+        a, lower = a.T, not lower
+    if b.ndim == 2 and b.shape[1] > 1:
+        if not a.diagonal().all():  # trsm does not report a singular factor
+            raise np.linalg.LinAlgError("triangular solve failed (singular factor)")
+        return _trsm(1.0, a, b, lower=lower, trans_a=trans)
+    x, info = _trtrs(a, b, lower=lower, trans=trans)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
     return x

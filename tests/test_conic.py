@@ -299,10 +299,16 @@ def _triangles(rng, n):
 @pytest.mark.parametrize("n", range(1, 21))
 def test_triangular_solves_match_scipy_bitwise(n):
     rng = np.random.default_rng(100 + n)
+    # the square ones are what the solver passes: S^{-1}'s identity, and
+    # _max_step's dX and the C-ordered transpose of its first solve
     rhs = (
         rng.standard_normal(n),
+        rng.standard_normal((n, 1)),
         rng.standard_normal((n, 3)),
         np.asfortranarray(rng.standard_normal((n, 4))),
+        np.eye(n),
+        rng.standard_normal((n, n)),
+        np.asfortranarray(rng.standard_normal((n, n))).T,
     )
     for L in _triangles(rng, n):
         for b in rhs:
@@ -318,14 +324,41 @@ def test_triangular_solves_match_scipy_bitwise(n):
 def test_singular_triangle_raises(n):
     L = np.tril(np.ones((n, n)))
     L[n // 2, n // 2] = 0.0
-    b = np.ones(n)
-    with pytest.raises(np.linalg.LinAlgError):
-        sla.solve_triangular(L, b, lower=True, check_finite=False)
-    for a in (L, np.asfortranarray(L)):
+    # one column goes to trtrs, several to trsm and its own diagonal check
+    for b in (np.ones(n), np.ones((n, 2))):
         with pytest.raises(np.linalg.LinAlgError):
-            conic._solve_lower(a, b)
-        with pytest.raises(np.linalg.LinAlgError):
-            conic._solve_upper(a.T, b)
+            sla.solve_triangular(L, b, lower=True, check_finite=False)
+        for a in (L, np.asfortranarray(L)):
+            with pytest.raises(np.linalg.LinAlgError):
+                conic._solve_lower(a, b)
+            with pytest.raises(np.linalg.LinAlgError):
+                conic._solve_upper(a.T, b)
+
+
+def test_double_solves_keep_multi_column_systems_off_trtrs(monkeypatch):
+    # trtrs threads every solve with two or more right-hand sides, so those
+    # must go to trsm; single columns stay on trtrs for their bits
+    widths = []
+    trsm_calls = []
+    trtrs, trsm = conic._trtrs, conic._trsm
+
+    def counted_trtrs(a, b, **kw):
+        widths.append(1 if b.ndim == 1 else b.shape[1])
+        return trtrs(a, b, **kw)
+
+    def counted_trsm(*args, **kw):
+        trsm_calls.append(1)
+        return trsm(*args, **kw)
+
+    monkeypatch.setattr(conic, "_trtrs", counted_trtrs)
+    monkeypatch.setattr(conic, "_trsm", counted_trsm)
+    for prob in (
+        W.build_lower(W.WitnessSpec.fock(3), 8),
+        MM.build_lower_multi(MM.MultiWitnessSpec((1, 1)), "rectangle", 4),
+    ):
+        assert conic.solve(prob, precision="double").status == "optimal"
+    assert widths and max(widths) == 1
+    assert trsm_calls
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -442,6 +475,10 @@ SOLVER_CASES = {
     ),
     "two-mode-rectangle2-lower-double": (
         lambda: MM.build_lower_multi(MM.MultiWitnessSpec((1, 1)), "rectangle", 2),
+        "double",
+    ),
+    "two-mode-rectangle6-lower-double": (
+        lambda: MM.build_lower_multi(MM.MultiWitnessSpec((1, 1)), "rectangle", 6),
         "double",
     ),
 }
