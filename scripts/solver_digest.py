@@ -10,7 +10,9 @@ are fixed:
 - the upper program (`build_upper_compact`) of Fock n=1 at levels 1..12 and
   of the weighted witness (0.5, 0, 1) at levels 3..12, in double;
 - the two-mode |1,1> lower and upper programs on triangles and rectangles 2
-  and 4, and the lower programs on rectangles 6 and 8, in double.
+  and 4, and the lower programs on rectangles 6 and 8, in double;
+- the upper program of Fock n=5 at level 12 and the two-mode |1,1> upper
+  program on rectangle 6, in extended precision.
 
 Two checkouts solve these programs to the same bits exactly when their
 digests match:
@@ -24,7 +26,7 @@ larger products of the rectangle-6 and rectangle-8 lower programs by thread,
 so their lines change with `OPENBLAS_NUM_THREADS`.
 
 Each line is `<sha256>  <status>  <iterations>  <program>`.  A run takes
-about 5 s on a 2-core machine.
+about 4 s on a 2-core machine.
 """
 
 import hashlib
@@ -73,6 +75,17 @@ def programs():
             lambda level=level: MM.build_lower_multi(spec, "rectangle", level),
             "double",
         )
+    # the longdouble path of an upper program, single-mode and two-mode
+    yield (
+        "upper fock(5) m=12 extended",
+        lambda: W.build_upper_compact(W.WitnessSpec.fock(5), 12),
+        "extended",
+    )
+    yield (
+        "two-mode upper rectangle 6 extended",
+        lambda: MM.build_upper_multi_compact(spec, "rectangle", 6),
+        "extended",
+    )
 
 
 def digest(sol) -> str:

@@ -129,6 +129,19 @@ class SdpSolution:
 # ---------------------------------------------------------------------------
 
 
+# numpy has no BLAS for longdouble, so its matmul falls back to a generic
+# strided loop.  np.dot runs the dtype's own contiguous dot loop, 2-3x faster
+# on these sizes, and sums in the same order (start at 0, add left to right),
+# so every longdouble product keeps its bits.  float64 products stay on
+# matmul (_BlockData.dot picks one per solve): a 3-D np.dot would leave BLAS
+# and round differently.  The longdouble-only kernels below call np.dot.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The longdouble a @ b, for b a vector, a matrix or a stack of matrices."""
+    if b.ndim == 3:  # np.dot pairs the stack axis with a's rows
+        return np.dot(a, b).transpose(1, 0, 2)
+    return np.dot(a, b)
+
+
 def _interior(d):
     """Where d is finite and positive; NaN and +inf fail both comparisons."""
     return (d > 0) & (d < np.inf)
@@ -151,7 +164,7 @@ def _chol_blocked(a: np.ndarray, blk: int = 64):
     for j0 in range(0, n, blk):
         j1 = min(j0 + blk, n)
         if j0:
-            L[j0:, j0:j1] = L[j0:, j0:j1] - L[j0:, :j0] @ L[j0:j1, :j0].T
+            L[j0:, j0:j1] = L[j0:, j0:j1] - np.dot(L[j0:, :j0], L[j0:j1, :j0].T)
         for j in range(j0, j1):
             d = L[j, j] - np.dot(L[j, j0:j], L[j, j0:j])
             if not _interior(d):
@@ -160,7 +173,7 @@ def _chol_blocked(a: np.ndarray, blk: int = 64):
             L[j, j] = d
             if j + 1 < n:
                 L[j + 1 :, j] = (
-                    L[j + 1 :, j] - L[j + 1 :, j0:j] @ L[j, j0:j]
+                    L[j + 1 :, j] - np.dot(L[j + 1 :, j0:j], L[j, j0:j])
                 ) / d
     for j in range(n):
         L[j, j + 1 :] = 0
@@ -223,24 +236,19 @@ def _solve_lower(L: np.ndarray, b: np.ndarray):
     """Solve L x = b, L lower triangular; b may be a matrix."""
     if L.dtype == np.float64 and b.dtype == np.float64:
         return _trsolve(L, b, lower=True)
-    n = L.shape[0]
     x = np.array(b, copy=True)
-    for i in range(n):
-        if i:
-            x[i] = x[i] - L[i, :i] @ x[:i]
-        x[i] = x[i] / L[i, i]
+    for i in range(L.shape[0]):
+        x[i] = (x[i] - np.dot(L[i, :i], x[:i])) / L[i, i]
     return x
 
 
 def _solve_upper(U: np.ndarray, b: np.ndarray):
     if U.dtype == np.float64 and b.dtype == np.float64:
         return _trsolve(U, b, lower=False)
-    n = U.shape[0]
+    U = np.ascontiguousarray(U)  # _chol_solve passes L.T, whose rows are strided
     x = np.array(b, copy=True)
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] = x[i] - U[i, i + 1 :] @ x[i + 1 :]
-        x[i] = x[i] / U[i, i]
+    for i in range(U.shape[0] - 1, -1, -1):
+        x[i] = (x[i] - np.dot(U[i, i + 1 :], x[i + 1 :])) / U[i, i]
     return x
 
 
@@ -262,6 +270,7 @@ class _BlockData:
     def __init__(self, problem: SdpProblem, dtype):
         self.blocks = problem.blocks
         self.dtype = dtype
+        self.dot = np.matmul if dtype == np.float64 else _dot
         m = problem.num_constraints
         self.b = np.array([rhs for _, rhs in problem.constraints], dtype=dtype)
         self.C = []
@@ -289,7 +298,7 @@ class _BlockData:
         """Vector of <B_i, X>."""
         out = np.zeros(len(self.b), dtype=self.dtype)
         for flat, x in zip(self.Bflat, Xb):
-            out += flat @ x.reshape(-1)
+            out += self.dot(flat, x.reshape(-1))
         return out
 
     def apply_At(self, y) -> list:
@@ -301,7 +310,7 @@ class _BlockData:
                 # the product np.tensordot(y, stack, axes=(0, 0)) performs
                 out.append(np.dot(row, flat).reshape(size, size))
             else:
-                out.append(y @ flat)
+                out.append(self.dot(y, flat))
         return out
 
 
@@ -389,6 +398,7 @@ def solve(
         raise ValueError("problem needs at least one constraint")
     dtype = np.float64 if precision == "double" else np.longdouble
     data = _BlockData(problem, dtype)
+    dot = data.dot
     blocks = problem.blocks
     m = problem.num_constraints
     ntot = sum(abs(b) for b in blocks)
@@ -405,7 +415,7 @@ def solve(
     it = 0
     for it in range(1, max_iterations + 1):
         pobj = _blk_inner(data.C, Xb)
-        dobj = float(data.b @ y)
+        dobj = float(dot(data.b, y))
         rp = data.b - data.apply_A(Xb)
         Aty = data.apply_At(y)
         Rd = [c + s - a for c, s, a in zip(data.C, Sb, Aty)]
@@ -462,11 +472,11 @@ def solve(
             blocks, data.Bstack, data.Bflat, Xb, Sinv
         ):
             if size > 0:
-                T = np.matmul(np.matmul(x, stack), si)
-                H += flat @ T.reshape(m, -1).T
+                T = dot(dot(x, stack), si)
+                H += dot(flat, T.reshape(m, -1).T)
             else:
                 w = x * si
-                H += (stack * w) @ stack.T
+                H += dot(stack * w, stack.T)
         H = (H + H.T) / 2.0
 
         Lh = None
@@ -487,16 +497,16 @@ def solve(
             vec = -rp.astype(dtype)
             for size, flat, rc, rd, x, si in zip(blocks, data.Bflat, Rc, Rd, Xb, Sinv):
                 if size > 0:
-                    Mx = (rc + x @ rd) @ si
-                    vec += flat @ Mx.reshape(-1)
+                    Mx = dot(rc + dot(x, rd), si)
+                    vec += dot(flat, Mx.reshape(-1))
                 else:
-                    vec += flat @ ((rc + x * rd) * si)
+                    vec += dot(flat, (rc + x * rd) * si)
             return vec
 
         def schur_solve(rhs):
             dy = _chol_solve(Lh, rhs)
             for _ in range(2):  # iterative refinement; H is often near-singular
-                resid = rhs - H @ dy
+                resid = rhs - dot(H, dy)
                 dy = dy + _chol_solve(Lh, resid)
             return dy
 
@@ -506,7 +516,7 @@ def solve(
             dX = []
             for size, rc, x, ds, si in zip(blocks, Rc, Xb, dS, Sinv):
                 if size > 0:
-                    v = (rc - x @ ds) @ si
+                    v = dot(rc - dot(x, ds), si)
                     dX.append((v + v.T) / 2.0)
                 else:
                     dX.append((rc - x * ds) * si)
@@ -514,7 +524,7 @@ def solve(
 
         # predictor
         Rc_aff = [
-            -(x @ s) if size > 0 else -(x * s) for size, x, s in zip(blocks, Xb, Sb)
+            -dot(x, s) if size > 0 else -(x * s) for size, x, s in zip(blocks, Xb, Sb)
         ]
         dX_a, dy_a, dS_a = direction(Rc_aff)
         if not np.isfinite(dy_a).all():  # the Schur solve overflowed
@@ -535,7 +545,9 @@ def solve(
         Rc = []
         for size, x, s, dxa, dsa in zip(blocks, Xb, Sb, dX_a, dS_a):
             if size > 0:
-                Rc.append(dtype(sigma * mu) * data.eye[size] - x @ s - dxa @ dsa)
+                Rc.append(
+                    dtype(sigma * mu) * data.eye[size] - dot(x, s) - dot(dxa, dsa)
+                )
             else:
                 Rc.append(dtype(sigma * mu) - x * s - dxa * dsa)
         dX, dy, dS = direction(Rc)
@@ -568,7 +580,7 @@ def solve(
         _, Xb, y, pobj, dobj, diag = best
     else:
         pobj = _blk_inner(data.C, Xb)
-        dobj = float(data.b @ y)
+        dobj = float(dot(data.b, y))
 
     X_out = tuple(np.asarray(x, dtype=np.float64) for x in Xb)
     y_out = np.asarray(y, dtype=np.float64)

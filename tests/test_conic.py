@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,6 +94,11 @@ def test_kkt_residuals_within_tolerance():
             assert val <= 1e-7, (key, val)
 
 
+def _exact(a):
+    """The float entries of a as Fractions."""
+    return np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=np.float64))
+
+
 def test_kkt_residuals_on_problem_blocks():
     # the residuals against a plain per-block computation, on 12 1x1 blocks
     # and a 12x12 one
@@ -111,18 +117,40 @@ def test_kkt_residuals_on_problem_blocks():
     ]
     dual_min = min(0.0, *(np.linalg.eigvalsh(s)[0] for s in S))
     x_min = min(0.0, *(np.linalg.eigvalsh(x)[0] for x in sol.X))
-    comp = abs(sum((x * s).sum() for x, s in zip(sol.X, S))) / (
-        1.0 + abs(sol.primal_value)
-    )
     expected = {
         "primal": rp,
         "dual_psd_violation": -dual_min,
         "x_psd_violation": -x_min,
-        "complementarity": comp,
     }
-    assert res.keys() == expected.keys()
+    assert res.keys() == {*expected, "complementarity"}
     for key, val in expected.items():
         assert res[key] == pytest.approx(val, rel=1e-9, abs=1e-15), key
+
+    # complementarity cancels to about 1e-7 from terms of order 1, so it is
+    # checked against its exact value on the float data, within the
+    # rounding of the float computation: S sums m + 1 terms per entry and
+    # <X, S> sums N products, and a sum of n terms is off by at most n * eps
+    # times the sum of their magnitudes
+    rows = [(yi, mats) for yi, (mats, _) in zip(sol.y, prob.constraints)]
+    S_exact = [
+        sum(Fraction(yi) * _exact(mats[k]) for yi, mats in rows) - _exact(c)
+        for k, c in enumerate(prob.objective)
+    ]
+    S_terms = [
+        sum(abs(yi) * np.abs(mats[k]) for yi, mats in rows) + np.abs(c)
+        for k, c in enumerate(prob.objective)
+    ]
+    pairs = [(_exact(x).ravel(), s.ravel()) for x, s in zip(sol.X, S_exact)]
+    scale = 1 + abs(Fraction(sol.primal_value))
+    comp = abs(sum(np.dot(x, s) for x, s in pairs)) / scale
+    magnitude_xs = sum(float(np.abs(x * s).sum()) for x, s in pairs)
+    magnitude_s = sum(float((np.abs(x) * t).sum()) for x, t in zip(sol.X, S_terms))
+    m = prob.num_constraints
+    N = sum(x.size for x in sol.X)
+    eps = np.finfo(np.float64).eps
+    bound = eps * ((m + 2) * magnitude_s + (N + 2) * magnitude_xs) / float(scale)
+    assert abs(Fraction(res["complementarity"]) - comp) <= bound
+    assert bound < 1e-3 * float(comp)
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
@@ -376,9 +404,131 @@ def test_min_eigenvalue_matches_scipy_bitwise(n):
             assert np.float64(conic._min_eigenvalue(a)).tobytes() == ref.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# the longdouble kernels keep the bits of the matmul products and row loops
+# ---------------------------------------------------------------------------
+
+
+def _longdouble(rng, shape):
+    """Random longdouble entries whose low bits are all in use."""
+    hi = rng.standard_normal(shape).astype(np.longdouble)
+    return hi + rng.standard_normal(shape).astype(np.longdouble) * np.longdouble(2.0**-55)
+
+
+def _same_values(a, b) -> bool:
+    # a longdouble fills 10 of its 16 bytes; the padding can differ between
+    # equal values, so compare values, not tobytes()
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _matmul_lower(L, b):
+    """The longdouble forward substitution as it was, through matmul."""
+    n = L.shape[0]
+    x = np.array(b, copy=True)
+    for i in range(n):
+        if i:
+            x[i] = x[i] - L[i, :i] @ x[:i]
+        x[i] = x[i] / L[i, i]
+    return x
+
+
+def _matmul_upper(U, b):
+    """The longdouble back substitution as it was, through matmul."""
+    n = U.shape[0]
+    x = np.array(b, copy=True)
+    for i in range(n - 1, -1, -1):
+        if i + 1 < n:
+            x[i] = x[i] - U[i, i + 1 :] @ x[i + 1 :]
+        x[i] = x[i] / U[i, i]
+    return x
+
+
+def _matmul_chol(a, blk=64):
+    """The blocked longdouble Cholesky as it was, through matmul."""
+    n = a.shape[0]
+    L = np.array(a, copy=True)
+    for j0 in range(0, n, blk):
+        j1 = min(j0 + blk, n)
+        if j0:
+            L[j0:, j0:j1] = L[j0:, j0:j1] - L[j0:, :j0] @ L[j0:j1, :j0].T
+        for j in range(j0, j1):
+            d = L[j, j] - np.dot(L[j, j0:j], L[j, j0:j])
+            if not conic._interior(d):
+                raise np.linalg.LinAlgError("matrix is not positive definite")
+            d = np.sqrt(d)
+            L[j, j] = d
+            if j + 1 < n:
+                L[j + 1 :, j] = (L[j + 1 :, j] - L[j + 1 :, j0:j] @ L[j, j0:j]) / d
+    for j in range(n):
+        L[j, j + 1 :] = 0
+    return L
+
+
+def test_dot_matches_matmul_on_longdouble():
+    rng = np.random.default_rng(300)
+    x, s = _longdouble(rng, (16, 16)), _longdouble(rng, (16, 16))
+    stack = _longdouble(rng, (48, 16, 16))
+    flat = stack.reshape(48, -1)
+    T = _longdouble(rng, (48, 256))
+    tall = _longdouble(rng, (70, 64))
+    cases = [
+        (_longdouble(rng, 9), _longdouble(rng, 9)),  # b^T y
+        (_longdouble(rng, 9), _longdouble(rng, (9, 5))),  # a substitution row
+        (_longdouble(rng, 48), _longdouble(rng, (48, 7))),  # y against a diagonal stack
+        (flat, _longdouble(rng, 256)),  # apply_A and the right-hand side
+        (_longdouble(rng, (48, 48)), _longdouble(rng, 48)),  # H dy
+        (x, s),  # X S and the directions
+        (x, s.T),
+        (flat, T.T),  # the Schur product flat T^T
+        (tall[6:], tall[6:9].T),  # the Cholesky trailing update
+        (x, stack),  # X B_j, stacked
+        (np.matmul(x, stack), s),  # (X B_j) S^{-1}, stacked
+        (np.matmul(x, stack).transpose(1, 0, 2), s),
+    ]
+    for a, b in cases:
+        assert _same_values(conic._dot(a, b), np.matmul(a, b)), (a.shape, b.shape)
+    # the Schur assembly as the solver writes it
+    Tj = conic._dot(conic._dot(x, stack), s)
+    assert _same_values(
+        conic._dot(flat, Tj.reshape(48, -1).T),
+        flat @ np.matmul(np.matmul(x, stack), s).reshape(48, -1).T,
+    )
+    # float64 stays on matmul
+    prob = one_var_problem()
+    assert conic._BlockData(prob, np.float64).dot is np.matmul
+    assert conic._BlockData(prob, np.longdouble).dot is conic._dot
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 48, 64, 65, 70, 130])
+def test_longdouble_kernels_match_matmul_loops(n):
+    rng = np.random.default_rng(400 + n)
+    g = _longdouble(rng, (n, n))
+    spd = g @ g.T + n * np.eye(n, dtype=np.longdouble)
+    L = conic._chol_blocked(spd)
+    assert _same_values(L, _matmul_chol(spd))
+    for b in (
+        _longdouble(rng, n),
+        _longdouble(rng, (n, 1)),
+        _longdouble(rng, (n, 3)),
+        np.eye(n, dtype=np.longdouble),
+        _longdouble(rng, (n, n)).T,
+    ):
+        assert _same_values(conic._solve_lower(L, b), _matmul_lower(L, b))
+        for U in (L.T, np.ascontiguousarray(L.T)):
+            assert _same_values(conic._solve_upper(U, b), _matmul_upper(U, b))
+        assert _same_values(
+            conic._chol_solve(L, b), _matmul_upper(L.T, _matmul_lower(L, b))
+        )
+    if n > 1:
+        spd[n - 1, n - 1] = -1
+        with pytest.raises(np.linalg.LinAlgError):
+            conic._chol_blocked(spd)
+
+
 def _through_scipy_wrappers(mp):
     """Run the solver as before the direct kernels: scipy.linalg wrappers,
-    np.tensordot for A^T y, and fresh factors of every accepted iterate."""
+    np.tensordot for A^T y, fresh factors of every accepted iterate, and
+    matmul for every longdouble product and substitution row."""
     mp.setattr(
         conic,
         "_trsolve",
@@ -404,6 +554,17 @@ def _through_scipy_wrappers(mp):
         return iterate, None, alpha
 
     mp.setattr(conic, "_interior_step", refactor_step)
+    mp.setattr(conic, "_dot", np.matmul)
+    mp.setattr(conic, "_chol_blocked", _matmul_chol)
+    for name, loop in (("_solve_lower", _matmul_lower), ("_solve_upper", _matmul_upper)):
+        kernel = getattr(conic, name)
+        mp.setattr(
+            conic,
+            name,
+            lambda L, b, kernel=kernel, loop=loop: (
+                kernel(L, b) if L.dtype == np.float64 else loop(L, b)
+            ),
+        )
 
 
 def _runs_problem(blocks, dense_rows=0):
@@ -480,6 +641,12 @@ SOLVER_CASES = {
     "two-mode-rectangle6-lower-double": (
         lambda: MM.build_lower_multi(MM.MultiWitnessSpec((1, 1)), "rectangle", 6),
         "double",
+    ),
+    "two-mode-rectangle6-upper-extended": (
+        lambda: MM.build_upper_multi_compact(
+            MM.MultiWitnessSpec((1, 1)), "rectangle", 6
+        ),
+        "extended",
     ),
 }
 
