@@ -1,24 +1,32 @@
 """Multimode threshold hierarchies, product certificates, robust fidelity.
 
 Levels are indexed either by total degree ("triangle", indices |k| <= m) or
-by componentwise degree ("rectangle", k <= m*1).  The rectangle family is
-closed under tensor products of single-mode feasible points, which gives
-exact product certificates; the two families interleave, so either brackets
-the same limits.
+by componentwise degree ("rectangle", k <= m*1); the two families
+interleave, so either brackets the same limits.  Every program lives in the
+tensor Laguerre parity blocks, Kronecker products of the single-mode blocks
+of :func:`negwit.witness._upper_gram`.  So the Kronecker product of
+single-mode feasible points, one block per parity vector, is an exact
+feasible point of the lower program on a box of indices.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import conic
-from .numerics import mi_binomial, mi_factorial, mi_leq, mi_norm
-from .witness import _compact_lower, _compact_upper, _solve_with_policy, _upper_gram
+from .numerics import mi_norm
+from .witness import (
+    _compact_lower,
+    _compact_upper,
+    _lower_feasible,
+    _solve_with_policy,
+    _upper_gram,
+)
 
 INDEX_CAP = 10_000
 
@@ -78,12 +86,6 @@ def iterate_indices(mode: str, level: int, modes: int) -> list:
                 raise ValueError("index enumeration exceeds the cap")
         return out
     raise ValueError("mode must be 'triangle' or 'rectangle'")
-
-
-def _mi_lower_even_coeff(l, k) -> Fraction:
-    """Coefficient of F_k in the even constraint at multi-level l (k >= l)."""
-    sign = (-1) ** ((mi_norm(k) + mi_norm(l)) % 2)
-    return Fraction(sign * mi_binomial(k, l), mi_factorial(l))
 
 
 def _level_indices(spec: MultiWitnessSpec, mode: str, level: int) -> list:
@@ -182,59 +184,32 @@ def solve_upper_multi(spec, mode, level, tol=1e-8, precision="auto"):
 
 
 def product_feasible(singles: Sequence, levels: Sequence[int]):
-    """Tensor product of single-mode feasible pairs for the rectangle program.
+    """Tensor product of single-mode feasible pairs: an exact feasible point
+    of the lower program on the box of indices k <= levels.
 
-    singles: list of (Q, F) with exact rational entries, Q of size m_i+1 and
-    F of length m_i+1 feasible for the level-m_i single-mode restriction.
-    Returns (Q, F) dictionaries keyed by multi-indices, exactly rational.
-    Raises when a factor fails its own feasibility residuals.
+    singles: one exact (Q, F) per mode, feasible for the level-m_t
+    single-mode program, Q in its Laguerre parity blocks.  Returns (Q, F):
+    the blocks kron_t Q_t[p_t], one per parity vector p in the order of
+    :func:`_upper_gram_multi` on the box, and F_k = prod_t F_t[k_t] over the
+    box in lexicographic order.  These meet the rows of
+    ``_upper_gram_multi(box, max(levels))``: a level-m single-mode block is
+    the leading principal submatrix of every deeper one, and pairings of
+    Kronecker products factorise.  Raises when a factor is not exactly
+    feasible for its level.
     """
-    from .witness import lower_feasibility_residuals
-
-    for (Q, F), m in zip(singles, levels):
-        res = lower_feasibility_residuals(Q, F, m)
-        if any(r != 0 for r in res):
+    for (Q, F), m in zip(singles, levels, strict=True):
+        if not _lower_feasible(_upper_gram(m), Q, F):
             raise ValueError("input pair is not feasible for its level")
-    modes = len(singles)
-    idx = list(itertools.product(*(range(m + 1) for m in levels)))
-    Fout = {}
-    for k in idx:
-        val = Fraction(1)
-        for mode_i, ki in enumerate(k):
-            val *= Fraction(singles[mode_i][1][ki])
-        Fout[k] = val
-    Qout = {}
-    for ki in idx:
-        for kj in idx:
-            val = Fraction(1)
-            for mode_i, (a, b) in enumerate(zip(ki, kj)):
-                val *= Fraction(singles[mode_i][0][a][b])
-            if val:
-                Qout[(ki, kj)] = val
-    return Qout, Fout
-
-
-def product_feasibility_residuals(Qout, Fout, levels):
-    """Exact residuals of a product pair in the rectangle constraints."""
-    idx = list(itertools.product(*(range(m + 1) for m in levels)))
-    res = [sum(Fout.values()) - 1]
-    sums = {}
-    for (ki, kj), v in Qout.items():
-        r = tuple(a + b for a, b in zip(ki, kj))
-        sums[r] = sums.get(r, Fraction(0)) + v
-    for r in itertools.product(*(range(2 * m + 1) for m in levels)):
-        sQ = sums.get(r, Fraction(0))
-        if all(v % 2 == 0 for v in r):
-            l = tuple(v // 2 for v in r)
-            sF = sum(
-                _mi_lower_even_coeff(l, k) * Fout[k]
-                for k in idx
-                if mi_leq(l, k)
-            )
-            res.append(sQ - sF)
-        else:
-            res.append(sQ)
-    return res
+    blocks = []
+    for p in itertools.product((0, 1), repeat=len(singles)):
+        q = np.ones((1, 1), dtype=object)
+        for (Qt, _), pt in zip(singles, p):
+            q = np.kron(q, Qt[pt])
+        if q.size:
+            blocks.append(q)
+    box = itertools.product(*(range(m + 1) for m in levels))
+    F = [math.prod(Ft[kt] for (_, Ft), kt in zip(singles, k)) for k in box]
+    return tuple(blocks), F
 
 
 def robust_fidelity_bound(single_fidelities: Sequence[float]) -> float:

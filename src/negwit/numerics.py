@@ -283,23 +283,3 @@ def mi_pi(k: Iterable[int]) -> int:
 def simplex_size(modes: int, m: int) -> int:
     """Number of multi-indices k with |k| <= m, i.e. C(modes+m, m)."""
     return binomial(modes + m, m)
-
-
-def mi_leq(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x <= y for x, y in zip(a, b, strict=True))
-
-
-def mi_factorial(k: Iterable[int]) -> int:
-    out = 1
-    for v in k:
-        out *= math.factorial(v)
-    return out
-
-
-def mi_binomial(n: Sequence[int], k: Sequence[int]) -> int:
-    out = 1
-    for a, b in zip(n, k, strict=True):
-        out *= binomial(a, b)
-        if out == 0:
-            return 0
-    return out

@@ -5,9 +5,12 @@ displacement) have a threshold value over states with nonnegative Wigner
 function.  Level m of the lower hierarchy restricts the radial profile to a
 degree-m expansion; level m of the upper hierarchy relaxes pointwise
 nonnegativity to a moment-matrix condition.  Both are finite SDPs built
-here in exact rational arithmetic before conversion to floats; the known
-closed-form feasible points and their rank-one certificates are exposed for
-exact (Fraction-level) optimality proofs at m = n.
+here in exact rational arithmetic, in the Laguerre parity blocks G_k of
+:func:`_upper_gram`, before conversion to floats.  Every exact certificate
+is checked in those blocks with three operations: the rows <G_k, Q> = F_k,
+the combination sum_k c_k G_k and :func:`exact_psd`.  They prove the
+closed-form level-n optimum (:func:`certify_level_n_value`) and the
+enclosures of solved values at any level.
 
 Displacement never enters the programs; thresholds are displacement
 invariant, so builders take only the weight vector.
@@ -95,14 +98,15 @@ def _weights_exact(a: Sequence[float], m: int):
         w[k] = Fraction(v)  # floats convert bit-exactly
     return w
 
-def lower_even_coeff(l: int, k: int) -> Fraction:
-    """Coefficient of F_k in the even-antidiagonal constraint at level l."""
-    return Fraction((-1) ** (k + l) * binomial(k, l), math.factorial(l))
+
+def _pairings(G, V):
+    """<G_k, V> for every k, V one matrix per block of G."""
+    return [sum((g * v).sum() for g, v in zip(gk, V)) for gk in G]
 
 
-def moment_coeff(l: int, k: int) -> int:
-    """Coefficient of s_k in the moment-matrix entry on antidiagonal 2l."""
-    return binomial(l, k) * math.factorial(l)
+def _combine(c, G):
+    """The blocks of sum_k c_k G_k."""
+    return [sum(ck * g[b] for ck, g in zip(c, G)) for b in range(len(G[0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +118,7 @@ def _upper_gram(m: int):
     """Exact Gram blocks of the level-m moment matrix: (even, odd) per F_k.
 
     Entry (i, j) of the moment matrix of F = e_k is the pseudo-moment of
-    x^i x^j, C(l, k) l! on antidiagonal 2l and zero off parity.  The basis
+    x^i x^j: C(l, k) l! where i + j = 2l, and zero off parity.  The basis
     is split by parity and changed, by an exact triangular congruence, to
     L_a(x^2) and x L_a(x^2) with L_a(t) = sum_c (-1)^c C(a,c) t^c / c!; the
     vacuum's even block is then the identity and every entry is an integer.
@@ -125,10 +129,7 @@ def _upper_gram(m: int):
         # T_ac = (-1)^c C(a,c)/c! takes t^c to L_a, and T H T^T = A W A^T
         # with W_cd = H_{c+d}/(c! d!): the pseudo-moment's (c+d+p)! makes
         # W an integer matrix
-        A = np.array(
-            [[(-1) ** c * binomial(a, c) for c in range(s)] for a in range(s)],
-            dtype=object,
-        )
+        A = _pascal(s)
         for k in range(m + 1):
             W = np.array(
                 [
@@ -141,9 +142,42 @@ def _upper_gram(m: int):
                     for c in range(s)
                 ],
                 dtype=object,
-            )
+            ).reshape(s, s)  # level 0 has an empty odd block
             out[k].append(A @ W @ A.T)
     return [tuple(g) for g in out]
+
+
+def _pascal(s: int):
+    """A_ac = (-1)^c C(a, c) for a, c < s: the integer part of the
+    congruence of :func:`_upper_gram`.  A is an involution."""
+    return np.array(
+        [[(-1) ** c * binomial(a, c) for c in range(s)] for a in range(s)],
+        dtype=object,
+    ).reshape(s, s)
+
+
+def _laguerre_blocks(m: int, mono):
+    """The level-m Laguerre parity blocks of the Gram matrix whose entry at
+    the monomials x^i, x^j is mono(i, j), which must vanish off parity.
+
+    A profile with monomial Gram matrix M has Gram matrix T^-T M T^-1 in
+    the basis of :func:`_upper_gram`, and T^-1 = diag(c!) A since A is an
+    involution; pairings with G_k are unchanged, <G_k, Q> = <H_k, M>.
+    """
+    out = []
+    for p in (0, 1):
+        s = (m - p) // 2 + 1
+        A = _pascal(s)
+        fact = [math.factorial(c) for c in range(s)]
+        M = np.array(
+            [
+                [fact[c] * fact[d] * Fraction(mono(2 * c + p, 2 * d + p)) for d in range(s)]
+                for c in range(s)
+            ],
+            dtype=object,
+        ).reshape(s, s)
+        out.append(A.T @ M @ A)
+    return tuple(out)
 
 
 def _compact_upper(G, w) -> conic.SdpProblem:
@@ -212,8 +246,8 @@ def build_lower(spec: WitnessSpec, m: int) -> conic.SdpProblem:
 
     Variables F_0..F_m >= 0 with unit sum and a PSD Gram matrix Q in the
     Laguerre parity blocks of :func:`_upper_gram`, tied by <G_k, Q> = F_k.
-    This is the coefficient-matching program (odd antidiagonal sums of the
-    monomial Gram matrix vanish, even ones match the signed binomial
+    This is the coefficient-matching program (the profile's coefficients of
+    odd powers of x vanish, those of x^{2l} match the signed binomial
     transform of F) reduced by the sign flip x -> -x, whose averaging kills
     the cross-parity entries and the odd rows.
     """
@@ -227,43 +261,55 @@ def build_lower(spec: WitnessSpec, m: int) -> conic.SdpProblem:
 build_lower_dual = build_lower
 
 
+# ---------------------------------------------------------------------------
+# analytic solutions and certificates
+# ---------------------------------------------------------------------------
+
+
 def strictly_feasible_pair(m: int):
     """The interior point certifying strong duality at every level m.
 
-    Q = diag(1/k!)/(2^{m+1}-1), F_k = C(m+1, k+1)/(2^{m+1}-1), both exact.
+    Q: the monomial Gram matrix diag(1/i!)/(2^{m+1}-1) in the Laguerre
+    parity blocks, each positive definite; F: its rows, exactly
+    F_k = C(m+1, k+1)/(2^{m+1}-1) > 0.
     """
     denom = 2 ** (m + 1) - 1
-    Q = [
-        [Fraction(1, math.factorial(k) * denom) if i == k else Fraction(0) for i in range(m + 1)]
-        for k in range(m + 1)
-    ]
+    Q = _laguerre_blocks(m, lambda i, j: Fraction(i == j, math.factorial(i) * denom))
     F = [Fraction(binomial(m + 1, k + 1), denom) for k in range(m + 1)]
     return Q, F
 
 
-def lower_feasibility_residuals(Q, F, m: int):
-    """Exact residuals of (Q, F) in the level-m lower program constraints."""
-    res = []
-    res.append(sum(F) - 1)
-    for l in range(1, m + 1):
-        res.append(
-            sum(
-                Q[i][2 * l - 1 - i]
-                for i in range(max(0, 2 * l - 1 - m), min(m, 2 * l - 1) + 1)
-            )
-        )
-    for l in range(m + 1):
-        sQ = sum(
-            Q[i][2 * l - i] for i in range(max(0, 2 * l - m), min(m, 2 * l) + 1)
-        )
-        sF = sum(lower_even_coeff(l, k) * F[k] for k in range(l, m + 1))
-        res.append(sQ - sF)
-    return res
+def lower_feasibility_residuals(G, Q, F):
+    """Exact residuals [sum F - 1, <G_k, Q> - F_k, ...] of (Q, F) in the
+    lower program on Gram blocks G, in one mode or several; Q holds one
+    matrix per block of G."""
+    return [sum(F) - 1, *(g - f for g, f in zip(_pairings(G, Q), F, strict=True))]
 
 
-# ---------------------------------------------------------------------------
-# analytic solutions and certificates
-# ---------------------------------------------------------------------------
+def _lower_feasible(G, Q, F) -> bool:
+    """Exact: (Q, F) meets every row, F >= 0 and every block of Q is psd."""
+    return (
+        not any(lower_feasibility_residuals(G, Q, F))
+        and min(F) >= 0
+        and all(exact_psd(q.tolist()) for q in Q)
+    )
+
+
+def exact_sandwich(G, w, Q, F, mu) -> bool:
+    """Exact proof that the lower program on Gram blocks G and weights w has
+    the value sum_k w_k F_k.
+
+    (Q, F) is feasible, so the value is at least that.  sum_k mu_k G_k is
+    psd, so for y = max_k (w_k + mu_k) every feasible point has
+    sum w_k F_k <= y - <sum mu_k G_k, Q> <= y.  So y must equal the value.
+    """
+    w = [Fraction(v) for v in w]
+    return (
+        _lower_feasible(G, Q, F)
+        and all(exact_psd(c.tolist()) for c in _combine(mu, G))
+        and max(a + d for a, d in zip(w, mu, strict=True))
+        == sum(a * f for a, f in zip(w, F, strict=True))
+    )
 
 
 def analytic_primal(n: int) -> FockDiagonal:
@@ -318,165 +364,49 @@ def sos_certificate(n: int):
 
 
 def sos_identity_holds(n: int) -> bool:
-    """Exact coefficientwise check of the squared-polynomial identity."""
-    ratios, s = sos_certificate(n)
-    F = analytic_primal(n).F
-    for l in range(n + 1):
-        lhs = sum(
-            ratios[i] * ratios[2 * l - i] * s
-            for i in range(max(0, 2 * l - n), min(n, 2 * l) + 1)
-        )
-        rhs = sum(lower_even_coeff(l, k) * F[k] for k in range(l, n + 1))
-        if lhs != rhs:
-            return False
-    return True
+    """Exact check of the squared-polynomial identity: the square of the
+    :func:`sos_certificate` polynomial meets every row <G_k, Q> = F^n_k of
+    level n.  These functionals are independent on the even polynomials of
+    degree 2n, so they fix its coefficients."""
+    Q, F = primal_certificate(n, n)
+    return not any(lower_feasibility_residuals(_upper_gram(n), Q, F))
 
 
 def primal_certificate(n: int, m: int):
     """Exact feasible (Q, F) for the level-m lower program with value F^n_n.
 
-    Q is the rank-one square of the closed-form polynomial, padded to m+1.
+    Q is the square of the closed-form polynomial in the Laguerre parity
+    blocks: the polynomial has the parity of n, so Q is rank one in block
+    n % 2 and zero in the other.  F is the analytic primal, padded to m+1.
     """
     if m < n:
         raise ValueError("need m >= n")
     ratios, s = sos_certificate(n)
     c = ratios + [Fraction(0)] * (m - n)
-    Q = [[c[i] * c[j] * s for j in range(m + 1)] for i in range(m + 1)]
+    Q = _laguerre_blocks(m, lambda i, j: s * c[i] * c[j])
     F = list(analytic_primal(n).F) + [Fraction(0)] * (m - n)
     return Q, F
 
 
-def cholesky_factor_products(n: int):
-    """A = L L^T for the analytic dual, assembled from exact cross products.
-
-    The printed lower-triangular factor mixes square roots, but every product
-    l_ik l_jk is rational; columns are returned as exact rank-one matrices.
-    """
-    size = n + 1
-    terms = []
-    # even columns 2k
-    for k in range(0, size, 2):
-        R = [[Fraction(0)] * size for _ in range(size)]
-        kk = k // 2
-        for i in range(0, size, 2):
-            for j in range(0, size, 2):
-                ii, jj = i // 2, j // 2
-                if (i == n and n % 2 == 0 and ii == kk) or (
-                    j == n and n % 2 == 0 and jj == kk
-                ):
-                    continue  # l_nn = 0 override
-                val = (
-                    Fraction(2 ** (ii + jj))
-                    * math.factorial(ii)
-                    * math.factorial(jj)
-                    * binomial(ii, kk)
-                    * binomial(jj, kk)
-                )
-                R[i][j] = val
-        terms.append(R)
-    # odd columns 2k+1
-    for k in range(1, size, 2):
-        R = [[Fraction(0)] * size for _ in range(size)]
-        kk = (k - 1) // 2
-        for i in range(1, size, 2):
-            for j in range(1, size, 2):
-                ii, jj = (i - 1) // 2, (j - 1) // 2
-                if (i == n and n % 2 == 1 and ii == kk) or (
-                    j == n and n % 2 == 1 and jj == kk
-                ):
-                    continue
-                val = (
-                    Fraction(2 ** (ii + jj + 1), kk + 1)
-                    * math.factorial(ii + 1)
-                    * math.factorial(jj + 1)
-                    * binomial(ii, kk)
-                    * binomial(jj, kk)
-                )
-                R[i][j] = val
-        terms.append(R)
-    A = [[sum(t[i][j] for t in terms) for j in range(size)] for i in range(size)]
-    return A, terms
-
-
 def analytic_dual(n: int):
-    """The printed closed-form dual data: (mu, y, A) with A = L L^T.
+    """The printed closed-form dual data (mu, y) = ((f, ..., f, 1 - f), f),
+    f = F^n_n.
 
-    mu is returned exactly as stated, (F^n_n, ..., F^n_n, 1 - F^n_n); the
-    feasible certificate with the signed last entry lives in
-    :func:`dual_certificate`.
+    The feasible dual vector signs the last entry, f - 1, as y >= 1 + mu_n
+    forces; :func:`certify_level_n_value` checks that one.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     f = analytic_value(n)
-    mu = [f] * n + [1 - f]
-    A, _ = cholesky_factor_products(n)
-    return mu, f, A
-
-
-def dual_certificate(n: int):
-    """Exact dual-feasible point (y, mu, A) with objective value F^n_n.
-
-    A = F^n_n L L^T; mu matches the printed vector up to the sign of the
-    last entry, which feasibility of y >= 1 + mu_n forces to F^n_n - 1.
-    """
-    f = analytic_value(n)
-    mu = [f] * n + [f - 1]
-    A_raw, terms = cholesky_factor_products(n)
-    A = [[f * v for v in row] for row in A_raw]
-    scaled_terms = [[[f * v for v in row] for row in t] for t in terms]
-    return f, mu, A, scaled_terms
-
-
-def verify_rank1_psd(R) -> bool:
-    """Exact check that a rational symmetric matrix is psd of rank <= 1."""
-    size = len(R)
-    pivot = next((i for i in range(size) if R[i][i] != 0), None)
-    if pivot is None:
-        return all(R[i][j] == 0 for i in range(size) for j in range(size))
-    if R[pivot][pivot] < 0:
-        return False
-    p = R[pivot][pivot]
-    for i in range(size):
-        for j in range(size):
-            if R[i][j] * p != R[i][pivot] * R[j][pivot]:
-                return False
-    return True
-
-
-def dual_feasibility_residuals(n: int):
-    """Exact residuals of the analytic dual certificate; all must vanish."""
-    y, mu, A, terms = dual_certificate(n)
-    res = []
-    a = [Fraction(0)] * (n + 1)
-    a[n] = Fraction(1)
-    for k in range(n + 1):
-        slack = y - a[k] - mu[k]
-        res.append(slack if slack < 0 else Fraction(0))
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            if (i + j) % 2 == 1:
-                res.append(A[i][j])
-            else:
-                l = (i + j) // 2
-                want = sum(
-                    mu[k] * moment_coeff(l, k) for k in range(min(l, n) + 1)
-                )
-                res.append(A[i][j] - want)
-    psd_ok = all(verify_rank1_psd(t) for t in terms)
-    return res, psd_ok
+    return [f] * n + [1 - f], f
 
 
 def certify_level_n_value(n: int) -> bool:
-    """Exact sandwich: primal and dual certificates agree at F^n_n."""
+    """Exact sandwich at level n: the closed-form primal and the dual vector
+    (f, ..., f, f - 1) both give the value f = F^n_n."""
     Q, F = primal_certificate(n, n)
-    if any(r != 0 for r in lower_feasibility_residuals(Q, F, n)):
-        return False
-    if not verify_rank1_psd(Q):
-        return False
-    if F[n] != analytic_value(n):
-        return False
-    res, psd_ok = dual_feasibility_residuals(n)
-    return psd_ok and all(r == 0 for r in res)
+    f = analytic_value(n)
+    return exact_sandwich(_upper_gram(n), [0] * n + [1], Q, F, [f] * n + [f - 1])
 
 
 def exact_psd(M) -> bool:
@@ -535,7 +465,7 @@ def _psd_pairings(G, X):
         V.append(_rational(x) + np.diag([shift] * len(x)))
     if not all(exact_psd(v.tolist()) for v in V):
         return None
-    return [sum((g * v).sum() for g, v in zip(gk, V)) for gk in G]
+    return _pairings(G, V)
 
 
 def _raise_vacuum(c, G):
@@ -546,7 +476,7 @@ def _raise_vacuum(c, G):
     G_0, the vacuum's blocks, is positive definite: adding t G_0 lifts the
     smallest eigenvalue of each block by at least t times that of G_0.
     """
-    C = [sum(ck * g[b] for ck, g in zip(c, G)) for b in range(len(G[0]))]
+    C = _combine(c, G)
     t = Fraction(
         max(
             0.0,

@@ -3,10 +3,12 @@
 The moment matrix of F = e_k has entry prod_t C(l_t, k_t) l_t! at the
 monomials x^i, x^j with i + j = 2l, and zero off parity.  These plain loops
 over exact integers are written apart from the Laguerre-basis builders of
-the package; they check those builders and supply the ill-conditioned
-monomial programs that the solver tests need.
+the package; they check those builders against the paper's definitional
+coefficient-matching rows and supply the ill-conditioned monomial programs
+that the solver tests need.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -47,6 +49,34 @@ def gram(idx, k):
                 math.comb(lv, c) * math.factorial(lv) for c, lv in zip(k, l)
             )
     return G
+
+
+def coefficient_residuals(Q, F, levels):
+    """Exact residuals of the coefficient-matching rows on the box k <= levels.
+
+    Q maps monomial index pairs (i, j) to Gram entries and F maps each k in
+    the box to F_k.  The entries of Q with i + j = r sum to zero where some
+    r_t is odd, and to sum_k prod_t (-1)^(k_t + l_t) C(k_t, l_t) / l_t! F_k
+    where r = 2l.  Returns [sum F - 1, then one residual per r].
+    """
+    res = [sum(F.values()) - 1]
+    sums = {}
+    for (ki, kj), v in Q.items():
+        r = tuple(a + b for a, b in zip(ki, kj))
+        sums[r] = sums.get(r, 0) + v
+    for r in itertools.product(*(range(2 * m + 1) for m in levels)):
+        want = 0
+        if not any(v % 2 for v in r):
+            want = sum(
+                math.prod(
+                    Fraction((-1) ** (a + b // 2) * math.comb(a, b // 2), math.factorial(b // 2))
+                    for a, b in zip(k, r)
+                )
+                * f
+                for k, f in F.items()
+            )
+        res.append(sums.get(r, 0) - want)
+    return res
 
 
 def compact_program(G, w):

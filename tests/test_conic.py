@@ -47,13 +47,29 @@ def test_lp_blocks():
     assert abs(sol.primal_value - 2.0) < 1e-7
 
 
+def _pivots(M):
+    """Pivots of exact Gaussian elimination without row exchanges: a
+    symmetric matrix is positive definite exactly when all are positive."""
+    A = [[Fraction(v) for v in row] for row in M.tolist()]
+    out = []
+    for k in range(len(A)):
+        out.append(A[k][k])
+        if not A[k][k]:
+            break
+        for i in range(k + 1, len(A)):
+            f = A[i][k] / A[k][k]
+            A[i] = [a - f * b for a, b in zip(A[i], A[k])]
+    return out
+
+
 def test_strictly_feasible_pair_accepted():
-    # the closed-form interior point of the level-3 restriction
-    Q, F = W.strictly_feasible_pair(3)
-    residuals = W.lower_feasibility_residuals(Q, F, 3)
-    assert all(abs(float(r)) <= 1e-10 for r in residuals)
-    assert all(f > 0 for f in F)
-    assert all(Q[i][i] > 0 for i in range(4))
+    # the closed-form interior point meets its rows exactly, with F > 0 and
+    # every parity block positive definite
+    for m in (3, 12, 30):
+        Q, F = W.strictly_feasible_pair(m)
+        assert not any(W.lower_feasibility_residuals(W._upper_gram(m), Q, F)), m
+        assert all(f > 0 for f in F)
+        assert all(min(_pivots(q)) > 0 for q in Q), m
 
 
 def test_lower_program_paper_value():

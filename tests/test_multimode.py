@@ -57,35 +57,43 @@ def test_solvers_honour_precision():
             solver(spec, "triangle", 2, precision="quad")
 
 
+def _box_residuals(Q, F, levels):
+    # the rows of the lower program on the box k <= levels
+    box = list(itertools.product(*(range(m + 1) for m in levels)))
+    return W.lower_feasibility_residuals(MM._upper_gram_multi(box, max(levels)), Q, F)
+
+
 def test_product_feasible_value_and_residuals():
-    Q1, F1 = W.primal_certificate(1, 1)
-    Qp, Fp = MM.product_feasible([(Q1, F1), (Q1, F1)], [1, 1])
-    assert Fp[(1, 1)] == Fraction(1, 4)
-    res = MM.product_feasibility_residuals(Qp, Fp, [1, 1])
-    assert all(r == 0 for r in res)
+    pair = W.primal_certificate(1, 1)
+    Qp, Fp = MM.product_feasible([pair, pair], [1, 1])
+    assert Fp[-1] == Fraction(1, 4)  # F at (1, 1)
+    assert not any(_box_residuals(Qp, Fp, [1, 1]))
+    # and the paper's coefficient-matching rows, in the monomial basis
+    box = MM.iterate_indices("rectangle", 1, 2)
+    Qm = _monomial_gram(box, Qp)
+    assert not any(monomial.coefficient_residuals(Qm, dict(zip(box, Fp)), [1, 1]))
 
 
 def test_product_feasible_exact_up_to_three_modes():
     pairs = [W.primal_certificate(n, m) for n, m in ((1, 2), (2, 3), (1, 4))]
     Qp, Fp = MM.product_feasible(pairs, [2, 3, 4])
-    res = MM.product_feasibility_residuals(Qp, Fp, [2, 3, 4])
-    assert all(r == 0 for r in res)
+    assert not any(_box_residuals(Qp, Fp, [2, 3, 4]))
+    assert all(W.exact_psd(q.tolist()) for q in Qp)
 
 
 def test_product_strict_feasibility():
-    s2 = W.strictly_feasible_pair(2)
-    s3 = W.strictly_feasible_pair(3)
-    Qp, Fp = MM.product_feasible([s2, s3], [2, 3])
-    assert all(v > 0 for v in Fp.values())
-    res = MM.product_feasibility_residuals(Qp, Fp, [2, 3])
-    assert all(r == 0 for r in res)
+    # level 0, the vacuum alone, has an empty odd block
+    for levels in ([2, 3], [0, 3]):
+        Qp, Fp = MM.product_feasible([W.strictly_feasible_pair(m) for m in levels], levels)
+        assert all(v > 0 for v in Fp)
+        assert not any(_box_residuals(Qp, Fp, levels))
 
 
 def test_product_single_mode_is_identity():
     Q1, F1 = W.primal_certificate(2, 2)
     Qp, Fp = MM.product_feasible([(Q1, F1)], [2])
-    assert Fp[(2,)] == F1[2]
-    assert Qp[((0,), (2,))] == Q1[0][2]
+    assert Fp == F1
+    assert len(Qp) == len(Q1) and all((a == b).all() for a, b in zip(Qp, Q1))
 
 
 def test_product_rejects_infeasible_input():
@@ -93,6 +101,15 @@ def test_product_rejects_infeasible_input():
     bad_F = [Fraction(1, 3), Fraction(2, 3)]
     with pytest.raises(ValueError):
         MM.product_feasible([(Q1, bad_F)], [1])
+    # rows that hold do not suffice: monomial Gram entries 1 at (x^0, x^2)
+    # and (x^2, x^0) and -2 at (x^1, x^1) pair to zero with every G_k, and
+    # added to the interior point they make the odd block indefinite
+    Q2, F2 = W.strictly_feasible_pair(2)
+    null = (np.array([[2, -1], [-1, 0]]), np.array([[-2]]))
+    bad_Q = tuple(q + v for q, v in zip(Q2, null))
+    assert not any(W.lower_feasibility_residuals(W._upper_gram(2), bad_Q, F2))
+    with pytest.raises(ValueError):
+        MM.product_feasible([(bad_Q, F2)], [2])
 
 
 def test_robust_fidelity_bound():
@@ -140,6 +157,26 @@ def _laguerre_congruence(idx):
     return T
 
 
+def _monomial_gram(idx, blocks):
+    """{(i, j): entry} of the monomial Gram matrix T^T Q T whose Laguerre
+    parity blocks over idx are ``blocks``, in the order of the classes."""
+    Q = np.zeros((len(idx), len(idx)), dtype=object)
+    for rows, b in zip(_parity_classes(idx), blocks, strict=True):
+        Q[np.ix_(rows, rows)] = b
+    T = _laguerre_congruence(idx)
+    Qm = T.T @ Q @ T
+    return {(ki, kj): Qm[i, j] for i, ki in enumerate(idx) for j, kj in enumerate(idx)}
+
+
+def _parity_classes(idx):
+    """The nonempty index classes of each parity vector, lexicographically."""
+    classes = [
+        [i for i, e in enumerate(idx) if tuple(v % 2 for v in e) == p]
+        for p in itertools.product((0, 1), repeat=len(idx[0]))
+    ]
+    return [rows for rows in classes if rows]
+
+
 def _check_laguerre_congruence(spec, mode, level, scale="none"):
     """Each block the builder makes is T' G'_k T'^T, exactly, on one parity
     class, where G'_k = D G_k D is the plain-loop monomial Gram matrix in the
@@ -150,11 +187,7 @@ def _check_laguerre_congruence(spec, mode, level, scale="none"):
     scales = monomial.scales(level, scale)
     d = np.array([math.prod(scales[v] for v in e) for e in idx], dtype=object)
     Ts = _laguerre_congruence(idx) / d
-    classes = [
-        [i for i, e in enumerate(idx) if tuple(v % 2 for v in e) == p]
-        for p in itertools.product((0, 1), repeat=spec.modes)
-    ]
-    classes = [rows for rows in classes if rows]
+    classes = _parity_classes(idx)
     inside = np.zeros((len(idx), len(idx)), dtype=bool)
     for rows in classes:
         inside[np.ix_(rows, rows)] = True
@@ -231,21 +264,14 @@ def test_lower_parity_blocks_match_coefficients_exactly(modes, level):
     rng = np.random.default_rng(10 * modes + level)
     idx = MM.iterate_indices("rectangle", level, modes)
     G = MM._upper_gram_multi(idx, level)
-    classes = [
-        [i for i, e in enumerate(idx) if tuple(v % 2 for v in e) == p]
-        for p in itertools.product((0, 1), repeat=modes)
-    ]
-    Q = np.zeros((len(idx), len(idx)), dtype=object)
+    classes = _parity_classes(idx)
     blocks = []
     for rows in classes:
         R = rng.integers(-3, 4, size=(len(rows), len(rows))).astype(object)
         blocks.append(R @ R.T)
-        Q[np.ix_(rows, rows)] = blocks[-1]
     F = [sum((g * q).sum() for g, q in zip(Gk, blocks)) for Gk in G]
-    T = _laguerre_congruence(idx)
-    Qm = T.T @ Q @ T
-    Qout = {(ki, kj): Qm[i, j] for i, ki in enumerate(idx) for j, kj in enumerate(idx)}
-    res = MM.product_feasibility_residuals(Qout, dict(zip(idx, F)), [level] * modes)
+    Qm = _monomial_gram(idx, blocks)
+    res = monomial.coefficient_residuals(Qm, dict(zip(idx, F)), [level] * modes)
     assert len(res) == 1 + (2 * level + 1) ** modes
     assert all(r == 0 for r in res[1:])
     # the builder's rows are these: sum F and <G_k, Q> - F_k

@@ -116,7 +116,3 @@ def test_multi_index_helpers():
     assert nm.mi_norm((2, 0, 3)) == 5
     assert nm.mi_pi((2, 0, 3)) == 12
     assert nm.simplex_size(2, 2) == 6
-    assert nm.mi_leq((1, 2), (2, 2)) and not nm.mi_leq((3, 0), (2, 2))
-    assert nm.mi_factorial((3, 2)) == 12
-    assert nm.mi_binomial((4, 3), (2, 1)) == 18
-    assert nm.mi_binomial((1, 3), (2, 1)) == 0

@@ -116,17 +116,26 @@ def test_analytic_primal_values():
 
 
 def test_analytic_dual_values():
-    mu, y, A = W.analytic_dual(1)
+    mu, y = W.analytic_dual(1)
     assert y == Fraction(1, 2) and mu == [Fraction(1, 2), Fraction(1, 2)]
-    mu3, y3, _ = W.analytic_dual(3)
+    mu3, y3 = W.analytic_dual(3)
     assert y3 == Fraction(3, 8)
     assert mu3 == [Fraction(3, 8)] * 3 + [Fraction(5, 8)]
+
+
+def _dual_moment_matrix(n):
+    # the printed A = L L^T: the monomial moment matrix of the signed dual
+    # vector mu = (f, ..., f, f - 1), divided by f
+    f = W.analytic_value(n)
+    idx = [(i,) for i in range(n + 1)]
+    mu = [f] * n + [f - 1]
+    return sum(mk * monomial.gram(idx, k) for mk, k in zip(mu, idx)) / f
 
 
 def test_cholesky_closing_formula():
     # A_nn = 2^n n! (1 - 1/binom(n, floor(n/2)))
     for n in range(1, 9):
-        _, _, A = W.analytic_dual(n)
+        A = _dual_moment_matrix(n)
         want = Fraction(2**n * math.factorial(n)) * (
             1 - Fraction(1, W.analytic_value(n).numerator and math.comb(n, n // 2))
         )
@@ -136,7 +145,7 @@ def test_cholesky_closing_formula():
 def test_cholesky_off_antidiagonal_structure():
     # even antidiagonals carry 2^l l!; odd entries vanish
     for n in (2, 5):
-        _, _, A = W.analytic_dual(n)
+        A = _dual_moment_matrix(n)
         for i in range(n + 1):
             for j in range(n + 1):
                 if (i + j) % 2 == 1:
@@ -165,11 +174,33 @@ def test_exact_certification_to_twelve():
         assert W.certify_level_n_value(n), n
 
 
-def test_rank1_psd_checker():
-    assert W.verify_rank1_psd([[1, 2], [2, 4]])
-    assert not W.verify_rank1_psd([[1, 0], [0, 1]])  # rank 2
-    assert not W.verify_rank1_psd([[-1, 0], [0, 0]])
-    assert W.verify_rank1_psd([[0, 0], [0, 0]])
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_sandwich_rejects_perturbed_certificates(n):
+    # the level-n certificate holds, and moving the last dual entry or any
+    # primal F_k by 2^-60, either way, breaks it
+    G = W._upper_gram(n)
+    w = [0] * n + [1]
+    Q, F = W.primal_certificate(n, n)
+    f = W.analytic_value(n)
+    mu = [f] * n + [f - 1]
+    assert W.exact_sandwich(G, w, Q, F, mu)
+    assert not Q[1 - n % 2].any()  # the square has the parity of n
+    for d in (Fraction(1, 2**60), -Fraction(1, 2**60)):
+        assert not W.exact_sandwich(G, w, Q, F, [*mu[:-1], mu[-1] + d])
+        for k in range(n + 1):
+            assert not W.exact_sandwich(G, w, Q, [*F[:k], F[k] + d, *F[k + 1 :]], mu)
+
+
+def test_gram_blocks_nest_across_levels():
+    # a level-m block is the leading principal submatrix of the same block
+    # at every deeper level; product certificates of unequal levels rely on it
+    grams = {m: W._upper_gram(m) for m in range(1, 17)}
+    for m in range(1, 14):
+        for j in range(1, 4):
+            for k in range(m + 1):
+                for small, big in zip(grams[m][k], grams[m + j][k], strict=True):
+                    s = len(small)
+                    assert (big[:s, :s] == small).all(), (m, j, k)
 
 
 def test_exact_psd_checker():
