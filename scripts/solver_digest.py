@@ -21,9 +21,11 @@ digests match:
     PYTHONPATH=/path/to/other/src python3 scripts/solver_digest.py > old.txt
     diff old.txt new.txt
 
-Make both digests with the same BLAS thread count: OpenBLAS splits the
-larger products of the rectangle-6 and rectangle-8 lower programs by thread,
-so their lines change with `OPENBLAS_NUM_THREADS`.
+OpenBLAS splits the larger products of the rectangle-6 and rectangle-8
+lower programs by thread, so their lines change with the BLAS thread count.
+The script therefore sets `OPENBLAS_NUM_THREADS=1` before it imports numpy,
+unless the environment already sets it; make both digests with the same
+value.
 
 Each line is `<sha256>  <status>  <iterations>  <program>`.  A run takes
 about 4 s on a 2-core machine.
@@ -31,6 +33,9 @@ about 4 s on a 2-core machine.
 
 import hashlib
 import json
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads OpenBLAS
 
 import numpy as np
 

@@ -9,7 +9,9 @@ over block-diagonal symmetric matrices; both readings share the same data
 (blocks, C, (B_i, b_i)) and the solver always produces the primal-dual pair,
 so a problem tagged "min" simply reports the second reading as its value.
 Blocks with positive size are dense PSD blocks; negative sizes are diagonal
-blocks (modelling LP variables).
+blocks (modelling LP variables).  The solver treats a diagonal block as a PSD
+block whose products are elementwise: a few kernels tell the two kinds apart
+by the array's ndim, and the iteration itself runs one path for both.
 
 The solver is an infeasible-start primal-dual path-following method with the
 HKM search direction and a Mehrotra predictor-corrector, dense Cholesky
@@ -34,14 +36,15 @@ Status = Literal["optimal", "primal_infeasible", "dual_infeasible", "numerical_l
 MAX_ITERATIONS = 200
 DEFAULT_TOL = 1e-8
 _STEP_FRACTION = 0.98
+_CHOL_BLOCK = 64  # columns per panel of the longdouble Cholesky
 
 
-def _as_block_arrays(blocks, mats, dtype=float):
+def _as_block_arrays(blocks, mats):
     out = []
     if len(mats) != len(blocks):
         raise ValueError("matrix has wrong number of blocks")
     for size, m in zip(blocks, mats):
-        a = np.asarray(m, dtype=dtype)
+        a = np.asarray(m, dtype=float)
         if size > 0:
             if a.shape != (size, size):
                 raise ValueError(f"expected {size}x{size} block, got {a.shape}")
@@ -84,10 +87,6 @@ class SdpProblem:
     @property
     def num_constraints(self) -> int:
         return len(self.constraints)
-
-    @property
-    def dimension(self) -> int:
-        return sum(abs(b) for b in self.blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SdpProblem):
@@ -148,7 +147,12 @@ def _interior(d):
 
 
 def _chol(a: np.ndarray):
-    """Lower Cholesky; raises LinAlgError when not positive definite."""
+    """Lower Cholesky factor, or a diagonal (1-D) block itself; raises
+    LinAlgError when not positive definite."""
+    if a.ndim == 1:
+        if not np.all(_interior(a)):
+            raise np.linalg.LinAlgError("diagonal block not positive")
+        return a
     if a.dtype != np.float64:
         return _chol_blocked(a)
     L = np.linalg.cholesky(a)
@@ -158,11 +162,11 @@ def _chol(a: np.ndarray):
     return L
 
 
-def _chol_blocked(a: np.ndarray, blk: int = 64):
+def _chol_blocked(a: np.ndarray):
     n = a.shape[0]
     L = np.array(a, copy=True)
-    for j0 in range(0, n, blk):
-        j1 = min(j0 + blk, n)
+    for j0 in range(0, n, _CHOL_BLOCK):
+        j1 = min(j0 + _CHOL_BLOCK, n)
         if j0:
             L[j0:, j0:j1] = L[j0:, j0:j1] - np.dot(L[j0:, :j0], L[j0:j1, :j0].T)
         for j in range(j0, j1):
@@ -264,7 +268,8 @@ class _BlockData:
     """Per-block stacked constraint data in the working dtype.
 
     The stack of a PSD block is (m, n, n) and that of a diagonal block is
-    (m, n), for m constraints.
+    (m, n), for m constraints.  Iterates follow the same shapes: a diagonal
+    block is a vector, and ``mul`` multiplies it elementwise.
     """
 
     def __init__(self, problem: SdpProblem, dtype):
@@ -284,15 +289,21 @@ class _BlockData:
                 stack[ci] = np.asarray(mats[bi], dtype=dtype)
             self.Bstack.append(stack)
             self.Bflat.append(stack.reshape(m, -1))
-        # read-only identities for the Schur jitter, S^{-1} and the centring term
+        # read-only identities for the start point, the Schur jitter, S^{-1}
+        # and the centring term, by signed block size: a vector of ones for a
+        # diagonal block
         self.eye = {}
-        for n in {m, *(b for b in problem.blocks if b > 0)}:
-            self.eye[n] = np.eye(n, dtype=dtype)
+        for n in {m, *problem.blocks}:
+            self.eye[n] = np.eye(n, dtype=dtype) if n > 0 else np.ones(-n, dtype)
             self.eye[n].setflags(write=False)
         self.norm_b = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
         self.norm_C = max(
             1.0, max(float(np.max(np.abs(c))) if c.size else 0.0 for c in self.C)
         )
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The block product a b: a matrix product, elementwise on a diagonal."""
+        return self.dot(a, b) if a.ndim == 2 else a * b
 
     def apply_A(self, Xb) -> np.ndarray:
         """Vector of <B_i, X>."""
@@ -321,21 +332,11 @@ def _blk_inner(A, B):
     return total
 
 
-def _identity_blocks(blocks, dtype, scale=1.0):
-    out = []
-    for size in blocks:
-        if size > 0:
-            out.append(np.eye(size, dtype=dtype) * dtype(scale))
-        else:
-            out.append(np.full(-size, dtype(scale), dtype=dtype))
-    return out
-
-
-def _max_step(blocks, Xb, dXb, chols):
+def _max_step(Xb, dXb, chols):
     """Largest alpha <= 1e32 with X + alpha dX psd (per-block boundary)."""
     alpha = np.inf
-    for size, x, dx, L in zip(blocks, Xb, dXb, chols):
-        if size > 0:
+    for x, dx, L in zip(Xb, dXb, chols):
+        if x.ndim == 2:
             K = _solve_lower(L, _solve_lower(L, dx).T)
             Kd = np.asarray(K, dtype=np.float64)
             lam = _min_eigenvalue((Kd + Kd.T) / 2.0)
@@ -348,33 +349,25 @@ def _max_step(blocks, Xb, dXb, chols):
     return alpha
 
 
-def _psd_ok(blocks, Xb):
+def _psd_ok(Xb):
     try:
-        return [
-            _chol(x) if size > 0 else _diag_chol(x) for size, x in zip(blocks, Xb)
-        ]
+        return [_chol(x) for x in Xb]
     except np.linalg.LinAlgError:
         return None
 
 
-def _interior_step(blocks, Vb, dVb, alpha, dtype):
+def _interior_step(Vb, dVb, alpha, dtype):
     """Backtrack alpha until V + alpha dV factors; the step, its factors, alpha.
 
     The factors are None when 60 reductions do not reach an interior point.
     """
     for _ in range(60):
         trial = [v + dtype(alpha) * d for v, d in zip(Vb, dVb)]
-        chols = _psd_ok(blocks, trial)
+        chols = _psd_ok(trial)
         if chols is not None:
             return trial, chols, alpha
         alpha *= 0.8
     return [v + dtype(alpha) * d for v, d in zip(Vb, dVb)], None, alpha
-
-
-def _diag_chol(x):
-    if not np.all(_interior(x)):
-        raise np.linalg.LinAlgError("diagonal block not positive")
-    return x
 
 
 def solve(
@@ -398,13 +391,13 @@ def solve(
         raise ValueError("problem needs at least one constraint")
     dtype = np.float64 if precision == "double" else np.longdouble
     data = _BlockData(problem, dtype)
-    dot = data.dot
+    dot, mul = data.dot, data.mul
     blocks = problem.blocks
     m = problem.num_constraints
     ntot = sum(abs(b) for b in blocks)
 
-    Xb = _identity_blocks(blocks, dtype, math.sqrt(ntot))
-    Sb = _identity_blocks(blocks, dtype, max(1.0, data.norm_C))
+    Xb = [data.eye[size] * dtype(math.sqrt(ntot)) for size in blocks]
+    Sb = [data.eye[size] * dtype(max(1.0, data.norm_C)) for size in blocks]
     y = np.zeros(m, dtype=dtype)
 
     best = None
@@ -450,9 +443,9 @@ def solve(
             break
 
         if Lx is None:
-            Lx = _psd_ok(blocks, Xb)
+            Lx = _psd_ok(Xb)
         if Ls is None:
-            Ls = _psd_ok(blocks, Sb)
+            Ls = _psd_ok(Sb)
         if Lx is None or Ls is None:
             status, stop_reason = "numerical_limit", "factorisation_failed"
             break
@@ -466,12 +459,11 @@ def solve(
             status, stop_reason = "numerical_limit", "nonfinite_direction"
             break
 
-        # Schur complement H_ij = sum_blocks Tr(B_i X B_j S^{-1})
+        # Schur complement H_ij = sum_blocks Tr(B_i X B_j S^{-1}); a diagonal
+        # block weights its stack by x s^{-1} first, which rounds differently
         H = np.zeros((m, m), dtype=dtype)
-        for size, stack, flat, x, si in zip(
-            blocks, data.Bstack, data.Bflat, Xb, Sinv
-        ):
-            if size > 0:
+        for stack, flat, x, si in zip(data.Bstack, data.Bflat, Xb, Sinv):
+            if x.ndim == 2:
                 T = dot(dot(x, stack), si)
                 H += dot(flat, T.reshape(m, -1).T)
             else:
@@ -495,12 +487,8 @@ def solve(
         def rhs_for(Rc):
             # A(Rc S^{-1}) + A(X Rd S^{-1}) - rp
             vec = -rp.astype(dtype)
-            for size, flat, rc, rd, x, si in zip(blocks, data.Bflat, Rc, Rd, Xb, Sinv):
-                if size > 0:
-                    Mx = dot(rc + dot(x, rd), si)
-                    vec += dot(flat, Mx.reshape(-1))
-                else:
-                    vec += dot(flat, (rc + x * rd) * si)
+            for flat, rc, rd, x, si in zip(data.Bflat, Rc, Rd, Xb, Sinv):
+                vec += dot(flat, mul(rc + mul(x, rd), si).reshape(-1))
             return vec
 
         def schur_solve(rhs):
@@ -514,24 +502,19 @@ def solve(
             dy = schur_solve(rhs_for(Rc))
             dS = [a - r for a, r in zip(data.apply_At(dy), Rd)]
             dX = []
-            for size, rc, x, ds, si in zip(blocks, Rc, Xb, dS, Sinv):
-                if size > 0:
-                    v = dot(rc - dot(x, ds), si)
-                    dX.append((v + v.T) / 2.0)
-                else:
-                    dX.append((rc - x * ds) * si)
+            for rc, x, ds, si in zip(Rc, Xb, dS, Sinv):
+                v = mul(rc - mul(x, ds), si)
+                dX.append((v + v.T) / 2.0 if v.ndim == 2 else v)
             return dX, dy, dS
 
         # predictor
-        Rc_aff = [
-            -dot(x, s) if size > 0 else -(x * s) for size, x, s in zip(blocks, Xb, Sb)
-        ]
+        Rc_aff = [-mul(x, s) for x, s in zip(Xb, Sb)]
         dX_a, dy_a, dS_a = direction(Rc_aff)
         if not np.isfinite(dy_a).all():  # the Schur solve overflowed
             status, stop_reason = "numerical_limit", "nonfinite_direction"
             break
-        ap = min(1.0, _max_step(blocks, Xb, dX_a, Lx))
-        ad = min(1.0, _max_step(blocks, Sb, dS_a, Ls))
+        ap = min(1.0, _max_step(Xb, dX_a, Lx))
+        ad = min(1.0, _max_step(Sb, dS_a, Ls))
         mu_aff = (
             _blk_inner(
                 [x + ap * d for x, d in zip(Xb, dX_a)],
@@ -542,24 +525,20 @@ def solve(
         sigma = min(1.0, max(1e-10, float((max(mu_aff, 0.0) / mu) ** 3)))
 
         # corrector
-        Rc = []
-        for size, x, s, dxa, dsa in zip(blocks, Xb, Sb, dX_a, dS_a):
-            if size > 0:
-                Rc.append(
-                    dtype(sigma * mu) * data.eye[size] - dot(x, s) - dot(dxa, dsa)
-                )
-            else:
-                Rc.append(dtype(sigma * mu) - x * s - dxa * dsa)
+        Rc = [
+            dtype(sigma * mu) * data.eye[size] - mul(x, s) - mul(dxa, dsa)
+            for size, x, s, dxa, dsa in zip(blocks, Xb, Sb, dX_a, dS_a)
+        ]
         dX, dy, dS = direction(Rc)
         if not np.isfinite(dy).all():
             status, stop_reason = "numerical_limit", "nonfinite_direction"
             break
-        ap = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(blocks, Xb, dX, Lx))
-        ad = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(blocks, Sb, dS, Ls))
+        ap = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(Xb, dX, Lx))
+        ad = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(Sb, dS, Ls))
 
         # keep iterates safely interior
-        X_next, Lx, ap = _interior_step(blocks, Xb, dX, ap, dtype)
-        S_next, Ls, ad = _interior_step(blocks, Sb, dS, ad, dtype)
+        X_next, Lx, ap = _interior_step(Xb, dX, ap, dtype)
+        S_next, Ls, ad = _interior_step(Sb, dS, ad, dtype)
 
         if max(ap, ad) < 1e-10:
             stalls += 1
@@ -572,8 +551,6 @@ def solve(
         Xb = X_next
         y = y + dtype(ad) * dy
         Sb = S_next
-    else:
-        status = "numerical_limit"
 
     diag = {}
     if best is not None and status in ("optimal", "numerical_limit"):
@@ -612,15 +589,12 @@ def kkt_residuals(problem: SdpProblem, solution: SdpSolution) -> dict:
     Xb = solution.X
     rp = float(np.max(np.abs(data.b - data.apply_A(Xb)))) if len(data.b) else 0.0
     Sb = [a - c for a, c in zip(data.apply_At(solution.y), data.C)]
-    dual_min = 0.0
-    x_min = 0.0
-    for size, s, x in zip(problem.blocks, Sb, Xb):
-        if size > 0:
-            dual_min = min(dual_min, float(np.min(sla.eigvalsh(s))))
-            x_min = min(x_min, float(np.min(sla.eigvalsh(x))))
-        else:
-            dual_min = min(dual_min, float(np.min(s)))
-            x_min = min(x_min, float(np.min(x)))
+
+    def lowest(a):  # smallest eigenvalue; a diagonal block's smallest entry
+        return float(np.min(sla.eigvalsh(a) if a.ndim == 2 else a))
+
+    dual_min = min(0.0, *(lowest(s) for s in Sb))
+    x_min = min(0.0, *(lowest(x) for x in Xb))
     comp = abs(_blk_inner(Xb, Sb)) / (1.0 + abs(solution.primal_value))
     return {
         "primal": rp,

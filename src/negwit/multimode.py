@@ -49,6 +49,12 @@ class MultiWitnessSpec:
         if a is None:
             a = {n: 1.0}
         a = {tuple(k): float(v) for k, v in a.items()}
+        for k in a:  # as in one mode, the vacuum carries no weight
+            if len(k) != len(n) or any(i < 0 for i in k) or not any(k):
+                raise ValueError(
+                    f"weight index {k} must have {len(n)} nonnegative entries,"
+                    " not all zero"
+                )
         if abs(max(a.values()) - 1.0) > 1e-12 or any(
             v < 0 or v > 1 for v in a.values()
         ):

@@ -18,8 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import roots_laguerre
 
-Rational = Fraction
-
 QUADRATURE_NODES = 200  # default Gauss-Laguerre rule for orthonormality checks
 
 

@@ -19,6 +19,13 @@ import scipy.linalg as sla
 
 ATOL = 1e-12
 
+# the qubit Paulis, read-only; Y = iXZ stands in for the "XZ" direction
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+for _pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+    _pauli.setflags(write=False)
+
 
 def _is_prime(d: int) -> bool:
     if d < 2:
@@ -61,9 +68,9 @@ def displacement_dv(d: int, q: int, p: int) -> np.ndarray:
 
 def displacement_q2(x: int, z: int) -> np.ndarray:
     """Qubit variant X^x Z^z (no symmetric phase exists for d = 2)."""
-    X = np.array([[0, 1], [1, 0]], dtype=complex)
-    Z = np.array([[1, 0], [0, -1]], dtype=complex)
-    return np.linalg.matrix_power(X, x % 2) @ np.linalg.matrix_power(Z, z % 2)
+    return np.linalg.matrix_power(PAULI_X, x % 2) @ np.linalg.matrix_power(
+        PAULI_Z, z % 2
+    )
 
 
 def parity_dv(d: int) -> np.ndarray:
@@ -133,10 +140,7 @@ def mub_projectors(d: int) -> dict:
     """
     questions = ["inf"] + list(range(d))
     if d == 2:
-        Z = np.array([[1, 0], [0, -1]], dtype=complex)
-        X = np.array([[0, 1], [1, 0]], dtype=complex)
-        Y = np.array([[0, -1j], [1j, 0]], dtype=complex)  # iXZ, the "XZ" direction
-        gens = {"inf": Z, 0: X, 1: Y}
+        gens = {"inf": PAULI_Z, 0: PAULI_X, 1: PAULI_Y}
     elif _is_prime(d):
         gens = {"inf": displacement_dv(d, 0, 1)}
         for j in range(d):

@@ -102,15 +102,24 @@ def displace(state: PureStateFock, alpha: complex, pad: int = 0) -> PureStateFoc
 # ---------------------------------------------------------------------------
 
 
-def coherent(alpha: complex, cutoff: int | None = None) -> PureStateFock:
-    a = complex(alpha)
-    N = cutoff if cutoff is not None else default_cutoff(0, a)
-    amp = np.array(
-        [a**n / math.sqrt(math.factorial(n)) for n in range(N + 1)], dtype=complex
-    )
+def _coherent_sum(a: complex, N: int, step: int) -> PureStateFock:
+    """Normalised amplitudes a^n / sqrt(n!) on every step-th n <= N.
+
+    Step 1 is the coherent state, steps 2 and 4 the sums of 2 and 4 coherent
+    states.  Those sums carry a factor 2 or 4 on each amplitude: a power of
+    two, which the normalisation cancels exactly, so it is left out.
+    """
+    amp = np.zeros(N + 1, dtype=complex)
+    for n in range(0, N + 1, step):
+        amp[n] = a**n / math.sqrt(math.factorial(n))
     amp *= math.exp(-0.5 * abs(a) ** 2)
     amp /= math.sqrt(float(np.vdot(amp, amp).real))
     return PureStateFock(tuple(amp))
+
+
+def coherent(alpha: complex, cutoff: int | None = None) -> PureStateFock:
+    a = complex(alpha)
+    return _coherent_sum(a, cutoff if cutoff is not None else default_cutoff(0, a), 1)
 
 
 def fock(n: int) -> PureStateFock:
@@ -150,25 +159,13 @@ def pssvs(r: float, cutoff: int | None = None) -> PureStateFock:
 def cat2(alpha: complex, cutoff: int | None = None) -> PureStateFock:
     """Even superposition of two opposite coherent states."""
     a = complex(alpha)
-    N = cutoff if cutoff is not None else default_cutoff(2, a)
-    amp = np.zeros(N + 1, dtype=complex)
-    for n in range(0, N + 1, 2):
-        amp[n] = 2.0 * a**n / math.sqrt(math.factorial(n))
-    amp *= math.exp(-0.5 * abs(a) ** 2)
-    amp /= math.sqrt(float(np.vdot(amp, amp).real))
-    return PureStateFock(tuple(amp))
+    return _coherent_sum(a, cutoff if cutoff is not None else default_cutoff(2, a), 2)
 
 
 def cat4(alpha: complex, cutoff: int | None = None) -> PureStateFock:
     """Equal superposition of four coherent states on the axes."""
     a = complex(alpha)
-    N = cutoff if cutoff is not None else default_cutoff(4, a)
-    amp = np.zeros(N + 1, dtype=complex)
-    for n in range(0, N + 1, 4):
-        amp[n] = 4.0 * a**n / math.sqrt(math.factorial(n))
-    amp *= math.exp(-0.5 * abs(a) ** 2)
-    amp /= math.sqrt(float(np.vdot(amp, amp).real))
-    return PureStateFock(tuple(amp))
+    return _coherent_sum(a, cutoff if cutoff is not None else default_cutoff(4, a), 4)
 
 
 def lossy_fock(n: int, eta: float) -> MixedDiagonal:

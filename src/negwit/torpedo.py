@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from .qudit import displacement_dv, displacement_q2, mub_projectors, phase_point
+from .qudit import PAULI_X, PAULI_Y, PAULI_Z, displacement_dv, displacement_q2
+from .qudit import mub_projectors, phase_point
 
 ENCODING_CAP = 10**7
 COLUMN_CAP = 10**5
@@ -170,19 +171,18 @@ class QuantumStrategy:
         return QuantumStrategy(raw["d"], msgs)
 
 
+def _qubit_strategy(base: np.ndarray) -> QuantumStrategy:
+    """The qubit strategy that sends (x, z) as D base D^dagger, D = X^x Z^z."""
+    Ds = {(x, z): displacement_q2(x, z) for x in range(2) for z in range(2)}
+    return QuantumStrategy(2, {k: D @ base @ D.conj().T for k, D in Ds.items()})
+
+
 def canonical_quantum_strategy(d: int) -> QuantumStrategy:
     """The maximally-negative-state strategy (perfect for odd prime d)."""
     if d == 2:
-        X = np.array([[0, 1], [1, 0]], dtype=complex)
-        Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        Z = np.array([[1, 0], [0, -1]], dtype=complex)
-        rho0 = 0.5 * (np.eye(2) - (X + Y + Z) / math.sqrt(3))
-        msgs = {}
-        for x in range(2):
-            for z in range(2):
-                D = displacement_q2(x, z)
-                msgs[(x, z)] = D @ rho0 @ D.conj().T
-        return QuantumStrategy(2, msgs)
+        return _qubit_strategy(
+            0.5 * (np.eye(2) - (PAULI_X + PAULI_Y + PAULI_Z) / math.sqrt(3))
+        )
     psi = np.zeros(d, dtype=complex)
     psi[1] = 1 / math.sqrt(2)
     psi[-1 % d] = -1 / math.sqrt(2)
@@ -203,16 +203,7 @@ def phase_point_strategy(d: int) -> QuantumStrategy:
     analogue (1 - X - Y - Z)/2, which is not positive semidefinite.
     """
     if d == 2:
-        X = np.array([[0, 1], [1, 0]], dtype=complex)
-        Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        Z = np.array([[1, 0], [0, -1]], dtype=complex)
-        base = 0.5 * (np.eye(2) - X - Y - Z)
-        msgs = {}
-        for x in range(2):
-            for z in range(2):
-                D = displacement_q2(x, z)
-                msgs[(x, z)] = D @ base @ D.conj().T
-        return QuantumStrategy(2, msgs)
+        return _qubit_strategy(0.5 * (np.eye(2) - PAULI_X - PAULI_Y - PAULI_Z))
     msgs = {
         (x, z): (np.eye(d) - phase_point(d, x, z)) / (d - 1)
         for x in range(d)

@@ -74,9 +74,6 @@ class FockDiagonal:
             raise ValueError("entries must sum to 1")
         object.__setattr__(self, "F", F)
 
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.F])
-
 
 @dataclass(frozen=True)
 class ThresholdBounds:
@@ -613,16 +610,15 @@ def threshold_bounds(
     m_max: int,
     tol: float = 1e-8,
     precision: str = "auto",
-    m_min: int | None = None,
 ) -> list:
-    """Both hierarchies from level n (or m_min) to m_max.
+    """Both hierarchies from level n to m_max.
 
     Solver failures at a level are recorded (NaN bound) and the sweep
     continues; surviving levels keep the hierarchy monotone within solver
     tolerance.
     """
     rows = []
-    for m in range(max(spec.n, m_min or spec.n), m_max + 1):
+    for m in range(spec.n, m_max + 1):
         lo, lo_sol, lo_info = solve_lower(spec, m, tol=tol, precision=precision)
         up, up_sol, up_info = solve_upper(spec, m, tol=tol, precision=precision)
         # a stalled solve still carries its best iterate; keep it only when
@@ -656,17 +652,16 @@ def final_bounds(rows: Sequence[ThresholdBounds]):
     return (max(lows) if lows else math.nan, min(ups) if ups else math.nan)
 
 
-def fock_bounds_table(
-    n_values: Sequence[int],
-    m_max: int = 30,
-    tol: float = 1e-8,
-    quality_floor: float = 1e-3,
-) -> dict:
+TABLE_TOL = 1e-8  # solver tolerance of the Fock table
+TABLE_QUALITY_FLOOR = 1e-3  # largest complementarity a stalled table solve keeps
+
+
+def fock_bounds_table(n_values: Sequence[int], m_max: int = 30) -> dict:
     """Threshold bounds for single-Fock witnesses, table conventions.
 
     Indices 1 and 2 carry the analytic value 1/2 on both sides.  Higher
-    indices report the deepest hierarchy level at or below m_max whose
-    solve meets the residual quality floor; both hierarchies are monotone
+    indices report the deepest hierarchy level at or below m_max whose solve
+    is optimal or meets TABLE_QUALITY_FLOOR; both hierarchies are monotone
     in the level, so the deepest trustworthy level is the best bound.
     Returns {n: (lower, upper)}; per-run details in the "detail" entry.
     """
@@ -682,9 +677,9 @@ def fock_bounds_table(
         for side, solver in (("lower", solve_lower), ("upper", solve_upper)):
             val, m_used, info_used = math.nan, None, None
             for m in range(m_max, spec.n - 1, -2):
-                v, sol, info = solver(spec, m, tol=tol, precision="auto")
+                v, sol, info = solver(spec, m, tol=TABLE_TOL, precision="auto")
                 q = sol.info.get("comp", math.inf)
-                if sol.status == "optimal" or q <= quality_floor:
+                if sol.status == "optimal" or q <= TABLE_QUALITY_FLOOR:
                     val, m_used, info_used = v, m, {**info, "quality": q}
                     break
             row[side] = (val, m_used, info_used)

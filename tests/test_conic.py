@@ -306,12 +306,10 @@ def test_nan_block_is_not_interior(block, dtype):
     # LAPACK's potrf returns NaN and +inf factors for such input without an
     # error; a 1-d block is a diagonal one
     block = block.astype(dtype)
-    psd = block.ndim == 2
-    size = len(block) if psd else -len(block)
-    assert conic._psd_ok([size], [block]) is None
-    shift = np.eye(len(block), dtype=dtype) if psd else 1.0
+    assert conic._psd_ok([block]) is None
+    shift = np.eye(len(block), dtype=dtype) if block.ndim == 2 else 1.0
     fine = np.nan_to_num(block, nan=0.0, posinf=0.0) + 2 * shift
-    assert conic._psd_ok([size], [fine]) is not None
+    assert conic._psd_ok([fine]) is not None
 
 
 # ---------------------------------------------------------------------------

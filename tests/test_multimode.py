@@ -36,6 +36,26 @@ def test_spec_validation():
     assert spec.modes == 2 and spec.a == {(1, 1): 1.0}
 
 
+@pytest.mark.parametrize(
+    "a",
+    [
+        {(1, 1): 1.0, (2,): 0.5},
+        {(1, 1): 1.0, (0, 1, 0): 0.5},
+        {(1, 1): 1.0, (-1, 3): 0.7},
+        {(1, 1): 1.0, (2,): 0.5, (-1, 3): 0.7},
+        {(1, 1): 1.0, (0, 0): 0.5},
+    ],
+    ids=["short", "long", "negative", "both", "vacuum"],
+)
+def test_spec_rejects_malformed_weight_keys(a):
+    # a short, long or negative key names no monomial of a two-mode witness:
+    # the lower builder would drop it, and the upper one would blame the
+    # level's index set.  A vacuum key, which one mode cannot express, made
+    # the rectangle-2 upper value 0.25, below the vacuum's own 0.5.
+    with pytest.raises(ValueError, match="weight index"):
+        MM.MultiWitnessSpec(n=(1, 1), a=a)
+
+
 def test_single_mode_reduction():
     spec = MM.MultiWitnessSpec(n=(1,))
     v, sol = MM.solve_lower_multi(spec, "rectangle", 3)

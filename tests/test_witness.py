@@ -253,8 +253,9 @@ def test_threshold_bounds_sweep_mechanics():
 
 def test_threshold_detail_is_json_safe():
     # level 12 retries its lower side in extended precision
-    rows = W.threshold_bounds(W.WitnessSpec.fock(4), m_max=12, m_min=12)
-    detail = rows[0].detail
+    rows = W.threshold_bounds(W.WitnessSpec.fock(4), m_max=12)
+    assert rows[-1].level == 12
+    detail = rows[-1].detail
     assert detail["lower_run"]["precision"] == "extended"
     assert json.loads(json.dumps(detail))["lower_quality"] == detail["lower_quality"]
     assert type(detail["lower_quality"]) is float
