@@ -67,6 +67,8 @@ def cmd_threshold(args) -> int:
 def cmd_witness(args) -> int:
     state = states.parse_state(args.state)
     spec = _weights_from_args(args)
+    if not math.isfinite(args.threshold_upper):
+        raise ValueError("--threshold-upper must be finite")
     expectation = states.witness_expectation(state, spec)
     delta = states.violation_and_distance(expectation, args.threshold_upper)
     payload = {

@@ -6,12 +6,15 @@ Problems are stored in the standard conic pair
     (min)  minimise  b^T y    s.t.  sum_i y_i B_i - C >= 0
 
 over block-diagonal symmetric matrices; both readings share the same data
-(blocks, C, (B_i, b_i)) and the solver always produces the primal-dual pair,
-so a problem tagged "min" simply reports the second reading as its value.
-Blocks with positive size are dense PSD blocks; negative sizes are diagonal
-blocks (modelling LP variables).  The solver treats a diagonal block as a PSD
-block whose products are elementwise: a few kernels tell the two kinds apart
-by the array's ndim, and the iteration itself runs one path for both.
+and the solver always produces the primal-dual pair, so a problem tagged
+"min" simply reports the second reading as its value.  Blocks with positive
+size are dense PSD blocks; negative sizes are diagonal blocks (modelling LP
+variables).  ``SdpProblem`` stores the data per block, as the solver uses
+it: block j of C, and one stack holding block j of every B_i, (m, n, n) for
+a PSD block and (m, n) for a diagonal one.  The solver treats a diagonal
+block as a PSD block whose products are elementwise: a few kernels tell the
+two kinds apart by the array's ndim, and the iteration itself runs one
+path for both.
 
 The solver is an infeasible-start primal-dual path-following method with the
 HKM search direction and a Mehrotra predictor-corrector, dense Cholesky
@@ -39,72 +42,76 @@ _STEP_FRACTION = 0.98
 _CHOL_BLOCK = 64  # columns per panel of the longdouble Cholesky
 
 
-def _as_block_arrays(blocks, mats):
-    out = []
-    if len(mats) != len(blocks):
-        raise ValueError("matrix has wrong number of blocks")
-    for size, m in zip(blocks, mats):
-        a = np.asarray(m, dtype=float)
-        if size > 0:
-            if a.shape != (size, size):
-                raise ValueError(f"expected {size}x{size} block, got {a.shape}")
-            if not np.array_equal(a, a.T):
-                if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
-                    raise ValueError("block matrix is not symmetric")
-                a = (a + a.T) / 2.0
-        else:
-            if a.shape != (-size,):
-                raise ValueError(f"expected diagonal block of length {-size}")
-        out.append(a)
-    return tuple(out)
+def _block_array(size: int, a, lead=()) -> np.ndarray:
+    """Block data as a read-only float array of shape lead + the block's.
+
+    Each matrix of a PSD block that is not exactly symmetric is rejected
+    when the asymmetry exceeds 1e-12 max(1, max|a|), and symmetrised else.
+    """
+    n = abs(size)
+    shape = (*lead, n, n) if size > 0 else (*lead, n)
+    a = np.array(a, dtype=float, order="C")
+    if a.shape != shape:
+        raise ValueError(f"expected block data of shape {shape}, got {a.shape}")
+    if size > 0:
+        mats = a.reshape(-1, n, n)
+        for k in np.flatnonzero(np.any(mats != mats.swapaxes(1, 2), axis=(1, 2))):
+            g = mats[k]
+            if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
+                raise ValueError("block matrix is not symmetric")
+            mats[k] = (g + g.T) / 2.0
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Standard-form conic problem over block-diagonal symmetric matrices."""
+    """Standard-form conic problem over block-diagonal symmetric matrices.
+
+    Data is stored per block: ``C[j]`` is block j of the objective and
+    ``A[j]`` stacks block j of every constraint, (m, n, n) for a PSD block
+    and (m, n) for a diagonal one; ``b`` holds the m right-hand sides.  The
+    stored arrays are float64 and read-only.
+    """
 
     blocks: tuple
-    objective: tuple
-    constraints: tuple  # ((mats, rhs), ...)
+    C: tuple
+    A: tuple
+    b: np.ndarray
     sense: str = "max"
 
     def __post_init__(self):
         blocks = tuple(int(b) for b in self.blocks)
         if any(b == 0 for b in blocks):
             raise ValueError("zero-size block")
+        if len(self.C) != len(blocks) or len(self.A) != len(blocks):
+            raise ValueError("data has wrong number of blocks")
+        b = np.array(self.b, dtype=float)
+        if b.ndim != 1:
+            raise ValueError("b must be a vector")
+        b.setflags(write=False)
+        C = tuple(_block_array(s, c) for s, c in zip(blocks, self.C))
+        A = tuple(_block_array(s, a, b.shape) for s, a in zip(blocks, self.A))
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(
-            self, "objective", _as_block_arrays(blocks, self.objective)
-        )
-        cons = tuple(
-            (_as_block_arrays(blocks, mats), float(rhs))
-            for mats, rhs in self.constraints
-        )
-        object.__setattr__(self, "constraints", cons)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
         if self.sense not in ("max", "min"):
             raise ValueError("sense must be 'max' or 'min'")
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.b)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SdpProblem):
             return NotImplemented
-        if self.blocks != other.blocks or self.sense != other.sense:
-            return False
-        if len(self.constraints) != len(other.constraints):
-            return False
-        for a, b in zip(self.objective, other.objective):
-            if not np.array_equal(a, b):
-                return False
-        for (ma, ra), (mb, rb) in zip(self.constraints, other.constraints):
-            if ra != rb:
-                return False
-            for a, b in zip(ma, mb):
-                if not np.array_equal(a, b):
-                    return False
-        return True
+        return (
+            self.blocks == other.blocks
+            and self.sense == other.sense
+            and np.array_equal(self.b, other.b)
+            and all(map(np.array_equal, self.C + self.A, other.C + other.A))
+        )
 
 
 @dataclass
@@ -265,7 +272,7 @@ def _chol_solve(L: np.ndarray, b: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class _BlockData:
-    """Per-block stacked constraint data in the working dtype.
+    """The problem's per-block data in the working dtype.
 
     The stack of a PSD block is (m, n, n) and that of a diagonal block is
     (m, n), for m constraints.  Iterates follow the same shapes: a diagonal
@@ -277,18 +284,11 @@ class _BlockData:
         self.dtype = dtype
         self.dot = np.matmul if dtype == np.float64 else _dot
         m = problem.num_constraints
-        self.b = np.array([rhs for _, rhs in problem.constraints], dtype=dtype)
-        self.C = []
-        self.Bstack = []
-        self.Bflat = []  # (m, n*n) views of the PSD stacks; diagonal stacks as is
-        for bi, size in enumerate(problem.blocks):
-            n = abs(size)
-            self.C.append(np.asarray(problem.objective[bi], dtype=dtype))
-            stack = np.empty((m, n, n) if size > 0 else (m, n), dtype=dtype)
-            for ci, (mats, _) in enumerate(problem.constraints):
-                stack[ci] = np.asarray(mats[bi], dtype=dtype)
-            self.Bstack.append(stack)
-            self.Bflat.append(stack.reshape(m, -1))
+        # in double these are the problem's own read-only arrays, not copies
+        self.b = np.asarray(problem.b, dtype)
+        self.C = [np.asarray(c, dtype) for c in problem.C]
+        self.Bstack = [np.asarray(a, dtype) for a in problem.A]
+        self.Bflat = [a.reshape(m, -1) for a in self.Bstack]  # diagonal stacks as is
         # read-only identities for the start point, the Schur jitter, S^{-1}
         # and the centring term, by signed block size: a vector of ones for a
         # diagonal block
@@ -383,8 +383,8 @@ def solve(
     Raises ValueError on malformed input; numerical trouble is reported via
     ``status="numerical_limit"``, never an exception.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # NaN fails both comparisons
+        raise ValueError("tol must be positive and finite")
     if precision not in ("double", "extended"):
         raise ValueError("precision must be 'double' or 'extended'")
     if problem.num_constraints == 0:
@@ -621,23 +621,13 @@ def export_sdpa(problem: SdpProblem) -> str:
     lines.append(f"{problem.num_constraints}")
     lines.append(f"{len(problem.blocks)}")
     lines.append(" ".join(str(b) for b in problem.blocks))
-    lines.append(" ".join(_fmt(rhs) for _, rhs in problem.constraints))
-
-    def emit(matno, mats):
-        for bi, (size, a) in enumerate(zip(problem.blocks, mats), start=1):
-            if size > 0:
-                idx = np.argwhere(np.triu(np.ones_like(a, dtype=bool)))
-                for i, j in idx:
-                    if a[i, j] != 0.0:
-                        lines.append(f"{matno} {bi} {i + 1} {j + 1} {_fmt(a[i, j])}")
-            else:
-                for i, v in enumerate(a):
-                    if v != 0.0:
-                        lines.append(f"{matno} {bi} {i + 1} {i + 1} {_fmt(v)}")
-
-    emit(0, problem.objective)
-    for ci, (mats, _) in enumerate(problem.constraints, start=1):
-        emit(ci, mats)
+    lines.append(" ".join(_fmt(v) for v in problem.b.tolist()))
+    stacks = [np.concatenate([c[None], a]) for c, a in zip(problem.C, problem.A)]
+    for matno in range(problem.num_constraints + 1):
+        for bi, stack in enumerate(stacks, start=1):
+            a = stack[matno] if stack.ndim == 3 else np.diag(stack[matno])
+            for i, j in zip(*np.nonzero(np.triu(a))):
+                lines.append(f"{matno} {bi} {i + 1} {j + 1} {_fmt(a[i, j])}")
     return "\n".join(lines) + "\n"
 
 
@@ -663,16 +653,14 @@ def parse_sdpa(text: str) -> SdpProblem:
     blocks = tuple(int(v) for v in rows[2][:nblocks])
     rhs = [float(v) for v in rows[3][:m]]
 
-    def zero():
-        return [
-            np.zeros((b, b)) if b > 0 else np.zeros(-b) for b in blocks
-        ]
-
-    mats = [zero() for _ in range(m + 1)]
+    # one (m + 1)-stack per block; entry 0 is the objective
+    stacks = [
+        np.zeros((m + 1, b, b)) if b > 0 else np.zeros((m + 1, -b)) for b in blocks
+    ]
     for entry in rows[4:]:
         matno, blk, i, j = (int(entry[0]), int(entry[1]), int(entry[2]), int(entry[3]))
         val = float(entry[4])
-        tgt = mats[matno][blk - 1]
+        tgt = stacks[blk - 1][matno]
         if blocks[blk - 1] > 0:
             tgt[i - 1, j - 1] = val
             tgt[j - 1, i - 1] = val
@@ -680,9 +668,10 @@ def parse_sdpa(text: str) -> SdpProblem:
             if i != j:
                 raise ValueError("off-diagonal entry in diagonal block")
             tgt[i - 1] = val
-    constraints = tuple(
-        (tuple(mats[k + 1]), rhs[k]) for k in range(m)
-    )
     return SdpProblem(
-        blocks=blocks, objective=tuple(mats[0]), constraints=constraints, sense=sense
+        blocks=blocks,
+        C=tuple(s[0] for s in stacks),
+        A=tuple(s[1:] for s in stacks),
+        b=rhs,
+        sense=sense,
     )

@@ -55,9 +55,8 @@ class MultiWitnessSpec:
                     f"weight index {k} must have {len(n)} nonnegative entries,"
                     " not all zero"
                 )
-        if abs(max(a.values()) - 1.0) > 1e-12 or any(
-            v < 0 or v > 1 for v in a.values()
-        ):
+        values = list(a.values())  # NaN fails both range comparisons
+        if any(not 0 <= v <= 1 for v in values) or abs(max(values) - 1.0) > 1e-12:
             raise ValueError("weights must lie in [0,1] with maximum 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", a)
@@ -173,14 +172,14 @@ def build_upper_multi_compact(
 
 def solve_lower_multi(spec, mode, level, tol=1e-8, precision="auto"):
     """Lower bound at this level; returns (value, solution)."""
-    sol, _ = _solve_with_policy(build_lower_multi(spec, mode, level), tol, precision)
+    sol = _solve_with_policy(build_lower_multi(spec, mode, level), tol, precision)
     return sol.primal_value, sol
 
 
 def solve_upper_multi(spec, mode, level, tol=1e-8, precision="auto"):
     """Upper bound at this level; returns (value, solution)."""
     prob = build_upper_multi_compact(spec, mode, level)
-    sol, _ = _solve_with_policy(prob, tol, precision)
+    sol = _solve_with_policy(prob, tol, precision)
     return -sol.primal_value, sol
 
 
@@ -221,6 +220,6 @@ def product_feasible(singles: Sequence, levels: Sequence[int]):
 def robust_fidelity_bound(single_fidelities: Sequence[float]) -> float:
     """1 - sum(1 - F_i): a lower bound on the multimode fidelity."""
     fs = [float(f) for f in single_fidelities]
-    if any(f < 0 or f > 1 for f in fs):
+    if any(not 0 <= f <= 1 for f in fs):
         raise ValueError("fidelities must lie in [0, 1]")
     return 1.0 - sum(1.0 - f for f in fs)

@@ -18,6 +18,7 @@ invariant, so builders take only the weight vector.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,12 +41,15 @@ class WitnessSpec:
         a = tuple(float(v) for v in self.a)
         if not a:
             raise ValueError("weight vector must be nonempty")
-        if any(v < 0 or v > 1 for v in a):
+        if any(not 0 <= v <= 1 for v in a):  # NaN fails both comparisons
             raise ValueError("weights must lie in [0, 1]")
         if abs(max(a) - 1.0) > 1e-12:
             raise ValueError("largest weight must equal 1")
+        alpha = complex(self.alpha)
+        if not cmath.isfinite(alpha):
+            raise ValueError("displacement must be finite")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def n(self) -> int:
@@ -66,11 +70,11 @@ class FockDiagonal:
 
     def __post_init__(self):
         F = tuple(self.F)
-        if any(v < 0 for v in F):
+        if any(not v >= 0 for v in F):  # NaN fails the comparison
             raise ValueError("entries must be nonnegative")
         total = sum(F)
         err = abs(float(total) - 1.0)
-        if err > 1e-9:
+        if not err <= 1e-9:
             raise ValueError("entries must sum to 1")
         object.__setattr__(self, "F", F)
 
@@ -177,30 +181,28 @@ def _laguerre_blocks(m: int, mono):
     return tuple(out)
 
 
+def _gram_stacks(G):
+    """The exact Gram blocks rounded once: for each block j, the stack of
+    block j of every G[k]."""
+    return [np.array([gk[j] for gk in G], dtype=float) for j in range(len(G[0]))]
+
+
 def _compact_upper(G, w) -> conic.SdpProblem:
     """The moment-eliminated upper program from exact Gram blocks and weights.
 
     Variable k carries the Gram blocks ``G[k]`` and the weight ``w[k]``;
-    variable 0 is eliminated by the unit sum.  Each block is rounded once.
-    Encoded in the "min" reading, so the solved value is -omega.
+    variable 0 is eliminated by the unit sum.  Encoded in the "min"
+    reading, so the solved value is -omega.
     """
-    nvar = len(G)
-    G = [tuple(np.array(g, dtype=float) for g in gk) for gk in G]
-    w = [float(v) for v in w]
-    e = np.eye(nvar)
-    # 0.0 - g, not -g: a zero entry is +0.0 in every block
-    objective = (-e[0],) + tuple(0.0 - g for g in G[0])
-    cons = tuple(
-        (
-            (e[k] - e[0],) + tuple(gk - g0 for gk, g0 in zip(G[k], G[0])),
-            -(w[k] - w[0]),
-        )
-        for k in range(1, nvar)
-    )
+    S = _gram_stacks(G)
+    w = np.array(w, dtype=float)
+    e = np.eye(len(G))
     return conic.SdpProblem(
-        blocks=(-nvar,) + tuple(len(g) for g in G[0]),
-        objective=objective,
-        constraints=cons,
+        blocks=(-len(G), *(len(s[0]) for s in S)),
+        # 0.0 - s, not -s: a zero entry is +0.0 in every block
+        C=(-e[0], *(0.0 - s[0] for s in S)),
+        A=(e[1:] - e[0], *(s[1:] - s[0] for s in S)),
+        b=-(w[1:] - w[0]),
         sense="min",
     )
 
@@ -222,18 +224,18 @@ def _compact_lower(G, w) -> conic.SdpProblem:
 
     Maximise sum w_k F_k over F >= 0 (one diagonal block) with sum F = 1,
     one PSD block Q_p per parity block of ``G`` and one row <G_k, Q> = F_k
-    per variable k.  Each block is rounded once.
+    per variable k.
     """
+    S = _gram_stacks(G)
     nvar = len(G)
-    G = [tuple(np.array(g, dtype=float) for g in gk) for gk in G]
-    e = np.eye(nvar)
-    zero = tuple(np.zeros_like(g) for g in G[0])
-    cons = [((np.ones(nvar),) + zero, 1.0)]
-    cons += [((-e[k],) + gk, 0.0) for k, gk in enumerate(G)]
     return conic.SdpProblem(
-        blocks=(-nvar,) + tuple(len(g) for g in G[0]),
-        objective=(np.array([float(v) for v in w]),) + zero,
-        constraints=tuple(cons),
+        blocks=(-nvar, *(len(s[0]) for s in S)),
+        C=(np.array(w, dtype=float), *(np.zeros_like(s[0]) for s in S)),
+        A=(
+            np.vstack([np.ones(nvar), -np.eye(nvar)]),
+            *(np.concatenate([np.zeros_like(s[:1]), s]) for s in S),
+        ),
+        b=[1.0] + [0.0] * nvar,
         sense="max",
     )
 
@@ -565,8 +567,8 @@ def _solve_with_policy(prob: conic.SdpProblem, tol: float, precision: str):
     """Solve ``prob`` in double or extended; under "auto" a double solve that
     fails is retried in extended.
 
-    Returns (solution, precision): the optimal attempt, else the one with
-    the smaller complementarity.
+    Returns the optimal attempt, else the one with the smaller
+    complementarity; its ``info["precision"]`` names the attempt.
     """
     plans = {
         "double": ("double",),
@@ -581,11 +583,11 @@ def _solve_with_policy(prob: conic.SdpProblem, tol: float, precision: str):
     for prec in plans[precision]:
         sol = conic.solve(prob, tol=tol, precision=prec)
         if sol.status == "optimal":
-            return sol, prec
-        if best is None or sol.info.get("comp", math.inf) < best[0].info.get(
+            return sol
+        if best is None or sol.info.get("comp", math.inf) < best.info.get(
             "comp", math.inf
         ):
-            best = (sol, prec)
+            best = sol
     return best
 
 
@@ -593,16 +595,16 @@ def solve_lower(
     spec: WitnessSpec, m: int, tol: float = 1e-8, precision: str = "auto",
 ):
     """Level-m lower bound; returns (value, solution, run info)."""
-    sol, prec = _solve_with_policy(build_lower(spec, m), tol, precision)
-    return sol.primal_value, sol, {"precision": prec}
+    sol = _solve_with_policy(build_lower(spec, m), tol, precision)
+    return sol.primal_value, sol, {"precision": sol.info["precision"]}
 
 
 def solve_upper(
     spec: WitnessSpec, m: int, tol: float = 1e-8, precision: str = "auto",
 ):
     """Level-m upper bound via the compact encoding; (value, solution, info)."""
-    sol, prec = _solve_with_policy(build_upper_compact(spec, m), tol, precision)
-    return -sol.primal_value, sol, {"precision": prec}
+    sol = _solve_with_policy(build_upper_compact(spec, m), tol, precision)
+    return -sol.primal_value, sol, {"precision": sol.info["precision"]}
 
 
 def threshold_bounds(
@@ -617,6 +619,8 @@ def threshold_bounds(
     continues; surviving levels keep the hierarchy monotone within solver
     tolerance.
     """
+    if m_max < spec.n:
+        raise ValueError("level m must be at least the top witness index n")
     rows = []
     for m in range(spec.n, m_max + 1):
         lo, lo_sol, lo_info = solve_lower(spec, m, tol=tol, precision=precision)

@@ -80,17 +80,19 @@ def coefficient_residuals(Q, F, levels):
 
 
 def compact_program(G, w):
-    """The compact "min" upper program; G[k] holds the exact blocks of F_k."""
-    G = [[np.array(g, dtype=float) for g in gk] for gk in G]
-    e = np.eye(len(G))
-    cons = tuple(
-        ((e[i] - e[0], *(gi - g0 for gi, g0 in zip(G[i], G[0]))), -(w[i] - w[0]))
-        for i in range(1, len(G))
-    )
+    """The compact "min" upper program; G[k] holds the exact blocks of F_k.
+
+    Variable k's data is row k of each block's stack: e_k in the diagonal
+    block and G[k][j] in PSD block j.  F_0 = 1 - sum is eliminated.
+    """
+    stacks = [np.eye(len(G))]
+    for j in range(len(G[0])):
+        stacks.append(np.stack([np.array(gk[j], dtype=float) for gk in G]))
     return conic.SdpProblem(
         blocks=(-len(G), *(len(g) for g in G[0])),
-        objective=(-e[0], *(-g for g in G[0])),
-        constraints=cons,
+        C=tuple(-s[0] for s in stacks),
+        A=tuple(s[1:] - s[0] for s in stacks),
+        b=[-(w[i] - w[0]) for i in range(1, len(G))],
         sense="min",
     )
 
@@ -117,34 +119,29 @@ def lower_dual(spec, m, scale="none"):
     Under "balanced" the deep levels stall in both precisions.
     """
     d = np.array([float(v) for v in scales(m, scale)])
-    blocks = [1] * (m + 1) + [m + 1]
-    cons = []
-    for var in range(1 + (m + 1) + m):  # y, mu_0..mu_m, nu_1..nu_m
-        mats = [np.zeros((b, b)) for b in blocks]
-        A = mats[-1]
-        if var == 0:
-            for k in range(m + 1):
-                mats[k][0, 0] = 1.0
-        elif var <= m + 1:
-            k = var - 1
-            mats[k][0, 0] = -1.0
-            for l in range(k, m + 1):
-                c = float(math.comb(l, k) * math.factorial(l))
-                for i in range(max(0, 2 * l - m), min(m, 2 * l) + 1):
-                    A[i, 2 * l - i] = c * d[i] * d[2 * l - i]
-        else:
-            l = var - (m + 1)
-            pairs = [
-                (i, 2 * l - 1 - i)
-                for i in range(max(0, 2 * l - 1 - m), min(m, 2 * l - 1) + 1)
-            ]
-            ref = max(d[i] * d[j] for i, j in pairs)
-            for i, j in pairs:
-                A[i, j] = d[i] * d[j] / ref
-        cons.append((tuple(mats), 1.0 if var == 0 else 0.0))
+    rows = 1 + (m + 1) + m  # y, mu_0..mu_m, nu_1..nu_m
+    slack = np.zeros((m + 1, rows, 1, 1))  # the 1x1 blocks, one stack each
+    A = np.zeros((rows, m + 1, m + 1))
+    slack[:, 0] = 1.0
+    for k in range(m + 1):
+        slack[k, 1 + k] = -1.0
+        for l in range(k, m + 1):
+            c = float(math.comb(l, k) * math.factorial(l))
+            for i in range(max(0, 2 * l - m), min(m, 2 * l) + 1):
+                A[1 + k, i, 2 * l - i] = c * d[i] * d[2 * l - i]
+    for l in range(1, m + 1):
+        pairs = [
+            (i, 2 * l - 1 - i)
+            for i in range(max(0, 2 * l - 1 - m), min(m, 2 * l - 1) + 1)
+        ]
+        ref = max(d[i] * d[j] for i, j in pairs)
+        for i, j in pairs:
+            A[m + 1 + l, i, j] = d[i] * d[j] / ref
     a = [0.0, *spec.a, *[0.0] * (m - spec.n)]
-    objective = [np.array([[v]]) for v in a] + [np.zeros((m + 1, m + 1))]
     return conic.SdpProblem(
-        blocks=tuple(blocks), objective=tuple(objective), constraints=tuple(cons),
+        blocks=(1,) * (m + 1) + (m + 1,),
+        C=(*(np.array([[v]]) for v in a), np.zeros((m + 1, m + 1))),
+        A=(*slack, A),
+        b=np.eye(rows)[0],
         sense="min",
     )

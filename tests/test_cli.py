@@ -135,6 +135,33 @@ def test_bad_input_exit_code(capsys):
     assert code == 1
     code, _ = run_cli(capsys, "cf")
     assert code == 1
+    # levels below the witness index are bad input, not a numerical failure
+    for argv in (("--n", "3", "--m-max", "2"), ("--weights", "1,1", "--m-max", "1")):
+        code, out = run_cli(capsys, "threshold", *argv)
+        assert code == 1 and out == "", argv
+
+
+WITNESS = ("witness", "--state", "fock:n=1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("threshold", "--n", "2", "--m-max", "3", "--tol", "inf"),
+        ("threshold", "--n", "2", "--m-max", "3", "--tol", "nan"),
+        (*WITNESS, "--weights", "1,nan", "--threshold-upper", "0.5"),
+        (*WITNESS, "--n", "1", "--threshold-upper", "nan"),
+        (*WITNESS, "--n", "1", "--threshold-upper", "inf"),
+        (*WITNESS, "--weights", "1", "--alpha", "nanj", "--threshold-upper", "0.5"),
+    ],
+    ids=["tol-inf", "tol-nan", "weight-nan", "threshold-nan", "threshold-inf", "alpha-nan"],
+)
+def test_nonfinite_input_exit_code(argv, capsys):
+    # every comparison with NaN is False, so range checks written as v < 0
+    # let it through; the outputs then held NaN (not valid JSON), or bounds
+    # from a solve that "converged" at tol=inf
+    code, out = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
 
 
 def test_output_to_file(tmp_path, capsys):

@@ -14,9 +14,7 @@ import monomial
 
 
 def one_var_problem():
-    return conic.SdpProblem(
-        blocks=(1,), objective=([[1.0]],), constraints=((([[1.0]],), 1.0),)
-    )
+    return conic.SdpProblem(blocks=(1,), C=([[1.0]],), A=([[[1.0]]],), b=(1.0,))
 
 
 def test_trivial_one_by_one():
@@ -27,9 +25,7 @@ def test_trivial_one_by_one():
 
 def test_small_eigenvalue_problem():
     C = np.array([[1.0, 0.3], [0.3, -1.0]])
-    p = conic.SdpProblem(
-        blocks=(2,), objective=(C,), constraints=(((np.eye(2),), 1.0),)
-    )
+    p = conic.SdpProblem(blocks=(2,), C=(C,), A=(np.eye(2)[None],), b=(1.0,))
     sol = conic.solve(p)
     top = max(np.linalg.eigvalsh(C))
     assert sol.status == "optimal"
@@ -37,14 +33,25 @@ def test_small_eigenvalue_problem():
 
 
 def test_lp_blocks():
-    p = conic.SdpProblem(
-        blocks=(-2,),
-        objective=([1.0, 2.0],),
-        constraints=((([1.0, 1.0],), 1.0),),
-    )
+    p = conic.SdpProblem(blocks=(-2,), C=([1.0, 2.0],), A=([[1.0, 1.0]],), b=(1.0,))
     sol = conic.solve(p)
     assert sol.status == "optimal"
     assert abs(sol.primal_value - 2.0) < 1e-7
+
+
+def test_problem_checks_each_matrix_of_a_stack():
+    # an asymmetry up to 1e-12 max(1, max|a|) is averaged away, and a larger
+    # one rejected, with the scale taken matrix by matrix
+    near = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])
+    p = conic.SdpProblem(blocks=(2,), C=(np.eye(2),), A=([np.eye(2), near],), b=(1, 0))
+    assert np.array_equal(p.A[0][0], np.eye(2))
+    assert np.array_equal(p.A[0][1], (near + near.T) / 2.0)
+    far = near + np.array([[0.0, 0.0], [1e-9, 0.0]])
+    for stack in ([np.eye(2), far], [1e6 * np.eye(2), far]):
+        with pytest.raises(ValueError, match="not symmetric"):
+            conic.SdpProblem(blocks=(2,), C=(np.eye(2),), A=(stack,), b=(1, 0))
+    with pytest.raises(ValueError, match="shape"):
+        conic.SdpProblem(blocks=(2,), C=(np.eye(2),), A=([np.eye(2)],), b=(1, 0))
 
 
 def _pivots(M):
@@ -123,14 +130,10 @@ def test_kkt_residuals_on_problem_blocks():
     assert len(sol.X) == len(prob.blocks)
     assert all(x.shape == (1, 1) for x in sol.X[:-1])
     res = conic.kkt_residuals(prob, sol)
-    Ax = [
-        sum((a * x).sum() for a, x in zip(mats, sol.X)) for mats, _ in prob.constraints
-    ]
-    rp = max(abs(rhs - ax) for (_, rhs), ax in zip(prob.constraints, Ax))
-    S = [
-        sum(yi * mats[k] for yi, (mats, _) in zip(sol.y, prob.constraints)) - c
-        for k, c in enumerate(prob.objective)
-    ]
+    m = prob.num_constraints
+    Ax = sum((a * x).reshape(m, -1).sum(axis=1) for a, x in zip(prob.A, sol.X))
+    rp = np.max(np.abs(prob.b - Ax))
+    S = [sum(yi * ai for yi, ai in zip(sol.y, a)) - c for a, c in zip(prob.A, prob.C)]
     dual_min = min(0.0, *(np.linalg.eigvalsh(s)[0] for s in S))
     x_min = min(0.0, *(np.linalg.eigvalsh(x)[0] for x in sol.X))
     expected = {
@@ -147,21 +150,19 @@ def test_kkt_residuals_on_problem_blocks():
     # rounding of the float computation: S sums m + 1 terms per entry and
     # <X, S> sums N products, and a sum of n terms is off by at most n * eps
     # times the sum of their magnitudes
-    rows = [(yi, mats) for yi, (mats, _) in zip(sol.y, prob.constraints)]
     S_exact = [
-        sum(Fraction(yi) * _exact(mats[k]) for yi, mats in rows) - _exact(c)
-        for k, c in enumerate(prob.objective)
+        sum(Fraction(yi) * _exact(ai) for yi, ai in zip(sol.y, a)) - _exact(c)
+        for a, c in zip(prob.A, prob.C)
     ]
     S_terms = [
-        sum(abs(yi) * np.abs(mats[k]) for yi, mats in rows) + np.abs(c)
-        for k, c in enumerate(prob.objective)
+        sum(abs(yi) * np.abs(ai) for yi, ai in zip(sol.y, a)) + np.abs(c)
+        for a, c in zip(prob.A, prob.C)
     ]
     pairs = [(_exact(x).ravel(), s.ravel()) for x, s in zip(sol.X, S_exact)]
     scale = 1 + abs(Fraction(sol.primal_value))
     comp = abs(sum(np.dot(x, s) for x, s in pairs)) / scale
     magnitude_xs = sum(float(np.abs(x * s).sum()) for x, s in pairs)
     magnitude_s = sum(float((np.abs(x) * t).sum()) for x, t in zip(sol.X, S_terms))
-    m = prob.num_constraints
     N = sum(x.size for x in sol.X)
     eps = np.finfo(np.float64).eps
     bound = eps * ((m + 2) * magnitude_s + (N + 2) * magnitude_xs) / float(scale)
@@ -194,15 +195,23 @@ def test_stop_reason_reported(precision):
 
 
 def test_export_round_trip_identity():
-    p = conic.SdpProblem(
+    small = conic.SdpProblem(
         blocks=(2, -1),
-        objective=([[1.0, 0.25], [0.25, -1.0]], [0.5]),
-        constraints=(
-            (([[1.0, 0.0], [0.0, 1.0]], [0.0]), 1.0),
-            (([[0.0, 0.5], [0.5, 0.0]], [2.0]), 0.25),
-        ),
+        C=([[1.0, 0.25], [0.25, -1.0]], [0.5]),
+        A=([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.5], [0.5, 0.0]]], [[0.0], [2.0]]),
+        b=(1.0, 0.25),
     )
-    assert conic.parse_sdpa(conic.export_sdpa(p)) == p
+    for p in (
+        small,
+        W.build_upper_compact(W.WitnessSpec.fock(3), 8),
+        MM.build_lower_multi(MM.MultiWitnessSpec((1, 1)), "rectangle", 2),
+    ):
+        assert conic.parse_sdpa(conic.export_sdpa(p)) == p
+        # the stored stacks are read-only, so the solver can share them
+        for a in (p.b, *p.C, *p.A):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
 
 
 def test_export_resolve_same_optimum():
@@ -214,18 +223,20 @@ def test_export_resolve_same_optimum():
 
 def test_export_requires_constraints():
     p = one_var_problem()
-    empty = conic.SdpProblem(blocks=(1,), objective=([[1.0]],), constraints=())
+    empty = conic.SdpProblem(blocks=(1,), C=([[1.0]],), A=(np.zeros((0, 1, 1)),), b=())
     with pytest.raises(ValueError, match="at least one constraint"):
         conic.export_sdpa(empty)
     assert conic.export_sdpa(p).startswith("*SENSE: max")
 
 
 def test_solve_rejects_empty_and_bad_tol():
-    empty = conic.SdpProblem(blocks=(1,), objective=([[1.0]],), constraints=())
+    empty = conic.SdpProblem(blocks=(1,), C=([[1.0]],), A=(np.zeros((0, 1, 1)),), b=())
     with pytest.raises(ValueError):
         conic.solve(empty)
-    with pytest.raises(ValueError):
-        conic.solve(one_var_problem(), tol=-1.0)
+    # NaN and inf passed a tol <= 0 test: inf "converged" at iteration 1
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            conic.solve(one_var_problem(), tol=tol)
 
 
 def test_deep_level_needs_reformulation():
@@ -600,15 +611,11 @@ def _runs_problem(blocks, dense_rows=0):
         return tuple(out)
 
     n = sum(abs(b) for b in blocks)
-    objective = random_blocks()
-    constraints = [(tuple(np.eye(b) if b > 0 else np.ones(-b) for b in blocks), 1.0)]
-    for _ in range(dense_rows):
-        mats = random_blocks()
-        centre = sum(np.trace(a) if a.ndim == 2 else a.sum() for a in mats) / n
-        constraints.append((mats, float(centre)))
-    return conic.SdpProblem(
-        blocks=blocks, objective=objective, constraints=tuple(constraints)
-    )
+    C = random_blocks()
+    rows = [tuple(np.eye(b) if b > 0 else np.ones(-b) for b in blocks)]
+    rows += [random_blocks() for _ in range(dense_rows)]
+    b = [sum(np.trace(a) if a.ndim == 2 else a.sum() for a in row) / n for row in rows]
+    return conic.SdpProblem(blocks=blocks, C=C, A=tuple(map(np.array, zip(*rows))), b=b)
 
 
 SOLVER_CASES = {

@@ -56,6 +56,16 @@ def test_spec_rejects_malformed_weight_keys(a):
         MM.MultiWitnessSpec(n=(1, 1), a=a)
 
 
+@pytest.mark.parametrize(
+    "a",
+    [{(1, 1): 1.0, (1, 0): math.nan}, {(1, 0): math.nan, (1, 1): 1.0}, {(1, 1): math.nan}],
+    ids=["after", "before", "alone"],
+)
+def test_spec_rejects_nan_weights(a):
+    with pytest.raises(ValueError, match="weights must lie"):
+        MM.MultiWitnessSpec(n=(1, 1), a=a)
+
+
 def test_single_mode_reduction():
     spec = MM.MultiWitnessSpec(n=(1,))
     v, sol = MM.solve_lower_multi(spec, "rectangle", 3)
@@ -138,6 +148,8 @@ def test_robust_fidelity_bound():
     assert MM.robust_fidelity_bound([0.7]) == pytest.approx(0.7)
     with pytest.raises(ValueError):
         MM.robust_fidelity_bound([1.2])
+    with pytest.raises(ValueError):
+        MM.robust_fidelity_bound([0.9, math.nan])
 
 
 def test_two_mode_interleaving_upper_and_lower():
@@ -300,7 +312,7 @@ def test_lower_parity_blocks_match_coefficients_exactly(modes, level):
     assert prob.blocks == (-len(idx), *(len(rows) for rows in classes))
     X = (np.array(F, dtype=float), *(np.array(b, dtype=float) for b in blocks))
     scale = float(max(F))
-    Ax = [sum((a * x).sum() for a, x in zip(mats, X)) for mats, _ in prob.constraints]
+    Ax = sum((a * x).reshape(len(a), -1).sum(axis=1) for a, x in zip(prob.A, X))
     assert Ax[0] == pytest.approx(float(sum(F)), rel=1e-12)
     assert all(abs(v) <= 1e-12 * scale for v in Ax[1:])
     if modes == 1:  # the single-mode builder makes the one-mode program

@@ -28,6 +28,35 @@ def test_fock_diagonal_invariants():
         W.FockDiagonal((-0.1, 1.1))
 
 
+@pytest.mark.parametrize(
+    "a", [(1.0, math.nan), (math.nan, 1.0), (math.nan,)], ids=["after", "before", "alone"]
+)
+def test_witness_spec_rejects_nan_weights(a):
+    # NaN fails both v < 0 and v > 1, and max() passes over it after a 1.0
+    # and returns it before one, where abs(NaN - 1) > 1e-12 is False too
+    with pytest.raises(ValueError, match="weights must lie"):
+        W.WitnessSpec(a=a)
+
+
+@pytest.mark.parametrize("alpha", [complex(math.nan, 0), complex(0, math.inf)])
+def test_witness_spec_rejects_nonfinite_displacement(alpha):
+    with pytest.raises(ValueError, match="displacement"):
+        W.WitnessSpec(a=(1.0,), alpha=alpha)
+
+
+@pytest.mark.parametrize("F", [(math.nan, 1.0), (1.0, math.nan)])
+def test_fock_diagonal_rejects_nan(F):
+    with pytest.raises(ValueError):
+        W.FockDiagonal(F)
+
+
+def test_threshold_bounds_rejects_levels_below_the_index():
+    # an empty sweep read as all-NaN rows, so the CLI reported a numerical
+    # failure for bad input
+    with pytest.raises(ValueError, match="at least the top witness index"):
+        W.threshold_bounds(W.WitnessSpec.fock(3), m_max=2)
+
+
 def test_build_lower_base_levels():
     sol = conic.solve(W.build_lower(W.WitnessSpec.fock(1), 1))
     assert abs(sol.primal_value - 0.5) < 1e-6
