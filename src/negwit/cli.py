@@ -40,7 +40,7 @@ def _weights_from_args(args):
         ws = tuple(float(v) for v in args.weights.split(","))
         return witness.WitnessSpec(a=ws, alpha=args.alpha)
     if args.n:
-        return witness.WitnessSpec.fock(int(args.n))
+        return witness.WitnessSpec.fock(int(args.n), alpha=args.alpha)
     raise ValueError("need --n or --weights")
 
 

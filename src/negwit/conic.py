@@ -18,8 +18,11 @@ path for both.
 
 The solver is an infeasible-start primal-dual path-following method with the
 HKM search direction and a Mehrotra predictor-corrector, dense Cholesky
-factorisations throughout.  Intended for small dense instances (blocks up to
-~130, a few thousand constraints).  ``precision="extended"`` runs the whole
+factorisations throughout.  It starts from SDPT3's data-scaled point, and it
+factors the Schur complement with its diagonal scaled by powers of two into
+[1/2, 2), which is exact and sizes the regularising jitter to every row
+rather than to the largest.  Intended for small dense instances (blocks up
+to ~130, a few thousand constraints).  ``precision="extended"`` runs the whole
 iteration in numpy longdouble with hand-rolled blocked factorisations, which
 is what rescues the deep hierarchy levels where binary64 stalls.
 """
@@ -163,8 +166,11 @@ def _chol(a: np.ndarray):
     if a.dtype != np.float64:
         return _chol_blocked(a)
     L = np.linalg.cholesky(a)
-    # potrf passes NaN and +inf through without an error
-    if not np.all(_interior(np.diagonal(L))):
+    # potrf raises on a pivot <= 0 but passes NaN and +inf through, so each
+    # diagonal entry is positive, NaN or +inf.  A positive entry is the root
+    # of a float64, below 1.4e154, so their sum cannot overflow: the sum is
+    # finite exactly when every entry is
+    if not math.isfinite(np.diagonal(L).sum()):
         raise np.linalg.LinAlgError("matrix is not positive definite")
     return L
 
@@ -325,11 +331,32 @@ class _BlockData:
         return out
 
 
+def _start_scales(problem: SdpProblem):
+    """Per-block multiples of I for the start X and S, by the rule of SDPT3
+    (Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999)."""
+    b1 = 1.0 + np.abs(problem.b)
+    xi, eta = [], []
+    for size, c, a in zip(problem.blocks, problem.C, problem.A):
+        n = abs(size)
+        norms = np.linalg.norm(a.reshape(len(a), -1), axis=1)  # ||A_k^j||_F
+        floor = max(10.0, math.sqrt(n))
+        xi.append(max(floor, n * float(np.max(b1 / (1.0 + norms)))))
+        eta.append(max(floor, float(np.max(norms)), float(np.linalg.norm(c))))
+    return xi, eta
+
+
 def _blk_inner(A, B):
     total = 0.0
     for a, b in zip(A, B):
         total = total + (a * b).sum()
     return total
+
+
+def _pow2_scaling(d: np.ndarray) -> np.ndarray:
+    """The powers of two D nearest d^(-1/2), with D^2 d in [1/2, 2); 1 where
+    d is not interior."""
+    e = np.frexp(np.where(_interior(d), d, 1))[1]  # d = f 2^e, f in [1/2, 1)
+    return np.ldexp(np.ones_like(d), (1 - e) // 2)
 
 
 def _max_step(Xb, dXb, chols):
@@ -396,8 +423,9 @@ def solve(
     m = problem.num_constraints
     ntot = sum(abs(b) for b in blocks)
 
-    Xb = [data.eye[size] * dtype(math.sqrt(ntot)) for size in blocks]
-    Sb = [data.eye[size] * dtype(max(1.0, data.norm_C)) for size in blocks]
+    xi, eta = _start_scales(problem)
+    Xb = [data.eye[size] * dtype(v) for size, v in zip(blocks, xi)]
+    Sb = [data.eye[size] * dtype(v) for size, v in zip(blocks, eta)]
     y = np.zeros(m, dtype=dtype)
 
     best = None
@@ -412,13 +440,14 @@ def solve(
         rp = data.b - data.apply_A(Xb)
         Aty = data.apply_At(y)
         Rd = [c + s - a for c, s, a in zip(data.C, Sb, Aty)]
-        mu = _blk_inner(Xb, Sb) / ntot
+        xs = _blk_inner(Xb, Sb)
+        mu = xs / ntot
         rp_norm = float(np.max(np.abs(rp))) / data.norm_b if m else 0.0
         rd_norm = max(float(np.max(np.abs(r))) for r in Rd) / data.norm_C
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         # complementarity guards against near-feasible iterate pairs whose
         # small mutual gap hides large multiplier-weighted infeasibility
-        comp = abs(_blk_inner(Xb, Sb)) / (1.0 + abs(pobj) + abs(dobj))
+        comp = abs(xs) / (1.0 + abs(pobj) + abs(dobj))
         quality = max(relgap, rp_norm, rd_norm, comp)
         # plain floats, so that info stays JSON-safe after extended solves
         residuals = {
@@ -471,12 +500,18 @@ def solve(
                 H += dot(stack * w, stack.T)
         H = (H + H.T) / 2.0
 
+        # factor D H D, D the powers of two nearest diag(H)^(-1/2), so that
+        # the jitter is sized to every row and not to the largest; D^-1 times
+        # its factor is a factor of H plus a jitter scaled by D^-2.  Scaling
+        # by powers of two is exact: with no jitter, this is H's own factor
         Lh = None
         jitter = 0.0
-        base = float(np.max(np.abs(np.diagonal(H)))) or 1.0
+        D = _pow2_scaling(np.diagonal(H))
+        Hs = H * D[:, None] * D
+        base = float(np.max(np.abs(np.diagonal(Hs)))) or 1.0
         for attempt in range(8):
             try:
-                Lh = _chol(H + (jitter * base) * data.eye[m])
+                Lh = _chol(Hs + (jitter * base) * data.eye[m]) / D[:, None]
                 break
             except np.linalg.LinAlgError:
                 jitter = 1e-14 if jitter == 0.0 else jitter * 100.0

@@ -56,10 +56,10 @@ class WitnessSpec:
         return len(self.a)
 
     @staticmethod
-    def fock(n: int) -> "WitnessSpec":
+    def fock(n: int, alpha: complex = 0j) -> "WitnessSpec":
         if n < 1:
             raise ValueError("witness index must be >= 1")
-        return WitnessSpec(a=(0.0,) * (n - 1) + (1.0,))
+        return WitnessSpec(a=(0.0,) * (n - 1) + (1.0,), alpha=alpha)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,17 @@ def test_witness_command(capsys):
     assert json.loads(out)["delta"] is None
 
 
+def test_witness_n_takes_alpha(capsys):
+    # --n 1 is the witness --weights 1, displaced by --alpha alike
+    common = ("witness", "--state", "fock:n=1", "--alpha", "0.5",
+              "--threshold-upper", "0.5")
+    _, by_n = run_cli(capsys, *common, "--n", "1")
+    _, by_weights = run_cli(capsys, *common, "--weights", "1")
+    by_n, by_weights = json.loads(by_n), json.loads(by_weights)
+    assert by_n["alpha"] == [0.5, 0.0]
+    assert by_n["expectation"] == by_weights["expectation"] == 0.438075440478
+
+
 def test_threshold_small(capsys):
     code, out = run_cli(capsys, "threshold", "--n", "1", "--m-max", "2")
     assert code == 0

@@ -281,8 +281,8 @@ def test_threshold_bounds_sweep_mechanics():
 
 
 def test_threshold_detail_is_json_safe():
-    # level 12 retries its lower side in extended precision
-    rows = W.threshold_bounds(W.WitnessSpec.fock(4), m_max=12)
+    # an extended sweep: its residuals are computed in longdouble
+    rows = W.threshold_bounds(W.WitnessSpec.fock(4), m_max=12, precision="extended")
     assert rows[-1].level == 12
     detail = rows[-1].detail
     assert detail["lower_run"]["precision"] == "extended"
