@@ -18,13 +18,13 @@ path for both.
 
 The solver is an infeasible-start primal-dual path-following method with the
 HKM search direction and a Mehrotra predictor-corrector, dense Cholesky
-factorisations throughout.  It starts from SDPT3's data-scaled point, and it
-factors the Schur complement with its diagonal scaled by powers of two into
-[1/2, 2), which is exact and sizes the regularising jitter to every row
-rather than to the largest.  Intended for small dense instances (blocks up
-to ~130, a few thousand constraints).  ``precision="extended"`` runs the whole
-iteration in numpy longdouble with hand-rolled blocked factorisations, which
-is what rescues the deep hierarchy levels where binary64 stalls.
+factorisations throughout.  It starts from SDPT3's data-scaled point, and
+the regularising jitter of its Schur complement is sized to each row's own
+diagonal entry rather than to the largest.  Intended for small dense
+instances (blocks up to ~130, a few thousand constraints).
+``precision="extended"`` runs the whole iteration in numpy longdouble with
+hand-rolled blocked factorisations, which is what rescues the deep hierarchy
+levels where binary64 stalls.
 """
 
 from __future__ import annotations
@@ -295,11 +295,10 @@ class _BlockData:
         self.C = [np.asarray(c, dtype) for c in problem.C]
         self.Bstack = [np.asarray(a, dtype) for a in problem.A]
         self.Bflat = [a.reshape(m, -1) for a in self.Bstack]  # diagonal stacks as is
-        # read-only identities for the start point, the Schur jitter, S^{-1}
-        # and the centring term, by signed block size: a vector of ones for a
-        # diagonal block
+        # read-only identities for the start point, S^{-1} and the centring
+        # term, by signed block size: a vector of ones for a diagonal block
         self.eye = {}
-        for n in {m, *problem.blocks}:
+        for n in set(problem.blocks):
             self.eye[n] = np.eye(n, dtype=dtype) if n > 0 else np.ones(-n, dtype)
             self.eye[n].setflags(write=False)
         self.norm_b = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
@@ -350,13 +349,6 @@ def _blk_inner(A, B):
     for a, b in zip(A, B):
         total = total + (a * b).sum()
     return total
-
-
-def _pow2_scaling(d: np.ndarray) -> np.ndarray:
-    """The powers of two D nearest d^(-1/2), with D^2 d in [1/2, 2); 1 where
-    d is not interior."""
-    e = np.frexp(np.where(_interior(d), d, 1))[1]  # d = f 2^e, f in [1/2, 1)
-    return np.ldexp(np.ones_like(d), (1 - e) // 2)
 
 
 def _max_step(Xb, dXb, chols):
@@ -500,18 +492,15 @@ def solve(
                 H += dot(stack * w, stack.T)
         H = (H + H.T) / 2.0
 
-        # factor D H D, D the powers of two nearest diag(H)^(-1/2), so that
-        # the jitter is sized to every row and not to the largest; D^-1 times
-        # its factor is a factor of H plus a jitter scaled by D^-2.  Scaling
-        # by powers of two is exact: with no jitter, this is H's own factor
+        # the jitter is sized to each row's own diagonal entry, not to the
+        # largest, so that rows of small scale are not swamped by it
         Lh = None
         jitter = 0.0
-        D = _pow2_scaling(np.diagonal(H))
-        Hs = H * D[:, None] * D
-        base = float(np.max(np.abs(np.diagonal(Hs)))) or 1.0
+        d = np.diagonal(H)
+        row = np.where(_interior(d), d, 1)
         for attempt in range(8):
             try:
-                Lh = _chol(Hs + (jitter * base) * data.eye[m]) / D[:, None]
+                Lh = _chol(H + np.diag(jitter * row))
                 break
             except np.linalg.LinAlgError:
                 jitter = 1e-14 if jitter == 0.0 else jitter * 100.0

@@ -124,9 +124,10 @@ def _exact(a):
 
 def test_kkt_residuals_on_problem_blocks():
     # the residuals against a plain per-block computation, on 12 1x1 blocks
-    # and a 12x12 one
+    # and a 12x12 one, at the 14th iterate: one before the solve converges,
+    # so that complementarity stays far above the rounding it is checked to
     prob = monomial.lower_dual(W.WitnessSpec.fock(3), 11, "balanced")
-    sol = conic.solve(prob)
+    sol = conic.solve(prob, max_iterations=14)
     assert len(sol.X) == len(prob.blocks)
     assert all(x.shape == (1, 1) for x in sol.X[:-1])
     res = conic.kkt_residuals(prob, sol)
@@ -142,7 +143,7 @@ def test_kkt_residuals_on_problem_blocks():
     for key, val in expected.items():
         assert res[key] == pytest.approx(val, rel=1e-9, abs=1e-15), key
 
-    # primal and complementarity cancel to about 1e-10 and 1e-9 from terms
+    # primal and complementarity cancel to about 1e-10 and 4e-8 from terms
     # of up to a few hundred, so each is checked against its exact value on
     # the float data, within the rounding of the float computation: a sum of
     # n terms is off by at most n * eps times the sum of their magnitudes.
@@ -179,7 +180,7 @@ def test_kkt_residuals_on_problem_blocks():
     magnitude_s = sum(float((np.abs(x) * t).sum()) for x, t in zip(sol.X, S_terms))
     bound = eps * ((m + 2) * magnitude_s + (N + 2) * magnitude_xs) / float(scale)
     assert abs(Fraction(res["complementarity"]) - comp) <= bound
-    assert bound < 1e-2 * float(comp)
+    assert bound < 1e-3 * float(comp)
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])

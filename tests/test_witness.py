@@ -314,9 +314,13 @@ def test_hierarchy_gap_below_cap_midrange():
     # gap between the two hierarchies stays under 0.1 (spot check)
     spec = W.WitnessSpec.fock(7)
     lo, lsol, _ = W.solve_lower(spec, 24, precision="auto")
-    up, usol, _ = W.solve_upper(spec, 24, precision="auto")
+    up, usol, uinfo = W.solve_upper(spec, 24, precision="auto")
     assert lsol.info.get("comp", 1) < 1e-4 and usol.info.get("comp", 1) < 1e-3
     assert up - lo <= 0.1
+    # the upper double solve fails, so "auto" retries in extended and keeps
+    # the optimal retry
+    assert W.solve_upper(spec, 24, precision="double")[1].status != "optimal"
+    assert usol.status == "optimal" and uinfo["precision"] == "extended"
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
