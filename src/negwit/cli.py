@@ -39,7 +39,7 @@ def _weights_from_args(args):
     if args.weights:
         ws = tuple(float(v) for v in args.weights.split(","))
         return witness.WitnessSpec(a=ws, alpha=args.alpha)
-    if args.n:
+    if args.n is not None:
         return witness.WitnessSpec.fock(int(args.n), alpha=args.alpha)
     raise ValueError("need --n or --weights")
 

@@ -21,10 +21,14 @@ HKM search direction and a Mehrotra predictor-corrector, dense Cholesky
 factorisations throughout.  It starts from SDPT3's data-scaled point, and
 the regularising jitter of its Schur complement is sized to each row's own
 diagonal entry rather than to the largest.  Intended for small dense
-instances (blocks up to ~130, a few thousand constraints).
-``precision="extended"`` runs the whole iteration in numpy longdouble with
-hand-rolled blocked factorisations, which is what rescues the deep hierarchy
-levels where binary64 stalls.
+instances (blocks up to ~130, a few thousand constraints).  In float64
+every factorisation and solve is one call to a LAPACK or BLAS routine
+through a scipy handle: potrf factors, trtrs and trsm solve, and each PSD
+block's step length is the smallest eigenvalue (syevr) of L^{-1} dX L^{-T},
+which sygst forms in one call.  ``precision="extended"`` runs the whole
+iteration in numpy longdouble with hand-rolled blocked factorisations and
+row-loop substitutions, since LAPACK has no longdouble routines; that is
+what rescues the deep hierarchy levels where binary64 stalls.
 """
 
 from __future__ import annotations
@@ -160,19 +164,25 @@ def _chol(a: np.ndarray):
     """Lower Cholesky factor, or a diagonal (1-D) block itself; raises
     LinAlgError when not positive definite."""
     if a.ndim == 1:
-        if not np.all(_interior(a)):
+        # a NaN entry makes the minimum NaN, which fails the first test
+        if not (a.min() > 0 and a.max() < np.inf):
             raise np.linalg.LinAlgError("diagonal block not positive")
         return a
     if a.dtype != np.float64:
         return _chol_blocked(a)
-    L = np.linalg.cholesky(a)
-    # potrf raises on a pivot <= 0 but passes NaN and +inf through, so each
+    # a is symmetric, so its Fortran-ordered transpose is a itself, and the
+    # upper factor U of a = U^T U, in Fortran order, is the C-ordered lower
+    # factor U^T; clean=1 zeroes the strict lower part of U
+    U, info = _potrf(a.T, lower=0, clean=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"matrix is not positive definite (info={info})")
+    # potrf reports a pivot <= 0 but passes NaN and +inf through, so each
     # diagonal entry is positive, NaN or +inf.  A positive entry is the root
     # of a float64, below 1.4e154, so their sum cannot overflow: the sum is
     # finite exactly when every entry is
-    if not math.isfinite(np.diagonal(L).sum()):
+    if not math.isfinite(np.diagonal(U).sum()):
         raise np.linalg.LinAlgError("matrix is not positive definite")
-    return L
+    return U.T
 
 
 def _chol_blocked(a: np.ndarray):
@@ -197,19 +207,22 @@ def _chol_blocked(a: np.ndarray):
     return L
 
 
-# float64 LAPACK and BLAS routines, called directly: the scipy.linalg
-# wrappers cost more than the arithmetic on blocks this small.  Arguments
-# mirror what sla.solve_triangular and sla.eigh(eigvals_only=True) pass, so
-# the results are the same bits.
+# float64 LAPACK and BLAS routines, called directly: the scipy.linalg and
+# numpy.linalg wrappers cost more than the arithmetic on blocks this small.
+# Every float64 factorisation and solve so runs in scipy's OpenBLAS, and
+# numpy's runs only matmul.  Arguments of trtrs, trsm and syevr mirror what
+# sla.solve_triangular and sla.eigh(eigvals_only=True) pass, so the results
+# are the same bits.  potrf factors (_chol), and sygst forms the step-length
+# matrix L^{-1} dX L^{-T} in one call (_max_step).
 #
-# A right-hand side with several columns (S^{-1}'s identity, the step-length
-# dX) goes to BLAS trsm, which runs the kernels trtrs uses for nrhs >= 2.
-# trtrs threads those at any size, and numpy and scipy each load their own
-# OpenBLAS with its own thread pool, so two busy pools fight over the cores;
-# trsm stays on one thread for blocks this small.  A single column stays on
-# trtrs: its nrhs = 1 path (trsv) rounds differently.
-_trtrs, _syevr, _syevr_lwork = sla.get_lapack_funcs(
-    ("trtrs", "syevr", "syevr_lwork"), (np.empty(0),)
+# A right-hand side with several columns (S^{-1}'s identity) goes to BLAS
+# trsm, which runs the kernels trtrs uses for nrhs >= 2.  trtrs threads
+# those at any size, and numpy and scipy each load their own OpenBLAS with
+# its own thread pool, so two busy pools fight over the cores; trsm stays on
+# one thread for blocks this small.  A single column stays on trtrs: its
+# nrhs = 1 path (trsv) rounds differently.
+_trtrs, _syevr, _syevr_lwork, _potrf, _sygst = sla.get_lapack_funcs(
+    ("trtrs", "syevr", "syevr_lwork", "potrf", "sygst"), (np.empty(0),)
 )
 _trsm = sla.get_blas_funcs("trsm", (np.empty(0),))
 
@@ -356,15 +369,23 @@ def _max_step(Xb, dXb, chols):
     alpha = np.inf
     for x, dx, L in zip(Xb, dXb, chols):
         if x.ndim == 2:
-            K = _solve_lower(L, _solve_lower(L, dx).T)
-            Kd = np.asarray(K, dtype=np.float64)
-            lam = _min_eigenvalue((Kd + Kd.T) / 2.0)
+            if L.dtype == np.float64:
+                # sygst forms the upper triangle of U^{-T} dX U^{-1} for
+                # U = L^T, and syevr reads the lower triangle of its
+                # transpose; dX is symmetric, so dx.T is dx in Fortran order
+                K, info = _sygst(dx.T, L.T, itype=1, lower=0)
+                if info != 0:
+                    raise np.linalg.LinAlgError(f"sygst failed (info={info})")
+                lam = _min_eigenvalue(K.T)
+            else:
+                K = _solve_lower(L, _solve_lower(L, dx).T)
+                Kd = np.asarray(K, dtype=np.float64)
+                lam = _min_eigenvalue((Kd + Kd.T) / 2.0)
             if lam < -1e-300:
                 alpha = min(alpha, -1.0 / lam)
         else:
-            neg = dx < 0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(-x[neg] / dx[neg])))
+            ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
+            alpha = min(alpha, float(ratio.min()))
     return alpha
 
 
@@ -381,12 +402,14 @@ def _interior_step(Vb, dVb, alpha, dtype):
     The factors are None when 60 reductions do not reach an interior point.
     """
     for _ in range(60):
-        trial = [v + dtype(alpha) * d for v, d in zip(Vb, dVb)]
+        a = dtype(alpha)
+        trial = [v + a * d for v, d in zip(Vb, dVb)]
         chols = _psd_ok(trial)
         if chols is not None:
             return trial, chols, alpha
         alpha *= 0.8
-    return [v + dtype(alpha) * d for v, d in zip(Vb, dVb)], None, alpha
+    a = dtype(alpha)
+    return [v + a * d for v, d in zip(Vb, dVb)], None, alpha
 
 
 def solve(
@@ -449,9 +472,9 @@ def solve(
             relgap <= tol and rp_norm <= tol and rd_norm <= tol and comp <= 10 * tol
         )
         if converged or best is None or quality < best[0]:
-            best = (
-                quality, [np.array(x) for x in Xb], np.array(y), pobj, dobj, residuals
-            )
+            # references, not copies: every step builds new iterate arrays
+            # and no iterate is written in place
+            best = (quality, Xb, y, pobj, dobj, residuals)
         if converged:
             status, stop_reason = "optimal", "converged"
             break
@@ -500,7 +523,7 @@ def solve(
         row = np.where(_interior(d), d, 1)
         for attempt in range(8):
             try:
-                Lh = _chol(H + np.diag(jitter * row))
+                Lh = _chol(H if jitter == 0.0 else H + np.diag(jitter * row))
                 break
             except np.linalg.LinAlgError:
                 jitter = 1e-14 if jitter == 0.0 else jitter * 100.0
@@ -508,11 +531,15 @@ def solve(
             status, stop_reason = "numerical_limit", "schur_factorisation_failed"
             break
 
+        # X S and X Rd, shared by both directions
+        XS = [mul(x, s) for x, s in zip(Xb, Sb)]
+        XRd = [mul(x, rd) for x, rd in zip(Xb, Rd)]
+
         def rhs_for(Rc):
             # A(Rc S^{-1}) + A(X Rd S^{-1}) - rp
-            vec = -rp.astype(dtype)
-            for flat, rc, rd, x, si in zip(data.Bflat, Rc, Rd, Xb, Sinv):
-                vec += dot(flat, mul(rc + mul(x, rd), si).reshape(-1))
+            vec = -rp
+            for flat, rc, xrd, si in zip(data.Bflat, Rc, XRd, Sinv):
+                vec += dot(flat, mul(rc + xrd, si).reshape(-1))
             return vec
 
         def schur_solve(rhs):
@@ -532,7 +559,7 @@ def solve(
             return dX, dy, dS
 
         # predictor
-        Rc_aff = [-mul(x, s) for x, s in zip(Xb, Sb)]
+        Rc_aff = [-xs for xs in XS]
         dX_a, dy_a, dS_a = direction(Rc_aff)
         if not np.isfinite(dy_a).all():  # the Schur solve overflowed
             status, stop_reason = "numerical_limit", "nonfinite_direction"
@@ -550,8 +577,8 @@ def solve(
 
         # corrector
         Rc = [
-            dtype(sigma * mu) * data.eye[size] - mul(x, s) - mul(dxa, dsa)
-            for size, x, s, dxa, dsa in zip(blocks, Xb, Sb, dX_a, dS_a)
+            dtype(sigma * mu) * data.eye[size] - xs - mul(dxa, dsa)
+            for size, xs, dxa, dsa in zip(blocks, XS, dX_a, dS_a)
         ]
         dX, dy, dS = direction(Rc)
         if not np.isfinite(dy).all():

@@ -316,8 +316,14 @@ def _strategy(game: TorpedoGame, d_msg: int, onehot, decodings) -> ClassicalStra
 # ---------------------------------------------------------------------------
 
 
+def _check_d_msg(d_msg: int):
+    if d_msg < 1:
+        raise ValueError("message dimension must be at least 1")
+
+
 def _exhaustive(d_in: int, d_msg: int):
     """Win counts of every canonical grid: (game, grids, values, decodings)."""
+    _check_d_msg(d_msg)
     if d_msg ** (d_in * d_in) > ENCODING_CAP:
         raise ValueError("encoding space exceeds the exhaustive-search cap")
     game = TorpedoGame(d_in)
@@ -349,6 +355,7 @@ def random_strategy_search(
     value, not a guarantee: intended as a verifier for dimensions where the
     exhaustive search is out of range.
     """
+    _check_d_msg(d_msg)
     rng = np.random.default_rng(seed)
     game = TorpedoGame(d_in)
     weights = _win_weights(game)

@@ -677,6 +677,8 @@ def fock_bounds_table(n_values: Sequence[int], m_max: int = 30) -> dict:
             details[n] = {"analytic": True}
             continue
         spec = WitnessSpec.fock(n)
+        if m_max < spec.n:
+            raise ValueError("level m must be at least the top witness index n")
         row = {}
         for side, solver in (("lower", solve_lower), ("upper", solve_upper)):
             val, m_used, info_used = math.nan, None, None

@@ -152,6 +152,21 @@ def test_bad_input_exit_code(capsys):
         assert code == 1 and out == "", argv
 
 
+def test_bad_input_names_its_cause(capsys):
+    # --n 0 read as "no --n given", and --d-msg 0 failed inside numpy
+    for argv, cause in (
+        (("threshold", "--n", "0", "--m-max", "3"), "witness index must be >= 1"),
+        (("torpedo", "--d-in", "2", "--d-msg", "0", "--mode", "classical"),
+         "message dimension must be at least 1"),
+        (("plotdata", "--figure", "threshold", "--m-max", "2"),
+         "at least the top witness index"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", argv
+        assert cause in captured.err, argv
+
+
 WITNESS = ("witness", "--state", "fock:n=1")
 
 

@@ -437,6 +437,106 @@ def test_min_eigenvalue_matches_scipy_bitwise(n):
 
 
 # ---------------------------------------------------------------------------
+# the Cholesky factor and the step length, through potrf and sygst
+# ---------------------------------------------------------------------------
+
+
+def _pd_and_direction(rng, n, dtype=np.float64):
+    """A well-conditioned positive definite X and a symmetric dX whose
+    smallest eigenvalue is -1, so that the step length is finite."""
+    g = rng.standard_normal((n, n))
+    h = rng.standard_normal((n, n))
+    x = g @ g.T + n * np.eye(n)
+    dx = (h + h.T) / 2.0
+    dx -= (np.linalg.eigvalsh(dx)[0] + 1.0) * np.eye(n)
+    return x.astype(dtype), dx.astype(dtype)
+
+
+def _reference_step(x, dx):
+    """The largest alpha with x + alpha dx psd, from two triangular solves of
+    a scipy Cholesky factor and scipy's eigenvalues."""
+    L = sla.cholesky(x, lower=True)
+    K = sla.solve_triangular(L, sla.solve_triangular(L, dx, lower=True).T, lower=True)
+    lam = sla.eigvalsh((K + K.T) / 2.0)[0]
+    return -1.0 / lam if lam < 0 else math.inf
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_chol_is_lower_with_exact_zeros(n):
+    rng = np.random.default_rng(500 + n)
+    a, _ = _pd_and_direction(rng, n)
+    for arr in (a, np.asfortranarray(a)):
+        L = conic._chol(arr)
+        assert L.dtype == np.float64 and L.shape == (n, n)
+        assert np.all(np.triu(L, 1) == 0.0)
+        assert np.all(np.diagonal(L) > 0)
+        np.testing.assert_allclose(L @ L.T, a, rtol=1e-12, atol=1e-12 * n)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_max_step_matches_reference(n):
+    rng = np.random.default_rng(600 + n)
+    x, dx = _pd_and_direction(rng, n)
+    L = conic._chol(x)
+    ref = _reference_step(x, dx)
+    assert math.isfinite(ref)
+    for factor in (L, np.asfortranarray(L)):
+        for d in (dx, np.asfortranarray(dx)):
+            alpha = conic._max_step([x], [d], [factor])
+            assert alpha == pytest.approx(ref, rel=1e-12)
+    # a positive definite direction never reaches the boundary
+    pd = dx @ dx + np.eye(n)
+    assert _reference_step(x, pd) == math.inf
+    assert conic._max_step([x], [pd], [L]) == math.inf
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_max_step_is_the_boundary(n):
+    rng = np.random.default_rng(700 + n)
+    x, dx = _pd_and_direction(rng, n)
+    alpha = conic._max_step([x], [dx], [conic._chol(x)])
+    assert conic._psd_ok([x + 0.999 * alpha * dx]) is not None
+    assert conic._psd_ok([x + 1.001 * alpha * dx]) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 16, 20])
+def test_max_step_double_matches_longdouble(n):
+    # the float64 branch (sygst) against the longdouble one (row-loop solves)
+    rng = np.random.default_rng(800 + n)
+    x, dx = _pd_and_direction(rng, n)
+    xl, dxl = x.astype(np.longdouble), dx.astype(np.longdouble)
+    double = conic._max_step([x], [dx], [conic._chol(x)])
+    extended = conic._max_step([xl], [dxl], [conic._chol(xl)])
+    assert math.isfinite(double)
+    assert double == pytest.approx(extended, rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_diagonal_chol_and_max_step(dtype):
+    ok = np.array([1.0, 2.0, 3.0], dtype=dtype)
+    assert conic._chol(ok) is ok  # a diagonal block is its own factor
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(np.linalg.LinAlgError):
+            conic._chol(np.array([1.0, bad, 3.0], dtype=dtype))
+    cases = [
+        ([-4.0, 1.0, -1.0], 0.25),  # min(1 / 4, 3 / 1)
+        ([-1.0, np.nan, np.inf], 1.0),  # NaN and +inf entries never bound it
+        ([0.0, -0.0, 5.0], math.inf),  # no negative entry
+        ([np.nan, 1.0, np.inf], math.inf),
+    ]
+    for dx, expected in cases:
+        alpha = conic._max_step([ok], [np.array(dx, dtype=dtype)], [ok])
+        assert isinstance(alpha, float) and alpha == expected
+    # the blocks of a step combine by their minimum
+    x, dx = _pd_and_direction(np.random.default_rng(900), 4, dtype)
+    psd = conic._max_step([x], [dx], [conic._chol(x)])
+    both = conic._max_step(
+        [x, ok], [dx, np.array([-4.0, 1.0, -1.0], dtype=dtype)], [conic._chol(x), ok]
+    )
+    assert both == min(psd, 0.25)
+
+
+# ---------------------------------------------------------------------------
 # the longdouble kernels keep the bits of the matmul products and row loops
 # ---------------------------------------------------------------------------
 

@@ -39,6 +39,17 @@ def test_classical_value_cap():
         T.classical_value(4, 100)
 
 
+@pytest.mark.parametrize(
+    "search",
+    [T.classical_value, T.best_classical_strategy, T.random_strategy_search],
+)
+@pytest.mark.parametrize("d_msg", [0, -1])
+def test_message_dimension_below_one_rejected(search, d_msg):
+    # these failed inside numpy, with "zero-size array" and "high <= 0"
+    with pytest.raises(ValueError, match="message dimension must be at least 1"):
+        search(2, d_msg)
+
+
 def test_exhaustive_matches_full_brute_force_d2():
     # every deterministic encode/decode pair: 16 grids x 64 decoding triples
     game = T.TorpedoGame(2)

@@ -57,6 +57,14 @@ def test_threshold_bounds_rejects_levels_below_the_index():
         W.threshold_bounds(W.WitnessSpec.fock(3), m_max=2)
 
 
+def test_fock_bounds_table_rejects_levels_below_the_index():
+    # a NaN row was returned for bad input, and plotdata exited 0
+    with pytest.raises(ValueError, match="at least the top witness index"):
+        W.fock_bounds_table([3], m_max=2)
+    # the analytic rows need no level
+    assert W.fock_bounds_table([1, 2], m_max=0)[2] == (0.5, 0.5)
+
+
 def test_build_lower_base_levels():
     sol = conic.solve(W.build_lower(W.WitnessSpec.fock(1), 1))
     assert abs(sol.primal_value - 0.5) < 1e-6
