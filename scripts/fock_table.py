@@ -24,10 +24,17 @@ def main():
     for n in range(1, args.n_max + 1):
         lo, up = table[n]
         print(f"{n},{lo:.4f},{up:.4f}")
-    detail = table["detail"]
-    for n, row in detail.items():
-        if isinstance(row, dict) and "lower" in row:
-            print(f"# n={n}: lower {row['lower'][1:]} upper {row['upper'][1:]}")
+    for n, row in table["detail"].items():
+        if "lower" not in row:  # an analytic row
+            continue
+        sides = []
+        for side in ("lower", "upper"):
+            _, m, sol = row[side]
+            run = "" if sol is None else (
+                f" ({sol.info['precision']}, {sol.status}, comp {sol.info['comp']:.1e})"
+            )
+            sides.append(f"{side} level {m}{run}")
+        print(f"# n={n}: " + "; ".join(sides))
     print(f"# total {time.time()-t0:.0f}s")
 
 

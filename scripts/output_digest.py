@@ -2,9 +2,9 @@
 """Print one SHA-256 line per default CLI output, to check outputs are unchanged.
 
 The outputs are the ones the byte-identical rule protects: the `threshold`
-sweeps (single Fock n=1..6 and two weighted witnesses, to level 12, where
-the lower side's first extended retry appears), `cf --example` for the stock
-models, and the Torpedo values at d=2 and d=3.  Two more lines hash the
+sweeps (single Fock n=1..6 and two weighted witnesses, to level 12, all
+solved in double), `cf --example` for the stock models, and the Torpedo
+values at d=2 and d=3.  Two more lines hash the
 `--emit-sdpa` file of `threshold --n 3` at levels 8 and 12: the upper
 program as solved, in the Laguerre parity-block basis, at a sweep level and
 at a deep one.  Two checkouts give the same outputs exactly when their
@@ -47,11 +47,7 @@ def commands():
     for n in range(1, 7):
         yield ["threshold", "--n", str(n), "--m-max", M_MAX]
     for weights in ("1,1", "0.5,0,1"):
-        for precision in ("auto", "double", "extended"):
-            yield [
-                "--precision", precision,
-                "threshold", "--weights", weights, "--m-max", M_MAX,
-            ]
+        yield ["threshold", "--weights", weights, "--m-max", M_MAX]
     for model in ("chsh", "pr_box", "hardy", "identity_mix"):
         yield ["cf", "--example", model]
     for mode in ("classical", "ncf", "quantum"):

@@ -35,20 +35,18 @@ def _emit_json(args, payload) -> None:
     _write(getattr(args, "out", None), json.dumps(payload, indent=1) + "\n")
 
 
-def _weights_from_args(args):
+def _weights_from_args(args, alpha=0j):
     if args.weights:
         ws = tuple(float(v) for v in args.weights.split(","))
-        return witness.WitnessSpec(a=ws, alpha=args.alpha)
+        return witness.WitnessSpec(a=ws, alpha=alpha)
     if args.n is not None:
-        return witness.WitnessSpec.fock(int(args.n), alpha=args.alpha)
+        return witness.WitnessSpec.fock(int(args.n), alpha=alpha)
     raise ValueError("need --n or --weights")
 
 
 def cmd_threshold(args) -> int:
     spec = _weights_from_args(args)
-    rows = witness.threshold_bounds(
-        spec, m_max=args.m_max, tol=args.tol, precision=args.precision
-    )
+    rows = witness.threshold_bounds(spec, m_max=args.m_max, tol=args.tol)
     if args.emit_sdpa:
         # the top-level upper program as solved; with no levels to solve the
         # builder rejects m_max as bad input
@@ -66,7 +64,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_witness(args) -> int:
     state = states.parse_state(args.state)
-    spec = _weights_from_args(args)
+    spec = _weights_from_args(args, args.alpha)
     if not math.isfinite(args.threshold_upper):
         raise ValueError("--threshold-upper must be finite")
     expectation = states.witness_expectation(state, spec)
@@ -183,15 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nonclassicality certification: negativity witnesses, "
         "contextual fractions, Torpedo-game values.",
     )
-    ap.add_argument(
-        "--precision", choices=("double", "extended", "auto"), default="auto"
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("threshold", help="witness threshold bound hierarchies")
     p.add_argument("--n", type=int, help="single Fock witness index")
     p.add_argument("--weights", help="comma-separated weights a_1..a_n")
-    p.add_argument("--alpha", type=complex, default=0j)
+    # no --alpha: thresholds are displacement invariant
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default="-")

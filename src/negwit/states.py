@@ -9,6 +9,7 @@ series.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .numerics import binomial, gauss_laguerre, laguerre_fn, laguerre_poly
 from .witness import FockDiagonal, WitnessSpec
 
 NORM_TOL = 1e-9
+MAX_CUTOFF = 100_000  # largest default Fock cutoff of a named state
 
 
 @dataclass(frozen=True)
@@ -56,30 +58,40 @@ class MixedDiagonal:
 
 def default_cutoff(n_max: int, alpha: complex = 0j) -> int:
     """Cutoff heuristic: coherent tails die superexponentially past |alpha|^2."""
-    return max(20, 4 * (n_max + math.ceil(abs(alpha) ** 2)) + 10)
+    a = complex(alpha)
+    if not cmath.isfinite(a):
+        raise ValueError("amplitude must be finite")
+    # abs(a) * abs(a) overflows to inf, where abs(a) ** 2 raises
+    return _cutoff(4 * (n_max + np.ceil(abs(a) * abs(a))) + 10)
+
+
+def _cutoff(size: float) -> int:
+    """max(20, int(size)); ValueError past MAX_CUTOFF."""
+    if not size <= MAX_CUTOFF:  # inf too
+        raise ValueError(f"Fock cutoff {size:.6g} exceeds {MAX_CUTOFF}")
+    return max(20, int(size))
 
 
 def displacement_element(k: int, l: int, alpha: complex) -> complex:
-    """<k|D(alpha)|l> from the closed Laguerre-type sum."""
+    """<k|D(alpha)|l> from the closed Laguerre-type sum.
+
+    Each term's magnitude is formed in log space, with the factor
+    exp(-|alpha|^2/2) inside it: k! overflows a float from k = 171.
+    """
     if k < 0 or l < 0:
         raise ValueError("Fock indices must be natural numbers")
     a = complex(alpha)
     if a == 0:
         return 1.0 + 0j if k == l else 0j
+    r = abs(a)
+    u, log_r = a / r, math.log(r)
+    head = 0.5 * (math.lgamma(k + 1) + math.lgamma(l + 1)) - 0.5 * r * r
     total = 0j
     for p in range(min(k, l) + 1):
-        total += (
-            math.sqrt(math.factorial(k) * math.factorial(l))
-            * (-1) ** (l - p)
-            / (
-                math.factorial(p)
-                * math.factorial(k - p)
-                * math.factorial(l - p)
-            )
-            * a ** (k - p)
-            * np.conjugate(a) ** (l - p)
-        )
-    return math.exp(-0.5 * abs(a) ** 2) * total
+        rest = math.lgamma(p + 1) + math.lgamma(k - p + 1) + math.lgamma(l - p + 1)
+        mag = math.exp(head - rest + (k + l - 2 * p) * log_r)
+        total += (-1) ** (l - p) * u ** (k - p) * u.conjugate() ** (l - p) * mag
+    return total
 
 
 def displacement_matrix(alpha: complex, size: int) -> np.ndarray:
@@ -107,12 +119,19 @@ def _coherent_sum(a: complex, N: int, step: int) -> PureStateFock:
 
     Step 1 is the coherent state, steps 2 and 4 the sums of 2 and 4 coherent
     states.  Those sums carry a factor 2 or 4 on each amplitude: a power of
-    two, which the normalisation cancels exactly, so it is left out.
+    two, which the normalisation cancels exactly, so it is left out.  The
+    magnitude |a|^n e^{-|a|^2/2} / sqrt(n!) is formed in log space, as n!
+    overflows a float from n = 171.
     """
     amp = np.zeros(N + 1, dtype=complex)
-    for n in range(0, N + 1, step):
-        amp[n] = a**n / math.sqrt(math.factorial(n))
-    amp *= math.exp(-0.5 * abs(a) ** 2)
+    r = abs(a)
+    if r == 0:
+        amp[0] = 1.0
+    else:
+        u = a / r
+        for n in range(0, N + 1, step):
+            log_mag = n * math.log(r) - 0.5 * math.lgamma(n + 1) - 0.5 * r * r
+            amp[n] = u**n * math.exp(log_mag)
     amp /= math.sqrt(float(np.vdot(amp, amp).real))
     return PureStateFock(tuple(amp))
 
@@ -132,23 +151,23 @@ def fock(n: int) -> PureStateFock:
 
 def pssvs(r: float, cutoff: int | None = None) -> PureStateFock:
     """Photon-subtracted squeezed vacuum, a |1>-like state for small r."""
+    if not math.isfinite(r):
+        raise ValueError("squeezing parameter must be finite")
     if r == 0:
         raise ValueError("squeezing parameter must be nonzero")
-    N = cutoff if cutoff is not None else max(40, default_cutoff(1) + int(20 * abs(r)))
+    N = cutoff if cutoff is not None else _cutoff(max(40, default_cutoff(1) + 20 * abs(r)))
     amp = np.zeros(N + 1, dtype=complex)
-    th = math.tanh(r)
-    # squeezed vacuum has even components c_{2k}; subtracting one photon
-    # shifts them onto the odd ladder with weight sqrt(2k)
+    th, s = math.tanh(r), abs(r)
+    # log of sqrt(cosh r) sinh |r|, the norm of the untruncated state
+    log_norm = 1.5 * (s - math.log(2)) + 0.5 * math.log1p(math.exp(-2 * s))
+    log_norm += math.log(-math.expm1(-2 * s))
+    # squeezed vacuum has even components c_{2k} = sqrt((2k)!) (-th)^k / (2^k k!);
+    # subtracting one photon shifts them onto the odd ladder with weight
+    # sqrt(2k).  Magnitudes are formed in log space: (2k)! overflows a float
     for k in range(1, (N + 1) // 2 + 1):
-        if 2 * k - 1 > N:
-            break
-        c2k = (
-            math.sqrt(math.factorial(2 * k))
-            / (2**k * math.factorial(k))
-            * (-th) ** k
-        )
-        amp[2 * k - 1] = math.sqrt(2 * k) * c2k
-    amp /= math.sqrt(math.cosh(r)) * math.sinh(r)
+        log_mag = 0.5 * (math.log(2 * k) + math.lgamma(2 * k + 1)) - math.lgamma(k + 1)
+        log_mag += k * math.log(abs(th) / 2) - log_norm
+        amp[2 * k - 1] = math.copysign(1.0, -th) ** k * math.exp(log_mag)
     norm = float(np.vdot(amp, amp).real)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError("cutoff too small for this squeezing parameter")
@@ -170,6 +189,8 @@ def cat4(alpha: complex, cutoff: int | None = None) -> PureStateFock:
 
 def lossy_fock(n: int, eta: float) -> MixedDiagonal:
     """Fock state |n> through loss eta; eta = 0 returns |n> itself."""
+    if n < 0:
+        raise ValueError("Fock index must be a natural number")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("loss parameter must lie in [0, 1]")
     F = tuple(

@@ -547,14 +547,14 @@ def _lower_enclosure(G, w, sol):
 def certified_upper_interval(spec: WitnessSpec, m: int, tol: float = 1e-9):
     """Exactly certified enclosure (lo, hi) of the level-m upper-hierarchy
     value: :func:`_upper_enclosure` of one :func:`solve_upper` at ``tol``."""
-    _, sol, _ = solve_upper(spec, m, tol=tol)
+    _, sol = solve_upper(spec, m, tol=tol)
     return _upper_enclosure(_upper_gram(m), _weights_exact(spec.a, m), sol)
 
 
 def certified_lower_interval(spec: WitnessSpec, m: int, tol: float = 1e-8):
     """Exactly certified enclosure (lo, hi) of the level-m lower-hierarchy
     value: :func:`_lower_enclosure` of the solve :func:`solve_lower` reports."""
-    _, sol, _ = solve_lower(spec, m, tol=tol)
+    _, sol = solve_lower(spec, m, tol=tol)
     return _lower_enclosure(_upper_gram(m), _weights_exact(spec.a, m), sol)
 
 
@@ -563,56 +563,33 @@ def certified_lower_interval(spec: WitnessSpec, m: int, tol: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 
-def _solve_with_policy(prob: conic.SdpProblem, tol: float, precision: str):
-    """Solve ``prob`` in double or extended; under "auto" a double solve that
-    fails is retried in extended.
+def _solve_with_policy(prob: conic.SdpProblem, tol: float):
+    """The one precision policy: solve ``prob`` in double, and when that
+    solve does not end optimal, solve it again in extended and keep that.
 
-    Returns the optimal attempt, else the one with the smaller
-    complementarity; its ``info["precision"]`` names the attempt.
+    Deep levels stall in binary64, but which programs do cannot be read
+    off their data, so double is always tried first.  The kept solution's
+    ``info["precision"]`` names its attempt.
     """
-    plans = {
-        "double": ("double",),
-        "extended": ("extended",),
-        "auto": ("double", "extended"),
-    }
-    if precision not in plans:
-        raise ValueError(
-            f"precision must be 'double', 'extended' or 'auto', not {precision!r}"
-        )
-    best = None
-    for prec in plans[precision]:
-        sol = conic.solve(prob, tol=tol, precision=prec)
-        if sol.status == "optimal":
-            return sol
-        if best is None or sol.info.get("comp", math.inf) < best.info.get(
-            "comp", math.inf
-        ):
-            best = sol
-    return best
+    sol = conic.solve(prob, tol=tol, precision="double")
+    if sol.status == "optimal":
+        return sol
+    return conic.solve(prob, tol=tol, precision="extended")
 
 
-def solve_lower(
-    spec: WitnessSpec, m: int, tol: float = 1e-8, precision: str = "auto",
-):
-    """Level-m lower bound; returns (value, solution, run info)."""
-    sol = _solve_with_policy(build_lower(spec, m), tol, precision)
-    return sol.primal_value, sol, {"precision": sol.info["precision"]}
+def solve_lower(spec: WitnessSpec, m: int, tol: float = 1e-8):
+    """Level-m lower bound; returns (value, solution)."""
+    sol = _solve_with_policy(build_lower(spec, m), tol)
+    return sol.primal_value, sol
 
 
-def solve_upper(
-    spec: WitnessSpec, m: int, tol: float = 1e-8, precision: str = "auto",
-):
-    """Level-m upper bound via the compact encoding; (value, solution, info)."""
-    sol = _solve_with_policy(build_upper_compact(spec, m), tol, precision)
-    return -sol.primal_value, sol, {"precision": sol.info["precision"]}
+def solve_upper(spec: WitnessSpec, m: int, tol: float = 1e-8):
+    """Level-m upper bound via the compact encoding; (value, solution)."""
+    sol = _solve_with_policy(build_upper_compact(spec, m), tol)
+    return -sol.primal_value, sol
 
 
-def threshold_bounds(
-    spec: WitnessSpec,
-    m_max: int,
-    tol: float = 1e-8,
-    precision: str = "auto",
-) -> list:
+def threshold_bounds(spec: WitnessSpec, m_max: int, tol: float = 1e-8) -> list:
     """Both hierarchies from level n to m_max.
 
     Solver failures at a level are recorded (NaN bound) and the sweep
@@ -623,8 +600,8 @@ def threshold_bounds(
         raise ValueError("level m must be at least the top witness index n")
     rows = []
     for m in range(spec.n, m_max + 1):
-        lo, lo_sol, lo_info = solve_lower(spec, m, tol=tol, precision=precision)
-        up, up_sol, up_info = solve_upper(spec, m, tol=tol, precision=precision)
+        lo, lo_sol = solve_lower(spec, m, tol=tol)
+        up, up_sol = solve_upper(spec, m, tol=tol)
         # a stalled solve still carries its best iterate; keep it only when
         # the residual quality supports the sweep tolerance scale
         if lo_sol.status != "optimal" and lo_sol.info.get("comp", 1.0) > 1e-4:
@@ -639,8 +616,6 @@ def threshold_bounds(
                 detail={
                     "lower_status": lo_sol.status,
                     "upper_status": up_sol.status,
-                    "lower_run": lo_info,
-                    "upper_run": up_info,
                     "lower_quality": lo_sol.info.get("comp"),
                     "upper_quality": up_sol.info.get("comp"),
                 },
@@ -667,7 +642,8 @@ def fock_bounds_table(n_values: Sequence[int], m_max: int = 30) -> dict:
     indices report the deepest hierarchy level at or below m_max whose solve
     is optimal or meets TABLE_QUALITY_FLOOR; both hierarchies are monotone
     in the level, so the deepest trustworthy level is the best bound.
-    Returns {n: (lower, upper)}; per-run details in the "detail" entry.
+    Returns {n: (lower, upper)}; the "detail" entry holds, per index and
+    side, (value, level used, kept solution).
     """
     table = {}
     details = {}
@@ -681,14 +657,13 @@ def fock_bounds_table(n_values: Sequence[int], m_max: int = 30) -> dict:
             raise ValueError("level m must be at least the top witness index n")
         row = {}
         for side, solver in (("lower", solve_lower), ("upper", solve_upper)):
-            val, m_used, info_used = math.nan, None, None
+            row[side] = (math.nan, None, None)
             for m in range(m_max, spec.n - 1, -2):
-                v, sol, info = solver(spec, m, tol=TABLE_TOL, precision="auto")
+                v, sol = solver(spec, m, tol=TABLE_TOL)
                 q = sol.info.get("comp", math.inf)
                 if sol.status == "optimal" or q <= TABLE_QUALITY_FLOOR:
-                    val, m_used, info_used = v, m, {**info, "quality": q}
+                    row[side] = (v, m, sol)
                     break
-            row[side] = (val, m_used, info_used)
         table[n] = (row["lower"][0], row["upper"][0])
         details[n] = row
     table["detail"] = details

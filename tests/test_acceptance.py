@@ -61,10 +61,10 @@ def test_criterion_1_fock_bound_table():
         spec = W.WitnessSpec.fock(n)
         val, m_used = math.nan, None
         for m in (30, 26, 22):
-            v, sol, info = W.solve_lower(spec, m, precision="auto")
+            v, sol = W.solve_lower(spec, m)
             if sol.status == "optimal" or sol.info.get("comp", 1) <= 1e-3:
                 val, m_used = v, m
-                print(f"  n={n}: lower {v:.4f} at level {m} ({info['precision']})")
+                print(f"  n={n}: lower {v:.4f} at level {m} ({sol.info['precision']})")
                 break
         if not abs(val - target) <= 0.01:
             failures.append(f"n={n} lower {val:.4f} vs {target}")
@@ -95,8 +95,8 @@ def test_criterion_2_analytic_certificates():
     for n in range(1, 7):
         spec = W.WitnessSpec.fock(n)
         for m in range(n, 13):
-            _, lsol, _ = W.solve_lower(spec, m, precision="auto")
-            _, usol, _ = W.solve_upper(spec, m, precision="auto")
+            _, lsol = W.solve_lower(spec, m)
+            _, usol = W.solve_upper(spec, m)
             for sol in (lsol, usol):
                 gap = abs(sol.primal_value - sol.dual_value)
                 worst = max(worst, gap)
@@ -112,8 +112,8 @@ def test_criterion_2_analytic_certificates():
 
 
 def test_criterion_3_slow_upper_convergence():
-    v1, _, _ = W.solve_upper(W.WitnessSpec.fock(1), 30, precision="auto")
-    v2, _, _ = W.solve_upper(W.WitnessSpec.fock(2), 30, precision="auto")
+    v1, _ = W.solve_upper(W.WitnessSpec.fock(1), 30)
+    v2, _ = W.solve_upper(W.WitnessSpec.fock(2), 30)
     ok = 0.5 <= v1 <= 0.56 and 0.5 <= v2 <= 0.58
     report("3 slow upper convergence", ok, f"n=1: {v1:.4f}, n=2: {v2:.4f}")
     assert ok

@@ -216,14 +216,39 @@ def test_threshold_rejects_jobs(capsys):
     assert code == 1
 
 
-def test_precision_option(capsys):
-    # --precision is the one precision setting; argparse validates it
+@pytest.mark.parametrize(
+    "state,cause",
+    [
+        ("pssvs:r=inf", "squeezing parameter must be finite"),
+        ("pssvs:r=nan", "squeezing parameter must be finite"),
+        ("cat2:alpha=nan", "amplitude must be finite"),
+        ("cat4:alpha=1e200", "Fock cutoff inf exceeds 100000"),
+        ("lossy_fock:n=-1,eta=0.2", "Fock index must be a natural number"),
+    ],
+    ids=["pssvs-inf", "pssvs-nan", "cat2-nan", "cat4-huge", "lossy-negative"],
+)
+def test_bad_state_parameters_name_their_cause(state, cause, capsys):
+    # these raised OverflowError tracebacks or named the wrong cause
+    code = main(["witness", "--state", state, "--n", "2", "--threshold-upper", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {cause}")
+
+
+def test_threshold_takes_no_alpha(capsys):
+    # thresholds are displacement invariant, so threshold has no --alpha
+    code, out = run_cli(capsys, "threshold", "--n", "1", "--m-max", "3", "--alpha", "0.5")
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize(
+    "state", ["cat2:alpha=7", "coherent:alpha=6.5", "cat4:alpha=6.5+0.5j"]
+)
+def test_states_past_factorial_overflow(state, capsys):
+    # cutoffs of 171 and more: n! no longer fits a float
     code, out = run_cli(
-        capsys, "--precision", "double", "threshold", "--n", "1", "--m-max", "3"
+        capsys, "witness", "--state", state, "--n", "2", "--alpha", "0.5",
+        "--threshold-upper", "0.5",
     )
     assert code == 0
-    assert out.splitlines()[0] == "m,lower,upper"
-    code, _ = run_cli(
-        capsys, "--precision", "quad", "threshold", "--n", "1", "--m-max", "3"
-    )
-    assert code == 1
+    assert 0 <= json.loads(out)["expectation"] <= 1

@@ -74,17 +74,20 @@ def test_single_mode_reduction():
     assert sol.status == "optimal" and abs(v - 0.5766504) < 1e-5
 
 
-def test_solvers_honour_precision():
-    spec = MM.MultiWitnessSpec(n=(1, 1))
-    for solver in (MM.solve_lower_multi, MM.solve_upper_multi):
-        v_auto, _ = solver(spec, "triangle", 2)
-        v, sol = solver(spec, "triangle", 2, precision="extended")
-        assert sol.info["precision"] == "extended"  # no double attempt first
-        assert sol.status == "optimal" and abs(v - v_auto) < 1e-6
-        _, sol = solver(spec, "triangle", 2, precision="double")
-        assert sol.info["precision"] == "double"
-        with pytest.raises(ValueError, match="'quad'"):
-            solver(spec, "triangle", 2, precision="quad")
+@pytest.mark.parametrize(
+    "tol,attempts",
+    # double cannot reach 1e-12 on these programs; extended can
+    [(1e-8, ["double"]), (1e-12, ["double", "extended"])],
+    ids=["double", "retry"],
+)
+@pytest.mark.parametrize("solver", [MM.solve_lower_multi, MM.solve_upper_multi])
+def test_policy_retries_only_a_failed_double_solve(solver, tol, attempts, solve_calls):
+    # one double solve when it ends optimal; otherwise one extended retry,
+    # which is the solution kept
+    _, sol = solver(MM.MultiWitnessSpec(n=(1, 1)), "triangle", 2, tol=tol)
+    assert [s.info["precision"] for s in solve_calls] == attempts
+    assert sol is solve_calls[-1] and sol.status == "optimal"
+    assert all(s.status != "optimal" for s in solve_calls[:-1])
 
 
 def _box_residuals(Q, F, levels):
@@ -282,7 +285,9 @@ def test_upper_rejects_levels_below_the_target():
 
 def test_rectangle_ten_upper_converges_in_double():
     spec = MM.MultiWitnessSpec(n=(1, 1))
-    v, sol = MM.solve_upper_multi(spec, "rectangle", 10, precision="double")
+    prob = MM.build_upper_multi_compact(spec, "rectangle", 10)
+    sol = conic.solve(prob, precision="double")
+    v = -sol.primal_value
     assert sol.status == "optimal"
     assert 0.315 <= v <= 0.33
 

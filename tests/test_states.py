@@ -62,6 +62,54 @@ def test_crossing_windows():
     assert abs(r - 0.70) <= 0.02
 
 
+def test_coherent_past_factorial_overflow():
+    # the default cutoff at |alpha| = 7 is 206, past the 170 at which n!
+    # overflows a float; the Fock weights are Poisson's
+    st = S.coherent(7.0)
+    assert st.cutoff == 206
+    assert sum(abs(a) ** 2 for a in st.amplitudes) == pytest.approx(1, abs=1e-12)
+    poisson = math.exp(-49) * (49**49 / math.factorial(49))
+    assert S.fidelity_with_fock(st, 49) == pytest.approx(poisson, rel=1e-12)
+    # displaced: D(alpha)^dag |alpha> is the vacuum
+    assert S.fidelity_with_fock(st, 0, 7.0) == pytest.approx(1, abs=1e-9)
+    for st in (S.cat2(7.0), S.cat4(6.5j)):
+        assert sum(abs(a) ** 2 for a in st.amplitudes) == pytest.approx(1, abs=1e-12)
+
+
+def test_displacement_element_at_high_indices():
+    # at a = 13 row 2 of D(a) carries its weight around l = |a|^2 = 169,
+    # past the 170 at which l! overflows a float; it has unit norm, and
+    # <2|D|l> = sqrt(2/l!) (-a)^(l-2) exp(-a^2/2) L_2^(l-2)(a^2)
+    from scipy.special import eval_genlaguerre
+
+    a = 13.0
+    row = [S.displacement_element(2, l, a) for l in range(401)]
+    assert sum(abs(v) ** 2 for v in row) == pytest.approx(1, abs=1e-9)
+    for l in (171, 200, 250):
+        mag = math.exp(
+            0.5 * (math.log(2) - math.lgamma(l + 1)) + (l - 2) * math.log(a) - a * a / 2
+        )
+        ref = (-1) ** l * mag * eval_genlaguerre(2, l - 2, a * a)
+        assert row[l] == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "build,arg",
+    [
+        (S.coherent, math.inf),
+        (S.coherent, complex(0, math.nan)),
+        (S.cat2, 1e200),
+        (S.cat4, 1e200j),
+        (S.pssvs, math.inf),
+        (S.pssvs, math.nan),
+        (S.pssvs, 1e300),
+    ],
+)
+def test_states_reject_nonfinite_or_huge_parameters(build, arg):
+    with pytest.raises(ValueError):
+        build(arg)
+
+
 def test_lossy_fock_convention():
     st = S.lossy_fock(3, 0.0)
     assert st.F.F == (0.0, 0.0, 0.0, 1.0)
@@ -72,6 +120,8 @@ def test_lossy_fock_convention():
     assert st.F.F[3] == pytest.approx(0.75**3)
     with pytest.raises(ValueError):
         S.lossy_fock(3, 1.5)
+    with pytest.raises(ValueError, match="natural number"):
+        S.lossy_fock(-1, 0.2)
 
 
 def test_wigner_radial_values():

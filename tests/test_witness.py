@@ -79,11 +79,27 @@ def test_build_rejects_small_level():
         W.build_upper_compact(W.WitnessSpec.fock(3), 2)
 
 
-def test_solvers_reject_unknown_precision():
-    spec = W.WitnessSpec.fock(1)
-    for solver in (W.solve_lower, W.solve_upper):
-        with pytest.raises(ValueError, match="'quad'"):
-            solver(spec, 3, precision="quad")
+@pytest.mark.parametrize(
+    "solver,n,m,tol,attempts",
+    [
+        (W.solve_lower, 3, 5, 1e-8, ["double"]),
+        (W.solve_upper, 3, 5, 1e-8, ["double"]),
+        # double cannot reach 1e-12 here; extended can
+        (W.solve_lower, 3, 5, 1e-12, ["double", "extended"]),
+        (W.solve_upper, 3, 5, 1e-12, ["double", "extended"]),
+        # upper fock(7): double first stalls at m = 16 at the default tol
+        (W.solve_upper, 7, 16, 1e-8, ["double", "extended"]),
+    ],
+    ids=["lower-double", "upper-double", "lower-retry", "upper-retry", "upper-fock7-m16"],
+)
+def test_policy_retries_only_a_failed_double_solve(solver, n, m, tol, attempts, solve_calls):
+    # one double solve when it ends optimal; otherwise one extended retry,
+    # which is the solution kept
+    value, sol = solver(W.WitnessSpec.fock(n), m, tol=tol)
+    assert [s.info["precision"] for s in solve_calls] == attempts
+    assert sol is solve_calls[-1] and sol.status == "optimal"
+    assert all(s.status != "optimal" for s in solve_calls[:-1])
+    assert abs(value) == abs(sol.primal_value)
 
 
 def test_lower_dual_active_constraint_at_base_level():
@@ -114,7 +130,7 @@ def test_upper_within_certified_interval(a, levels):
     spec = W.WitnessSpec(a=a)
     for m in levels:
         lo, hi = W.certified_upper_interval(spec, m)
-        value, _, _ = W.solve_upper(spec, m)
+        value, _ = W.solve_upper(spec, m)
         assert lo is not None and hi is not None, m
         assert lo - 1e-8 <= value <= hi + 1e-8, (m, lo, value, hi)
         assert hi - lo <= 1e-8, m
@@ -132,7 +148,7 @@ def test_lower_within_certified_interval(a, levels):
     spec = W.WitnessSpec(a=a)
     for m in levels:
         lo, hi = W.certified_lower_interval(spec, m)
-        value, _, _ = W.solve_lower(spec, m)
+        value, _ = W.solve_lower(spec, m)
         assert lo is not None and hi is not None, m
         assert lo - 1e-8 <= value <= hi + 1e-8, (m, lo, value, hi)
         assert hi - lo <= 1e-7, m
@@ -288,13 +304,15 @@ def test_threshold_bounds_sweep_mechanics():
     assert up <= ups[0]
 
 
-def test_threshold_detail_is_json_safe():
-    # an extended sweep: its residuals are computed in longdouble
-    rows = W.threshold_bounds(W.WitnessSpec.fock(4), m_max=12, precision="extended")
-    assert rows[-1].level == 12
+def test_threshold_detail_is_json_safe(solve_calls):
+    # the last upper solve of this sweep is retried in extended, so its
+    # residuals are computed in longdouble
+    rows = W.threshold_bounds(W.WitnessSpec.fock(9), m_max=15)
+    assert rows[-1].level == 15
+    assert [s.info["precision"] for s in solve_calls[-2:]] == ["double", "extended"]
     detail = rows[-1].detail
-    assert detail["lower_run"]["precision"] == "extended"
-    assert json.loads(json.dumps(detail))["lower_quality"] == detail["lower_quality"]
+    assert detail["upper_status"] == "optimal"
+    assert json.loads(json.dumps(detail)) == detail
     assert type(detail["lower_quality"]) is float
     assert type(detail["upper_quality"]) is float
 
@@ -302,7 +320,7 @@ def test_threshold_detail_is_json_safe():
 def test_weighted_witness_below_announced_cap():
     # combined |1><1| + |2><2| witness at level 7 sits below 0.875
     spec = W.WitnessSpec(a=(1.0, 1.0))
-    v, sol, _ = W.solve_upper(spec, 7)
+    v, sol = W.solve_upper(spec, 7)
     assert sol.status == "optimal"
     assert v < 0.875
 
@@ -321,14 +339,15 @@ def test_fock_table_analytic_rows():
 def test_hierarchy_gap_below_cap_midrange():
     # gap between the two hierarchies stays under 0.1 (spot check)
     spec = W.WitnessSpec.fock(7)
-    lo, lsol, _ = W.solve_lower(spec, 24, precision="auto")
-    up, usol, uinfo = W.solve_upper(spec, 24, precision="auto")
+    lo, lsol = W.solve_lower(spec, 24)
+    up, usol = W.solve_upper(spec, 24)
     assert lsol.info.get("comp", 1) < 1e-4 and usol.info.get("comp", 1) < 1e-3
     assert up - lo <= 0.1
-    # the upper double solve fails, so "auto" retries in extended and keeps
-    # the optimal retry
-    assert W.solve_upper(spec, 24, precision="double")[1].status != "optimal"
-    assert usol.status == "optimal" and uinfo["precision"] == "extended"
+    # the upper double solve fails, so the driver retries in extended and
+    # keeps the optimal retry
+    dbl = conic.solve(W.build_upper_compact(spec, 24), precision="double")
+    assert dbl.status != "optimal"
+    assert usol.status == "optimal" and usol.info["precision"] == "extended"
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -338,7 +357,7 @@ def test_level30_upper_row_certified(n):
     spec = W.WitnessSpec.fock(n)
     lo, hi = W.certified_upper_interval(spec, 30)
     assert lo is not None and hi is not None
-    value, _, _ = W.solve_upper(spec, 30)
+    value, _ = W.solve_upper(spec, 30)
     assert lo <= value <= hi
     if n == 6:
         assert 0.3809 <= lo and hi <= 0.3810
