@@ -4,8 +4,17 @@ The noncontextual fraction is the optimum of a linear program over
 subdistributions on global assignments; its dual, after the standard
 change of variables, is a generalised Bell form with bound zero whose
 normalised violation equals the contextual fraction.  Everything here is
-finite and dense; global assignments are enumerated lazily with a hard
-cap.
+finite and dense: `incidence` builds the full 0/1 matrix over every global
+assignment, up to a hard cap on their number.
+
+The LP runs on the positive sections only (Abramsky, Barbosa & Mansfield,
+PRL 119, 050504, 2017).  A global assignment through a section of
+probability 0 must carry weight 0, so its column is dropped with the
+section's row.  Setting the dual to 1 on every dropped row covers each
+dropped column (M^T y >= 1) and adds v . y = 0, so the reduced LP's duals
+extend to an optimal dual of the full LP.  Any optimal dual gives the Bell
+form the same guarantee: when the contextual fraction is positive, the form
+has unit norm and its normalised violation equals the fraction.
 """
 
 from __future__ import annotations
@@ -177,27 +186,35 @@ def _noncontextual_lp(model: EmpiricalModel):
     """Solve the noncontextual-fraction LP once: (ncf, subdistribution b,
     dual-optimal Bell form).
 
-    The Bell form comes from the duals y >= 0 by the standard shift
-    a = 1/|contexts| - y, so that M^T a <= 0 columnwise and its normalised
-    violation equals the contextual fraction.
+    The LP runs on the positive sections only, as the module docstring
+    explains; b is 0 on the dropped global assignments.  The Bell form is
+    a = 1/|contexts| - y for the duals y >= 0, with y = 1 on the dropped
+    sections, so M^T a <= 0 columnwise.
     """
-    M = incidence(model.scenario).astype(float)
+    M = incidence(model.scenario)
     v = model.vector()
-    ncols = M.shape[1]
-    res = linprog(
-        c=-np.ones(ncols),
-        A_ub=M,
-        b_ub=v,
-        bounds=[(0, None)] * ncols,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"noncontextual-fraction LP failed: {res.message}")
-    value = min(max(float(-res.fun), 0.0), 1.0) + 0.0  # normalise -0.0
-    y = -np.array(res.ineqlin.marginals)  # optimal duals, >= 0
+    live = v != 0
+    cols = ~M[~live].any(axis=0)
+    b = np.zeros(M.shape[1])
+    y = np.ones(len(v))
+    y[live] = 0.0
+    value = 0.0
+    if cols.any():
+        res = linprog(
+            c=-np.ones(int(cols.sum())),
+            A_ub=M[np.ix_(live, cols)].astype(float),
+            b_ub=v[live],
+            bounds=(0, None),
+            method="highs",
+        )
+        if not res.success:
+            raise RuntimeError(f"noncontextual-fraction LP failed: {res.message}")
+        value = min(max(float(-res.fun), 0.0), 1.0) + 0.0  # normalise -0.0
+        b[cols] = np.maximum(res.x, 0.0)
+        y[live] = -np.array(res.ineqlin.marginals)  # optimal duals, >= 0
     a = np.full(len(v), 1.0 / len(model.scenario.contexts)) - y
     form = BellForm(scenario=model.scenario, coefficients=a, bound=0.0)
-    return value, np.maximum(res.x, 0.0), form
+    return value, b, form
 
 
 def ncf(model: EmpiricalModel):

@@ -20,6 +20,7 @@ from .witness import FockDiagonal, WitnessSpec
 
 NORM_TOL = 1e-9
 MAX_CUTOFF = 100_000  # largest default Fock cutoff of a named state
+LOG_1E150 = 150 * math.log(10)
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,12 @@ def _cutoff(size: float) -> int:
 
 
 def displacement_element(k: int, l: int, alpha: complex) -> complex:
-    """<k|D(alpha)|l> from the closed Laguerre-type sum.
+    """<k|D(alpha)|l>, the closed form sqrt(n!/(n+d)!) z^d e^(-x/2) L_n^(d)(x).
 
-    Each term's magnitude is formed in log space, with the factor
-    exp(-|alpha|^2/2) inside it: k! overflows a float from k = 171.
+    Here x = |alpha|^2, n = min(k, l) and d = |k - l|, with z = alpha when
+    k >= l and -conj(alpha) otherwise.  The Laguerre factor comes from its three-term
+    recurrence, rescaled by 1e-150 whenever it grows past 1e150; the rest is
+    formed in log space, with the scale, as k! overflows a float from k = 171.
     """
     if k < 0 or l < 0:
         raise ValueError("Fock indices must be natural numbers")
@@ -84,14 +87,18 @@ def displacement_element(k: int, l: int, alpha: complex) -> complex:
     if a == 0:
         return 1.0 + 0j if k == l else 0j
     r = abs(a)
-    u, log_r = a / r, math.log(r)
-    head = 0.5 * (math.lgamma(k + 1) + math.lgamma(l + 1)) - 0.5 * r * r
-    total = 0j
-    for p in range(min(k, l) + 1):
-        rest = math.lgamma(p + 1) + math.lgamma(k - p + 1) + math.lgamma(l - p + 1)
-        mag = math.exp(head - rest + (k + l - 2 * p) * log_r)
-        total += (-1) ** (l - p) * u ** (k - p) * u.conjugate() ** (l - p) * mag
-    return total
+    x = r * r
+    if x > 1e150:  # exp(-x/2) outweighs every power of x an index can reach
+        return 0j
+    n, d = min(k, l), abs(k - l)
+    z = a if k >= l else -a.conjugate()
+    prev, lag, log_scale = 0.0, 1.0, 0.0
+    for j in range(n):
+        prev, lag = lag, ((2 * j + 1 + d - x) * lag - (j + d) * prev) / (j + 1)
+        if abs(lag) > 1e150:
+            prev, lag, log_scale = prev * 1e-150, lag * 1e-150, log_scale + LOG_1E150
+    log_mag = 0.5 * (math.lgamma(n + 1) - math.lgamma(n + d + 1)) + d * math.log(r)
+    return (z / r) ** d * lag * math.exp(log_mag - 0.5 * x + log_scale)
 
 
 def displacement_matrix(alpha: complex, size: int) -> np.ndarray:
@@ -155,9 +162,9 @@ def pssvs(r: float, cutoff: int | None = None) -> PureStateFock:
         raise ValueError("squeezing parameter must be finite")
     if r == 0:
         raise ValueError("squeezing parameter must be nonzero")
-    N = cutoff if cutoff is not None else _cutoff(max(40, default_cutoff(1) + 20 * abs(r)))
-    amp = np.zeros(N + 1, dtype=complex)
     th, s = math.tanh(r), abs(r)
+    N = cutoff if cutoff is not None else _pssvs_cutoff(s)
+    amp = np.zeros(N + 1, dtype=complex)
     # log of sqrt(cosh r) sinh |r|, the norm of the untruncated state
     log_norm = 1.5 * (s - math.log(2)) + 0.5 * math.log1p(math.exp(-2 * s))
     log_norm += math.log(-math.expm1(-2 * s))
@@ -173,6 +180,20 @@ def pssvs(r: float, cutoff: int | None = None) -> PureStateFock:
         raise ValueError("cutoff too small for this squeezing parameter")
     amp /= math.sqrt(norm)
     return PureStateFock(tuple(amp))
+
+
+def _pssvs_cutoff(s: float) -> int:
+    """Smallest N >= 40 with tanh(s)^N below NORM_TOL / 10.
+
+    The weight of photon number 2k - 1 decays like sqrt(k) tanh(s)^(2k), so
+    the norm discarded past N is about 2 sqrt(log(1/t) / pi) t for
+    t = tanh(s)^N: below NORM_TOL once t is below NORM_TOL / 10.
+    """
+    q = math.exp(-2 * s)
+    decay = -math.log1p(-2 * q / (1 + q))  # -log tanh(s), accurate for large s
+    if decay == 0:  # tanh(s) is 1 in floating point
+        return _cutoff(math.inf)
+    return _cutoff(max(40, math.ceil(math.log(10 / NORM_TOL) / decay)))
 
 
 def cat2(alpha: complex, cutoff: int | None = None) -> PureStateFock:

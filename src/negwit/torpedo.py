@@ -447,12 +447,11 @@ def average_failure(behaviour: dict, game: TorpedoGame) -> float:
 
 def _master_lp(columns: np.ndarray, target: np.ndarray):
     """max 1.b s.t. columns^T b <= target, b >= 0 (returns res)."""
-    ncols = columns.shape[0]
     res = linprog(
-        c=-np.ones(ncols),
+        c=-np.ones(columns.shape[0]),
         A_ub=columns.T,
         b_ub=target,
-        bounds=[(0, None)] * ncols,
+        bounds=(0, None),
         method="highs",
     )
     if not res.success:

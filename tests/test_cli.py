@@ -86,6 +86,14 @@ def test_witness_n_takes_alpha(capsys):
     assert by_n["expectation"] == by_weights["expectation"] == 0.438075440478
 
 
+def test_witness_strongly_squeezed_pssvs(capsys):
+    code, out = run_cli(
+        capsys, "witness", "--state", "pssvs:r=1", "--n", "1", "--threshold-upper", "0.5"
+    )
+    assert code == 0
+    assert json.loads(out)["expectation"] == pytest.approx(1 / math.cosh(1) ** 3, abs=1e-9)
+
+
 def test_threshold_small(capsys):
     code, out = run_cli(capsys, "threshold", "--n", "1", "--m-max", "2")
     assert code == 0

@@ -76,25 +76,73 @@ def test_hardy_model_contextual_not_strongly():
     assert 0.0 < cf < 1.0
 
 
+def _reference_lp(model):
+    """The unreduced LP over every section and every global assignment."""
+    from scipy.optimize import linprog
+
+    M = C.incidence(model.scenario).astype(float)
+    res = linprog(
+        c=-np.ones(M.shape[1]),
+        A_ub=M,
+        b_ub=model.vector(),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.success
+    return -res.fun, -np.array(res.ineqlin.marginals)
+
+
 def test_lp_strong_duality():
     for name in ("chsh", "pr_box", "hardy", "identity_mix"):
         model = C.example_model(name)
         n, _, _ = C.ncf(model)
-        y = None
-        # recompute duals directly: value of dual = value of primal
+        # value of the unreduced dual = value of the primal
+        _, y = _reference_lp(model)
+        assert abs(float(model.vector() @ y) - n) < 1e-8
+
+
+def _reduction_models():
+    rng = np.random.default_rng(19)
+    models = [C.example_model(name) for name in ("chsh", "pr_box", "hardy", "identity_mix")]
+    for labels in (3, 4, 5, 6):
+        for _ in range(4):
+            model = C.random_compatible_model(rng, labels, 3)
+            maps = {
+                x: {o: int(rng.integers(2)) for o in model.scenario.outcomes[x]}
+                for x in model.scenario.labels
+            }
+            models += [model, C.bin_outcomes(model, maps)]
+    return models
+
+
+def test_positive_section_lp_matches_unreduced_lp():
+    dropped_any = False
+    for model in _reduction_models():
         M = C.incidence(model.scenario).astype(float)
         v = model.vector()
-        from scipy.optimize import linprog
+        n, cf, b = C.ncf(model)
+        assert n == pytest.approx(_reference_lp(model)[0], abs=1e-10)
+        dead = M[v == 0].any(axis=0)
+        dropped_any = dropped_any or bool(dead.any())
+        assert np.all(b[dead] == 0)
+        assert np.all(M @ b <= v + 1e-9)
+        form = C.bell_inequality(model)
+        # over every global assignment, the dropped ones included
+        assert float((M.T @ form.coefficients).max()) <= 1e-10
+        if cf > 1e-6:
+            assert form.normalised_violation(model) == pytest.approx(cf, abs=1e-10)
+    assert dropped_any
 
-        res = linprog(
-            c=-np.ones(M.shape[1]),
-            A_ub=M,
-            b_ub=v,
-            bounds=[(0, None)] * M.shape[1],
-            method="highs",
-        )
-        dual = float(v @ (-np.array(res.ineqlin.marginals)))
-        assert abs(dual - n) < 1e-8
+
+def test_pr_box_needs_no_lp(monkeypatch):
+    calls = []
+    monkeypatch.setattr(C, "linprog", lambda *a, **k: calls.append(a))
+    model = C.example_model("pr_box")
+    n, cf, b = C.ncf(model)
+    form = C.bell_inequality(model)
+    assert calls == []
+    assert (n, cf) == (0.0, 1.0) and not b.any()
+    assert form.normalised_violation(model) == 1.0
 
 
 def test_bell_form_properties():

@@ -93,6 +93,29 @@ def test_displacement_element_at_high_indices():
         assert row[l] == pytest.approx(ref, rel=1e-9)
 
 
+def test_displacement_element_matches_laguerre():
+    # <l|D(a)|n> = sqrt(n!/l!) a^(l-n) exp(-a^2/2) L_n^(l-n)(a^2) for l >= n,
+    # and the transpose carries (-1)^(l-n); an alternating sum over the
+    # terms of L loses 6e-9 of <180|D(0.5)|180> and all of <60|D(5)|40>
+    from scipy.special import eval_genlaguerre
+
+    for l, n, a in ((180, 180, 0.5), (250, 250, 0.5), (250, 245, 0.5), (60, 40, 5.0)):
+        d = l - n
+        mag = math.exp(
+            0.5 * (math.lgamma(n + 1) - math.lgamma(l + 1)) + d * math.log(a) - a * a / 2
+        )
+        ref = mag * eval_genlaguerre(n, d, a * a)
+        assert S.displacement_element(l, n, a) == pytest.approx(ref, rel=1e-12)
+        assert S.displacement_element(n, l, a) == pytest.approx((-1) ** d * ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.84, 1.0, 1.5])
+def test_pssvs_default_cutoff_past_r_084(r):
+    # the default cutoff follows the tanh(r)^(2k) decay of the weights
+    st = S.pssvs(r)
+    assert S.fidelity_with_fock(st, 1) == pytest.approx(S.pssvs_fidelity(r), abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "build,arg",
     [
