@@ -15,6 +15,11 @@ dropped column (M^T y >= 1) and adds v . y = 0, so the reduced LP's duals
 extend to an optimal dual of the full LP.  Any optimal dual gives the Bell
 form the same guarantee: when the contextual fraction is positive, the form
 has unit norm and its normalised violation equals the fraction.
+
+The LP calls ``linprog`` from ``numerics``, which imports SciPy's LP solver
+on its first call, so importing this module does not load it.
+``_noncontextual_lp`` looks ``linprog`` up by its global name here, so a
+tracer or a test can patch ``contextuality.linprog``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+
+from .numerics import linprog
 
 GLOBAL_CAP = 10**6
 COMPAT_TOL = 1e-9

@@ -7,6 +7,14 @@ recurrences.  The four binomial identity families behind the analytic
 sum-of-squares certificates are evaluated verbatim in exact arithmetic:
 we verify the identities' two sides, we do not re-derive the recurrences
 that prove them.
+
+Two SciPy modules load on first use, inside the functions that call them:
+``scipy.special`` in ``gauss_laguerre`` and ``scipy.optimize`` in
+``linprog``, the LP solver wrapper.  A process that never integrates or
+solves an LP so loads neither, and the SDP commands start with numpy and
+``scipy.linalg`` alone.  ``contextuality`` and ``torpedo`` bind ``linprog``
+as a module attribute and call it by its global name, so that a tracer or
+a test can patch it there.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 QUADRATURE_NODES = 200  # default Gauss-Laguerre rule for orthonormality checks
 
@@ -63,8 +70,17 @@ def laguerre_fn(k: int, x: float) -> float:
 
 def gauss_laguerre(nodes: int = QUADRATURE_NODES):
     """Nodes and weights for integrating f(x) e^{-x} on [0, inf)."""
+    from scipy.special import roots_laguerre
+
     x, w = roots_laguerre(nodes)
     return x, w
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported at its first call (a dict lookup after)."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def laguerre_overlap(p: int, q: int, nodes: int = QUADRATURE_NODES) -> float:

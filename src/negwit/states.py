@@ -98,7 +98,23 @@ def displacement_element(k: int, l: int, alpha: complex) -> complex:
         if abs(lag) > 1e150:
             prev, lag, log_scale = prev * 1e-150, lag * 1e-150, log_scale + LOG_1E150
     log_mag = 0.5 * (math.lgamma(n + 1) - math.lgamma(n + d + 1)) + d * math.log(r)
-    return (z / r) ** d * lag * math.exp(log_mag - 0.5 * x + log_scale)
+    return _unit_power(z / r, d) * lag * math.exp(log_mag - 0.5 * x + log_scale)
+
+
+def _unit_power(u: complex, d: int) -> complex:
+    """u**d by binary exponentiation, the loop CPython runs for d <= 100.
+
+    Past 100 CPython's complex power goes through the polar form, which
+    leaves an imaginary part of ~1e-14 on a real or imaginary u; the
+    products here keep such a u on its axis, exactly.
+    """
+    out = 1 + 0j
+    while d:
+        if d & 1:
+            out *= u
+        d >>= 1
+        u *= u
+    return out
 
 
 def displacement_matrix(alpha: complex, size: int) -> np.ndarray:

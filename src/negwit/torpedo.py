@@ -9,6 +9,11 @@ classical values; quantum strategies are evaluated by the Born rule against
 the MUB measurements; the bounded-memory noncontextual fraction is a linear
 program over deterministic strategy columns, generated lazily by the same
 kernel with the LP duals as weights.
+
+The master LP calls ``linprog`` from ``numerics``, which imports SciPy's LP
+solver on its first call, so the classical and quantum values never load
+it.  ``_master_lp`` looks ``linprog`` up by its global name here, so a
+tracer or a test can patch ``torpedo.linprog``.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
+from .numerics import linprog
 from .qudit import PAULI_X, PAULI_Y, PAULI_Z, displacement_dv, displacement_q2
 from .qudit import mub_projectors, phase_point
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -260,3 +263,24 @@ def test_states_past_factorial_overflow(state, capsys):
     )
     assert code == 0
     assert 0 <= json.loads(out)["expectation"] <= 1
+
+
+def test_sdp_commands_load_no_lp_solver():
+    # scipy.optimize and scipy.special load on first use, so a threshold
+    # sweep imports neither; the first LP and the first quadrature rule do
+    code = (
+        "import os, sys\n"
+        "from negwit import cli, contextuality, multimode, numerics\n"
+        "cli.main(['threshold', '--n', '2', '--m-max', '4', '--out', os.devnull])\n"
+        "lazy = ('scipy.optimize', 'scipy.special')\n"
+        "print([m in sys.modules for m in lazy])\n"
+        "contextuality.ncf(contextuality.example_model('chsh'))\n"
+        "numerics.gauss_laguerre(20)\n"
+        "print([m in sys.modules for m in lazy])\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(conic.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split("\n")[:2] == ["[False, False]", "[True, True]"]

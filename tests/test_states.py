@@ -93,6 +93,15 @@ def test_displacement_element_at_high_indices():
         assert row[l] == pytest.approx(ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("k, l, a", [(2, 250, 13.0), (2, 250, 13j), (3, 250, 13.0)])
+def test_displacement_element_on_an_axis_stays_real(k, l, a):
+    # z^d for |k - l| > 100 by products, not CPython's polar form, which
+    # left an imaginary part of ~1e-16 on these real elements
+    value = S.displacement_element(k, l, a)
+    assert value.imag == 0.0
+    assert abs(value.real) > 1e-4
+
+
 def test_displacement_element_matches_laguerre():
     # <l|D(a)|n> = sqrt(n!/l!) a^(l-n) exp(-a^2/2) L_n^(l-n)(a^2) for l >= n,
     # and the transpose carries (-1)^(l-n); an alternating sum over the

@@ -155,6 +155,27 @@ def test_bounded_memory_ncf_perfect_quantum_zero():
     assert T.bounded_memory_ncf(beh, 3) == pytest.approx(0.0, abs=1e-8)
 
 
+def test_master_lp_calls_through_module_linprog(monkeypatch):
+    # _master_lp looks linprog up by its global name, so patching
+    # torpedo.linprog sees every master LP of the column generation
+    beh = T.behaviour_of_classical(T.explicit_noncontextual_model())
+    masters, calls = [], []
+    master_lp, linprog = T._master_lp, T.linprog
+
+    def counted_master_lp(*args):
+        masters.append(args)
+        return master_lp(*args)
+
+    def recorded_linprog(*args, **kwargs):
+        calls.append(kwargs)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(T, "_master_lp", counted_master_lp)
+    monkeypatch.setattr(T, "linprog", recorded_linprog)
+    assert T.bounded_memory_ncf(beh, 3) == pytest.approx(1.0, abs=1e-8)
+    assert masters and len(calls) == len(masters)
+
+
 def all_deterministic_columns(d: int, game):
     """Every composite deterministic bounded-memory behaviour (small d)."""
     cells = [(x, z) for x in range(d) for z in range(d)]
