@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""List the definitions in src/negwit that the product cannot reach.
+
+A function or method stays in the package only if the product reaches it or
+README names it as library API.  The product is the CLI, `scripts/`,
+`perfbench/` and the acceptance suite, so the starting points are:
+
+- `src/negwit/cli.py`, every file in `scripts/` and `perfbench/`, and
+  `tests/test_acceptance.py`;
+- the top-level code of each package module (constants, dispatch tables,
+  class bodies) and every dunder method, which Python calls implicitly;
+- every identifier inside a README backtick span.
+
+From there the closure is static and by name: a definition is reached when
+its bare name is referenced by reached code, as a name, an attribute or a
+string constant (`perfbench/tracing.py` patches functions by name).  An
+import only binds a name, so it is no reference of its own.  Matching bare
+names over-approximates, never under: a definition listed here has no
+reference at all from the reached code.
+
+    python3 scripts/reach.py
+
+prints one `file:line name (lines)` line per unreached definition, methods
+as `Class.name`, and exits 1 when it prints any; it prints nothing and
+exits 0 when every definition is reached.  It reads the sources only and
+imports nothing from the package.
+"""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "negwit"
+
+
+def _names(node) -> set:
+    """Every bare name ``node`` refers to."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if n.value.isidentifier():
+                out.add(n.value)
+    return out
+
+
+def _readme_names(text: str) -> set:
+    """The identifiers inside README's backtick spans, fenced blocks aside."""
+    text = re.sub(r"^```.*$", "", text, flags=re.M)
+    spans = re.findall(r"`([^`]+)`", text)
+    return {w for s in spans for w in re.findall(r"[A-Za-z_]\w*", s)}
+
+
+def _definitions(path: Path):
+    """(qualified name, def node) for every top-level function and method of
+    the module at ``path``, and the module's code outside them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs, rest = [], []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.append((stmt.name, stmt))
+        elif isinstance(stmt, ast.ClassDef):
+            rest.extend([*stmt.decorator_list, *stmt.bases, *stmt.keywords])
+            for item in stmt.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs.append((f"{stmt.name}.{item.name}", item))
+                else:
+                    rest.append(item)
+        else:
+            rest.append(stmt)
+    return defs, rest
+
+
+def unreached() -> list:
+    """(file, line, qualified name, line count) of each unreached definition."""
+    roots = [ROOT / "tests" / "test_acceptance.py"]
+    roots += sorted((ROOT / "scripts").glob("*.py"))
+    roots += sorted((ROOT / "perfbench").glob("*.py"))
+    reached = _readme_names((ROOT / "README.md").read_text())
+    for path in roots:
+        if path.resolve() != Path(__file__).resolve():
+            reached |= _names(ast.parse(path.read_text(), filename=str(path)))
+
+    by_name = {}
+    candidates = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        defs, rest = _definitions(path)
+        for node in rest:
+            reached |= _names(node)
+        for qualname, node in defs:
+            name = node.name
+            # the CLI is a root, and Python calls dunder methods itself
+            if path.name == "cli.py" or (name.startswith("__") and name.endswith("__")):
+                reached |= _names(node)
+            else:
+                by_name.setdefault(name, []).append(node)
+                candidates.append((path, qualname, node))
+
+    todo = list(reached)
+    while todo:
+        for node in by_name.pop(todo.pop(), ()):
+            new = _names(node) - reached
+            reached |= new
+            todo.extend(new)
+
+    return [
+        (path.relative_to(ROOT), node.lineno, name, node.end_lineno - node.lineno + 1)
+        for path, name, node in candidates
+        if node.name not in reached
+    ]
+
+
+def main() -> int:
+    rows = unreached()
+    for path, line, name, lines in rows:
+        print(f"{path}:{line} {name} ({lines})")
+    return 1 if rows else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,7 @@
 """Numerical certification of nonclassicality at desk scale.
 
 Subpackages cover exact combinatorial kernels, a dense interior-point
-conic solver with SDPA interop, Fock-fidelity negativity-witness
+conic solver with SDPA export, Fock-fidelity negativity-witness
 hierarchies (single and multimode), continuous-variable example states,
 the contextual-fraction linear programs, discrete phase-space operators,
 and the Torpedo information-retrieval game.

@@ -1,4 +1,4 @@
-"""Standard-form SDP/LP modeling, a dense interior-point solver, SDPA interop.
+"""Standard-form SDP/LP modeling, a dense interior-point solver, SDPA export.
 
 Problems are stored in the standard conic pair
 
@@ -627,33 +627,6 @@ def solve(
         info={"precision": precision, "tol": tol, **diag, "stop_reason": stop_reason},
     )
 
-def verify_strong_duality(solution: SdpSolution, tol: float) -> bool:
-    """True iff the reported primal and dual values agree within tol."""
-    if solution.status != "optimal":
-        raise ValueError("strong duality check requires an optimal solution")
-    return abs(solution.primal_value - solution.dual_value) <= tol
-
-
-def kkt_residuals(problem: SdpProblem, solution: SdpSolution) -> dict:
-    """Primal feasibility, dual feasibility and complementarity residuals."""
-    data = _BlockData(problem, np.float64)
-    Xb = solution.X
-    rp = float(np.max(np.abs(data.b - data.apply_A(Xb)))) if len(data.b) else 0.0
-    Sb = [a - c for a, c in zip(data.apply_At(solution.y), data.C)]
-
-    def lowest(a):  # smallest eigenvalue; a diagonal block's smallest entry
-        return float(np.min(sla.eigvalsh(a) if a.ndim == 2 else a))
-
-    dual_min = min(0.0, *(lowest(s) for s in Sb))
-    x_min = min(0.0, *(lowest(x) for x in Xb))
-    comp = abs(_blk_inner(Xb, Sb)) / (1.0 + abs(solution.primal_value))
-    return {
-        "primal": rp,
-        "dual_psd_violation": -dual_min,
-        "x_psd_violation": -x_min,
-        "complementarity": comp,
-    }
-
 
 # ---------------------------------------------------------------------------
 # SDPA sparse format (.dat-s)
@@ -680,49 +653,3 @@ def export_sdpa(problem: SdpProblem) -> str:
             for i, j in zip(*np.nonzero(np.triu(a))):
                 lines.append(f"{matno} {bi} {i + 1} {j + 1} {_fmt(a[i, j])}")
     return "\n".join(lines) + "\n"
-
-
-def parse_sdpa(text: str) -> SdpProblem:
-    """Parse the SDPA sparse format produced by :func:`export_sdpa`."""
-    sense = "max"
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("*") or line.startswith('"'):
-            if line.upper().startswith("*SENSE:"):
-                sense = line.split(":", 1)[1].strip().lower()
-            continue
-        for ch in ",(){}":
-            line = line.replace(ch, " ")
-        rows.append(line.split())
-    if len(rows) < 4:
-        raise ValueError("truncated SDPA input")
-    m = int(rows[0][0])
-    nblocks = int(rows[1][0])
-    blocks = tuple(int(v) for v in rows[2][:nblocks])
-    rhs = [float(v) for v in rows[3][:m]]
-
-    # one (m + 1)-stack per block; entry 0 is the objective
-    stacks = [
-        np.zeros((m + 1, b, b)) if b > 0 else np.zeros((m + 1, -b)) for b in blocks
-    ]
-    for entry in rows[4:]:
-        matno, blk, i, j = (int(entry[0]), int(entry[1]), int(entry[2]), int(entry[3]))
-        val = float(entry[4])
-        tgt = stacks[blk - 1][matno]
-        if blocks[blk - 1] > 0:
-            tgt[i - 1, j - 1] = val
-            tgt[j - 1, i - 1] = val
-        else:
-            if i != j:
-                raise ValueError("off-diagonal entry in diagonal block")
-            tgt[i - 1] = val
-    return SdpProblem(
-        blocks=blocks,
-        C=tuple(s[0] for s in stacks),
-        A=tuple(s[1:] for s in stacks),
-        b=rhs,
-        sense=sense,
-    )

@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from . import conic
-from .numerics import mi_norm
 from .witness import (
     _compact_lower,
     _compact_upper,
@@ -33,11 +32,13 @@ INDEX_CAP = 10_000
 
 @dataclass(frozen=True)
 class MultiWitnessSpec:
-    """Weighted multimode displaced-Fock witness; weights indexed 1 <= k <= n."""
+    """Weighted multimode Fock-projector witness; weights indexed 1 <= k <= n.
+
+    It carries no displacement: thresholds are displacement invariant.
+    """
 
     n: tuple
     a: dict = None  # multi-index -> weight; default one-hot at n
-    alpha: tuple = None
 
     def __post_init__(self):
         n = tuple(int(v) for v in self.n)
@@ -60,9 +61,6 @@ class MultiWitnessSpec:
             raise ValueError("weights must lie in [0,1] with maximum 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", a)
-        object.__setattr__(
-            self, "alpha", tuple(self.alpha) if self.alpha else (0j,) * len(n)
-        )
 
     @property
     def modes(self) -> int:
@@ -98,7 +96,7 @@ def _level_indices(spec: MultiWitnessSpec, mode: str, level: int) -> list:
     if mode == "rectangle":
         if level < max(spec.n):
             raise ValueError("rectangle level must cover max(n)")
-    elif level < mi_norm(spec.n):
+    elif level < sum(spec.n):
         raise ValueError("triangle level must cover |n|")
     return iterate_indices(mode, level, spec.modes)
 

@@ -8,24 +8,18 @@ sum-of-squares certificates are evaluated verbatim in exact arithmetic:
 we verify the identities' two sides, we do not re-derive the recurrences
 that prove them.
 
-Two SciPy modules load on first use, inside the functions that call them:
-``scipy.special`` in ``gauss_laguerre`` and ``scipy.optimize`` in
-``linprog``, the LP solver wrapper.  A process that never integrates or
-solves an LP so loads neither, and the SDP commands start with numpy and
-``scipy.linalg`` alone.  ``contextuality`` and ``torpedo`` bind ``linprog``
-as a module attribute and call it by its global name, so that a tracer or
-a test can patch it there.
+SciPy's LP solver loads on first use: ``linprog`` imports
+``scipy.optimize`` inside its body.  A process that solves no LP never
+loads it, and the SDP commands start with numpy and ``scipy.linalg``
+alone.  ``contextuality`` and ``torpedo`` bind ``linprog`` as a module
+attribute and call it by its global name, so that a tracer or a test can
+patch it there.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
-
-QUADRATURE_NODES = 200  # default Gauss-Laguerre rule for orthonormality checks
 
 
 def binomial(n: int, k: int) -> int:
@@ -52,14 +46,6 @@ def laguerre_poly(k: int, x):
     return cur
 
 
-def laguerre_poly_series(k: int, x):
-    """L_k(x) from the explicit sum; exact when x is int/Fraction."""
-    return sum(
-        Fraction((-1) ** l, math.factorial(l)) * binomial(k, l) * x**l
-        for l in range(k + 1)
-    )
-
-
 def laguerre_fn(k: int, x: float) -> float:
     """Orthonormal Laguerre basis function (-1)^k L_k(x) exp(-x/2) on x >= 0."""
     if x < 0:
@@ -68,58 +54,11 @@ def laguerre_fn(k: int, x: float) -> float:
     return sign * laguerre_poly(k, float(x)) * math.exp(-x / 2.0)
 
 
-def gauss_laguerre(nodes: int = QUADRATURE_NODES):
-    """Nodes and weights for integrating f(x) e^{-x} on [0, inf)."""
-    from scipy.special import roots_laguerre
-
-    x, w = roots_laguerre(nodes)
-    return x, w
-
-
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported at its first call (a dict lookup after)."""
     from scipy.optimize import linprog
 
     return linprog(*args, **kwargs)
-
-
-def laguerre_overlap(p: int, q: int, nodes: int = QUADRATURE_NODES) -> float:
-    """Quadrature value of the inner product of basis functions p and q.
-
-    The weight e^{-x} of the rule absorbs the two e^{-x/2} factors, so the
-    integrand is the plain polynomial product with the sign prefactors.
-    """
-    x, w = gauss_laguerre(nodes)
-    sign = -1.0 if (p + q) % 2 else 1.0
-    return sign * float(np.sum(w * laguerre_poly(p, x) * laguerre_poly(q, x)))
-
-
-def change_of_basis(nu: Sequence, m: int):
-    """Map power moments nu to Laguerre-basis moments mu, degrees 0..m.
-
-    mu_k = sum_{l<=k} nu_l (-1)^{k+l}/l! C(k,l).  Exact on rational input.
-    """
-    if len(nu) < m + 1:
-        raise ValueError("sequence shorter than m+1")
-    nu = [Fraction(v) for v in nu[: m + 1]]
-    return [
-        sum(
-            nu[l] * Fraction((-1) ** (k + l), math.factorial(l)) * binomial(k, l)
-            for l in range(k + 1)
-        )
-        for k in range(m + 1)
-    ]
-
-
-def change_of_basis_inverse(mu: Sequence, m: int):
-    """Inverse map: nu_l = sum_{k<=l} mu_k C(l,k) l!."""
-    if len(mu) < m + 1:
-        raise ValueError("sequence shorter than m+1")
-    mu = [Fraction(v) for v in mu[: m + 1]]
-    return [
-        sum(mu[k] * binomial(l, k) * math.factorial(l) for k in range(l + 1))
-        for l in range(m + 1)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -259,41 +198,3 @@ def zeilberger_identity_check(case: str, s: int, t: int):
         raise ValueError("need 0 <= s <= t")
     lhs, rhs = _ZEIL_DISPATCH[case](s, t)
     return lhs, rhs, lhs == rhs
-
-
-def laguerre_at_two_bounded(k_max: int = 1000) -> bool:
-    """Finite check that |L_k(2)| <= 1 for all k <= k_max.
-
-    Supports the analytic dual solution at index 2; only the finite range
-    is checked (the general statement is conjectural).
-    """
-    prev, cur = 1.0, -1.0  # L_0(2), L_1(2)
-    if abs(prev) > 1 or abs(cur) > 1:
-        return False
-    for j in range(1, k_max):
-        prev, cur = cur, ((2 * j - 1) * cur - j * prev) / (j + 1)
-        if abs(cur) > 1.0 + 1e-12:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Multi-index helpers (tuples of naturals)
-# ---------------------------------------------------------------------------
-
-
-def mi_norm(k: Iterable[int]) -> int:
-    return sum(k)
-
-
-def mi_pi(k: Iterable[int]) -> int:
-    """pi_k = prod (k_i + 1), the box volume below k."""
-    out = 1
-    for v in k:
-        out *= v + 1
-    return out
-
-
-def simplex_size(modes: int, m: int) -> int:
-    """Number of multi-indices k with |k| <= m, i.e. C(modes+m, m)."""
-    return binomial(modes + m, m)

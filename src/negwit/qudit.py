@@ -17,8 +17,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg as sla
 
-ATOL = 1e-12
-
 # the qubit Paulis, read-only; Y = iXZ stands in for the "XZ" direction
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -152,9 +150,3 @@ def mub_projectors(d: int) -> dict:
         basis = _eigenbasis_by_root(gens[q], d)
         out[q] = [np.outer(v, v.conj()) for v in basis]
     return out
-
-
-def stabilizer_basis_state(d: int, k: int) -> np.ndarray:
-    e = np.zeros(d, dtype=complex)
-    e[k % d] = 1.0
-    return np.outer(e, e.conj())

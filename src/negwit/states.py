@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import binomial, gauss_laguerre, laguerre_fn, laguerre_poly
+from .numerics import laguerre_fn
 from .witness import FockDiagonal, WitnessSpec
 
 NORM_TOL = 1e-9
@@ -117,21 +118,6 @@ def _unit_power(u: complex, d: int) -> complex:
     return out
 
 
-def displacement_matrix(alpha: complex, size: int) -> np.ndarray:
-    return np.array(
-        [[displacement_element(k, l, alpha) for l in range(size)] for k in range(size)]
-    )
-
-
-def displace(state: PureStateFock, alpha: complex, pad: int = 0) -> PureStateFock:
-    """Apply D(alpha); pad the cutoff so the result stays normalised."""
-    size = state.cutoff + 1 + pad
-    amp = np.zeros(size, dtype=complex)
-    amp[: state.cutoff + 1] = state.amplitudes
-    out = displacement_matrix(alpha, size) @ amp
-    return PureStateFock(tuple(out / math.sqrt(float(np.vdot(out, out).real))))
-
-
 # ---------------------------------------------------------------------------
 # named example states
 # ---------------------------------------------------------------------------
@@ -225,15 +211,52 @@ def cat4(alpha: complex, cutoff: int | None = None) -> PureStateFock:
 
 
 def lossy_fock(n: int, eta: float) -> MixedDiagonal:
-    """Fock state |n> through loss eta; eta = 0 returns |n> itself."""
+    """Fock state |n> through loss eta; eta = 0 returns |n> itself.
+
+    The weight C(n, k) eta^(n-k) (1-eta)^k of |k> is a float mantissa times
+    an integer power of two, as C(n, k) overflows a float from n = 1030 and
+    the powers underflow long before the weight does.  A weight whose plain
+    product stays normal keeps that product's bits; exp of a natural log
+    would lose |log w| ulps.  At eta = 0 and 1 the state is |n> and |0>
+    exactly.  n is the state's cutoff, so it may not exceed MAX_CUTOFF.
+    """
     if n < 0:
         raise ValueError("Fock index must be a natural number")
+    if n > MAX_CUTOFF:
+        raise ValueError(f"Fock cutoff {n} exceeds {MAX_CUTOFF}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("loss parameter must lie in [0, 1]")
-    F = tuple(
-        binomial(n, k) * eta ** (n - k) * (1.0 - eta) ** k for k in range(n + 1)
-    )
-    return MixedDiagonal(FockDiagonal(F))
+    F = [0.0] * (n + 1)
+    if eta in (0.0, 1.0):
+        F[0 if eta else n] = 1.0
+        return MixedDiagonal(FockDiagonal(tuple(F)))
+    c = 1  # C(n, k), exactly
+    for k in range(n + 1):
+        shift = max(0, c.bit_length() - 1000)
+        lost, e_lost = _frexp_pow(eta, n - k)
+        kept, e_kept = _frexp_pow(1.0 - eta, k)
+        # c / 2^shift is correctly rounded, and is float(c) while c < 2^1000
+        F[k] = math.ldexp(c / (1 << shift) * lost * kept, shift + e_lost + e_kept)
+        c = c * (n - k) // (k + 1)
+    return MixedDiagonal(FockDiagonal(tuple(F)))
+
+
+def _frexp_pow(x: float, j: int):
+    """(m, e) with x^j = m 2^e and 0.5 <= m < 1, for 0 < x < 1.
+
+    While x**j is a normal float this is its frexp.  Past that the mantissa
+    of x is raised in powers of at most 1000, none of which underflows, and
+    the exponents add up as integers.
+    """
+    p = x**j
+    if p >= sys.float_info.min:
+        return math.frexp(p)
+    m, e = math.frexp(x)
+    out, exp = 1.0, e * j
+    for step in [1000] * (j // 1000) + [j % 1000]:
+        out, de = math.frexp(out * m**step)
+        exp += de
+    return out, exp
 
 
 _STATE_BUILDERS = {
@@ -286,20 +309,6 @@ def wigner_radial(state: MixedDiagonal, r: float) -> float:
     )
 
 
-def wigner_radial_norm(state: MixedDiagonal, nodes: int = 200) -> float:
-    """2*pi * int_0^inf W(r) r dr, which is 1 for a unit-trace state.
-
-    Computed by Gauss-Laguerre in the u = 4r^2 variable.
-    """
-    u, w = gauss_laguerre(nodes)
-    total = 0.0
-    for k, f in enumerate(state.F.F):
-        sign = -1.0 if k % 2 else 1.0
-        # int L_k(u) e^{-u/2} du with rule weight e^{-u}
-        total += float(f) * sign * float(np.sum(w * laguerre_poly(k, u) * np.exp(u / 2.0)))
-    return 0.5 * total
-
-
 def fidelity_with_fock(state, k: int, alpha: complex = 0j) -> float:
     """F(D(alpha)^dag rho D(alpha), |k>)."""
     if isinstance(state, PureStateFock):
@@ -328,7 +337,7 @@ def witness_expectation(state, spec: WitnessSpec) -> float:
     The state's cutoff must carry essentially all of its norm after the
     displacement; the constructors guarantee that via the cutoff heuristic.
     """
-    _check_cutoff(state, spec)
+    _check_cutoff(state)
     return sum(
         a * fidelity_with_fock(state, k, spec.alpha)
         for k, a in enumerate(spec.a, start=1)
@@ -336,7 +345,7 @@ def witness_expectation(state, spec: WitnessSpec) -> float:
     )
 
 
-def _check_cutoff(state, spec: WitnessSpec) -> None:
+def _check_cutoff(state) -> None:
     if isinstance(state, PureStateFock):
         norm = sum(abs(a) ** 2 for a in state.amplitudes)
     else:

@@ -387,19 +387,6 @@ def primal_certificate(n: int, m: int):
     return Q, F
 
 
-def analytic_dual(n: int):
-    """The printed closed-form dual data (mu, y) = ((f, ..., f, 1 - f), f),
-    f = F^n_n.
-
-    The feasible dual vector signs the last entry, f - 1, as y >= 1 + mu_n
-    forces; :func:`certify_level_n_value` checks that one.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    f = analytic_value(n)
-    return [f] * n + [1 - f], f
-
-
 def certify_level_n_value(n: int) -> bool:
     """Exact sandwich at level n: the closed-form primal and the dual vector
     (f, ..., f, f - 1) both give the value f = F^n_n."""
@@ -622,13 +609,6 @@ def threshold_bounds(spec: WitnessSpec, m_max: int, tol: float = 1e-8) -> list:
             )
         )
     return rows
-
-
-def final_bounds(rows: Sequence[ThresholdBounds]):
-    """Best finite bounds over a hierarchy sweep."""
-    lows = [r.lower for r in rows if not math.isnan(r.lower)]
-    ups = [r.upper for r in rows if not math.isnan(r.upper)]
-    return (max(lows) if lows else math.nan, min(ups) if ups else math.nan)
 
 
 TABLE_TOL = 1e-8  # solver tolerance of the Fock table

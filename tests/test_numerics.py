@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from negwit import numerics as nm
 
-rationals = st.fractions(
-    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=97
-)
+import oracles
 
 
 def test_binomial_examples():
@@ -35,7 +33,7 @@ def test_laguerre_recurrence_matches_series(k, xq):
     # evaluate the alternating series exactly at a rational point, then
     # compare in floats; the recurrence must agree to 1e-10 relative
     x = Fraction(xq, 4)  # x in [0, 100]
-    exact = nm.laguerre_poly_series(k, x)
+    exact = oracles.laguerre_poly_series(k, x)
     rec = nm.laguerre_poly(k, float(x))
     scale = max(1.0, abs(float(exact)))
     assert abs(rec - float(exact)) <= 1e-10 * scale
@@ -49,25 +47,18 @@ def test_laguerre_fn_examples():
 
 
 def test_laguerre_orthonormality_by_quadrature():
+    # the 200-node Gauss-Laguerre rule's weight e^{-x} absorbs the two
+    # e^{-x/2} factors, so the integrand is the plain polynomial product
+    from scipy.special import roots_laguerre
+
+    x, w = roots_laguerre(200)
     for p in range(21):
         for q in range(p, 21):
-            val = nm.laguerre_overlap(p, q)
+            sign = -1.0 if (p + q) % 2 else 1.0
+            product = nm.laguerre_poly(p, x) * nm.laguerre_poly(q, x)
+            val = sign * float(np.sum(w * product))
             target = 1.0 if p == q else 0.0
             assert abs(val - target) <= 1e-8, (p, q, val)
-
-
-@given(st.lists(rationals, min_size=1, max_size=16))
-@settings(max_examples=80, deadline=None)
-def test_change_of_basis_round_trip(nu):
-    m = len(nu) - 1
-    mu = nm.change_of_basis(nu, m)
-    back = nm.change_of_basis_inverse(mu, m)
-    assert back == [Fraction(v) for v in nu]
-
-
-def test_change_of_basis_delta_sequence():
-    mu = nm.change_of_basis([1] + [0] * 15, 15)
-    assert mu == [Fraction((-1) ** k) for k in range(16)]
 
 
 def test_basis_expansion_of_x_at_two():
@@ -109,10 +100,10 @@ def test_zeilberger_rejects_bad_input():
 
 
 def test_laguerre_at_two_bounded():
-    assert nm.laguerre_at_two_bounded(1000)
-
-
-def test_multi_index_helpers():
-    assert nm.mi_norm((2, 0, 3)) == 5
-    assert nm.mi_pi((2, 0, 3)) == 12
-    assert nm.simplex_size(2, 2) == 6
+    # |L_k(2)| <= 1 for k <= 1000, by the recurrence at x = 2; this finite
+    # range supports the analytic dual solution at index 2 (the general
+    # statement is conjectural)
+    prev, cur = 1.0, -1.0  # L_0(2), L_1(2)
+    for j in range(1, 1000):
+        prev, cur = cur, ((2 * j - 1) * cur - j * prev) / (j + 1)
+        assert abs(cur) <= 1.0 + 1e-12, j + 1

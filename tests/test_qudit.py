@@ -6,6 +6,8 @@ import scipy.linalg as sla
 
 from negwit import qudit as Q
 
+import oracles
+
 ATOL = 1e-12
 
 
@@ -119,7 +121,7 @@ def test_phase_points_resolve_identity():
 
 def test_stabilizer_states_nonnegative():
     for k in range(3):
-        W = Q.dwf(Q.stabilizer_basis_state(3, k), 3)
+        W = Q.dwf(oracles.stabilizer_basis_state(3, k), 3)
         assert W.min() > -1e-14
 
 

