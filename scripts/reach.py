@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""List the definitions in src/negwit that the product cannot reach.
+"""List the definitions in src/negwit that the product cannot reach, and
+the dataclass fields that no reached code reads.
 
 A function or method stays in the package only if the product reaches it or
 README names it as library API.  The product is the CLI, `scripts/`,
@@ -18,12 +19,18 @@ import only binds a name, so it is no reference of its own.  Matching bare
 names over-approximates, never under: a definition listed here has no
 reference at all from the reached code.
 
+A field of a package dataclass is read when reached code names it as an
+attribute it loads (`obj.field`, not `obj.field = ...`) or as an identifier
+string (`getattr`, `__setattr__` and JSON keys go by string).  Passing it
+to the constructor is no read.
+
     python3 scripts/reach.py
 
 prints one `file:line name (lines)` line per unreached definition, methods
-as `Class.name`, and exits 1 when it prints any; it prints nothing and
-exits 0 when every definition is reached.  It reads the sources only and
-imports nothing from the package.
+as `Class.name`, then one `file:line Class.field (field)` line per unread
+field, and exits 1 when it prints any; it prints nothing and exits 0 when
+every definition is reached and every field read.  It reads the sources
+only and imports nothing from the package.
 """
 
 import ast
@@ -42,6 +49,18 @@ def _names(node) -> set:
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if n.value.isidentifier():
+                out.add(n.value)
+    return out
+
+
+def _reads(node) -> set:
+    """Every attribute ``node`` loads, and every identifier string in it."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             out.add(n.attr)
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             if n.value.isidentifier():
@@ -76,50 +95,90 @@ def _definitions(path: Path):
     return defs, rest
 
 
-def unreached() -> list:
-    """(file, line, qualified name, line count) of each unreached definition."""
+def _fields(path: Path):
+    """(line, Class.field) for every field of a dataclass in ``path``."""
+    out = []
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(stmt, ast.ClassDef) and any(
+            "dataclass" in _names(d) for d in stmt.decorator_list
+        ):
+            for item in stmt.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    out.append((item.lineno, f"{stmt.name}.{item.target.id}"))
+    return out
+
+
+def _audit():
+    """(unreached definitions, unread fields), as :func:`main` prints them."""
     roots = [ROOT / "tests" / "test_acceptance.py"]
     roots += sorted((ROOT / "scripts").glob("*.py"))
     roots += sorted((ROOT / "perfbench").glob("*.py"))
     reached = _readme_names((ROOT / "README.md").read_text())
+    reads = set()
+
+    def visit(node):
+        """Mark what ``node`` refers to and reads; return the new names."""
+        new = _names(node) - reached
+        reached.update(new)
+        reads.update(_reads(node))
+        return new
+
     for path in roots:
         if path.resolve() != Path(__file__).resolve():
-            reached |= _names(ast.parse(path.read_text(), filename=str(path)))
+            visit(ast.parse(path.read_text(), filename=str(path)))
 
     by_name = {}
     candidates = []
+    fields = []
     for path in sorted(PACKAGE.glob("*.py")):
         defs, rest = _definitions(path)
         for node in rest:
-            reached |= _names(node)
+            visit(node)
         for qualname, node in defs:
             name = node.name
             # the CLI is a root, and Python calls dunder methods itself
             if path.name == "cli.py" or (name.startswith("__") and name.endswith("__")):
-                reached |= _names(node)
+                visit(node)
             else:
                 by_name.setdefault(name, []).append(node)
                 candidates.append((path, qualname, node))
+        fields += [(path, line, name) for line, name in _fields(path)]
 
     todo = list(reached)
     while todo:
         for node in by_name.pop(todo.pop(), ()):
-            new = _names(node) - reached
-            reached |= new
-            todo.extend(new)
+            todo.extend(visit(node))
 
-    return [
+    definitions = [
         (path.relative_to(ROOT), node.lineno, name, node.end_lineno - node.lineno + 1)
         for path, name, node in candidates
         if node.name not in reached
     ]
+    unread = [
+        (path.relative_to(ROOT), line, name)
+        for path, line, name in fields
+        if name.split(".")[1] not in reads
+    ]
+    return definitions, unread
+
+
+def unreached() -> list:
+    """(file, line, qualified name, line count) of each unreached definition."""
+    return _audit()[0]
+
+
+def unread_fields() -> list:
+    """(file, line, Class.field) of each dataclass field no reached code reads."""
+    return _audit()[1]
 
 
 def main() -> int:
-    rows = unreached()
-    for path, line, name, lines in rows:
+    definitions, fields = _audit()
+    for path, line, name, lines in definitions:
         print(f"{path}:{line} {name} ({lines})")
-    return 1 if rows else 0
+    for path, line, name in fields:
+        print(f"{path}:{line} {name} (field)")
+    return 1 if definitions or fields else 0
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ def main():
     for d in (2, 3):
         game = T.TorpedoGame(d)
         strat = T.canonical_quantum_strategy(d)
-        v = T.quantum_value(strat, game)
         beh = T.behaviour_of_quantum(strat, game)
+        v = T.win_rate(beh, game)
         ncf = T.bounded_memory_ncf(beh, d)
         eps = T.average_failure(beh, game)
         nu = 1.0 - float(T.classical_value(d, d))

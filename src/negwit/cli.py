@@ -96,7 +96,7 @@ def cmd_cf(args) -> int:
         "cf": float(f"{1.0 - n:.12g}"),
         "bell_form": {
             "coefficients": [float(f"{v:.12g}") for v in form.coefficients],
-            "bound": form.bound,
+            "bound": 0.0,
             "norm": float(f"{form.norm():.12g}"),
         },
         "violation": float(f"{form.normalised_violation(model):.12g}"),
@@ -117,7 +117,8 @@ def cmd_torpedo(args) -> int:
         if d_msg != d_in:
             raise ValueError("quantum mode uses message dimension d_in")
         strat = torpedo.canonical_quantum_strategy(d_in)
-        payload["value"] = float(f"{torpedo.quantum_value(strat, game):.12g}")
+        value = torpedo.win_rate(torpedo.behaviour_of_quantum(strat, game), game)
+        payload["value"] = float(f"{value:.12g}")
     elif args.mode == "ncf":
         strat = torpedo.canonical_quantum_strategy(d_in)
         beh = torpedo.behaviour_of_quantum(strat, game)

@@ -26,7 +26,7 @@ every factorisation and solve is one call to a LAPACK or BLAS routine
 through a scipy handle: potrf factors, trtrs and trsm solve, and each PSD
 block's step length is the smallest eigenvalue (syevr) of L^{-1} dX L^{-T},
 which sygst forms in one call.  ``precision="extended"`` runs the whole
-iteration in numpy longdouble with hand-rolled blocked factorisations and
+iteration in numpy longdouble with a column-loop Cholesky factorisation and
 row-loop substitutions, since LAPACK has no longdouble routines; that is
 what rescues the deep hierarchy levels where binary64 stalls.
 """
@@ -46,7 +46,6 @@ Status = Literal["optimal", "primal_infeasible", "dual_infeasible", "numerical_l
 MAX_ITERATIONS = 200
 DEFAULT_TOL = 1e-8
 _STEP_FRACTION = 0.98
-_CHOL_BLOCK = 64  # columns per panel of the longdouble Cholesky
 
 
 def _block_array(size: int, a, lead=()) -> np.ndarray:
@@ -127,14 +126,9 @@ class SdpSolution:
     y: np.ndarray
     primal_value: float
     dual_value: float
-    gap: float
     status: Status
     iterations: int = 0
     info: dict = field(default_factory=dict)
-
-    @property
-    def value(self) -> float:
-        return self.primal_value
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +163,7 @@ def _chol(a: np.ndarray):
             raise np.linalg.LinAlgError("diagonal block not positive")
         return a
     if a.dtype != np.float64:
-        return _chol_blocked(a)
+        return _chol_longdouble(a)
     # a is symmetric, so its Fortran-ordered transpose is a itself, and the
     # upper factor U of a = U^T U, in Fortran order, is the C-ordered lower
     # factor U^T; clean=1 zeroes the strict lower part of U
@@ -185,26 +179,19 @@ def _chol(a: np.ndarray):
     return U.T
 
 
-def _chol_blocked(a: np.ndarray):
+def _chol_longdouble(a: np.ndarray):
+    """Lower Cholesky factor of a longdouble matrix, one column at a time."""
     n = a.shape[0]
     L = np.array(a, copy=True)
-    for j0 in range(0, n, _CHOL_BLOCK):
-        j1 = min(j0 + _CHOL_BLOCK, n)
-        if j0:
-            L[j0:, j0:j1] = L[j0:, j0:j1] - np.dot(L[j0:, :j0], L[j0:j1, :j0].T)
-        for j in range(j0, j1):
-            d = L[j, j] - np.dot(L[j, j0:j], L[j, j0:j])
-            if not _interior(d):
-                raise np.linalg.LinAlgError("matrix is not positive definite")
-            d = np.sqrt(d)
-            L[j, j] = d
-            if j + 1 < n:
-                L[j + 1 :, j] = (
-                    L[j + 1 :, j] - np.dot(L[j + 1 :, j0:j], L[j, j0:j])
-                ) / d
     for j in range(n):
-        L[j, j + 1 :] = 0
-    return L
+        d = L[j, j] - np.dot(L[j, :j], L[j, :j])
+        if not _interior(d):
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        d = np.sqrt(d)
+        L[j, j] = d
+        if j + 1 < n:
+            L[j + 1 :, j] = (L[j + 1 :, j] - np.dot(L[j + 1 :, :j], L[j, :j])) / d
+    return np.tril(L)
 
 
 # float64 LAPACK and BLAS routines, called directly: the scipy.linalg and
@@ -613,7 +600,6 @@ def solve(
     X_out = tuple(np.asarray(x, dtype=np.float64) for x in Xb)
     y_out = np.asarray(y, dtype=np.float64)
     pv, dv = float(pobj), float(dobj)
-    relgap = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
     if problem.sense == "min":
         pv, dv = dv, pv
     return SdpSolution(
@@ -621,7 +607,6 @@ def solve(
         y=y_out,
         primal_value=pv,
         dual_value=dv,
-        gap=relgap,
         status=status,
         iterations=it,
         info={"precision": precision, "tol": tol, **diag, "stop_reason": stop_reason},

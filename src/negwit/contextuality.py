@@ -88,13 +88,14 @@ class EmpiricalModel:
 
     def __post_init__(self):
         tables = {}
+        # each test is written so that a NaN entry fails it
         for c in self.scenario.contexts:
             table = dict(self.tables[tuple(c)])
             total = sum(table.values())
-            if abs(total - 1.0) > COMPAT_TOL:
+            if not abs(total - 1.0) <= COMPAT_TOL:
                 raise ValueError(f"table for context {c} sums to {total}")
-            if any(v < -COMPAT_TOL for v in table.values()):
-                raise ValueError("negative probability")
+            if not all(v >= -COMPAT_TOL for v in table.values()):
+                raise ValueError(f"table for context {c} has a negative or NaN entry")
             tables[tuple(c)] = table
         object.__setattr__(self, "tables", tables)
         _check_compatibility(self.scenario, tables)
@@ -126,17 +127,21 @@ class EmpiricalModel:
 
     @staticmethod
     def from_json(text: str) -> "EmpiricalModel":
+        """The model of a :meth:`to_json` document; ValueError on another shape."""
         raw = json.loads(text)
-        labels = tuple(raw["labels"])
-        scenario = Scenario(
-            labels=labels,
-            contexts=tuple(tuple(c) for c in raw["contexts"]),
-            outcomes={x: tuple(raw["outcomes"][str(x)]) for x in labels},
-        )
-        tables = {}
-        for entry in raw["tables"]:
-            c = tuple(entry["context"])
-            tables[c] = {tuple(s): float(p) for s, p in entry["rows"]}
+        try:
+            labels = tuple(raw["labels"])
+            scenario = Scenario(
+                labels=labels,
+                contexts=tuple(tuple(c) for c in raw["contexts"]),
+                outcomes={x: tuple(raw["outcomes"][str(x)]) for x in labels},
+            )
+            tables = {}
+            for entry in raw["tables"]:
+                c = tuple(entry["context"])
+                tables[c] = {tuple(s): float(p) for s, p in entry["rows"]}
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"model document has the wrong shape: {exc}") from exc
         return EmpiricalModel(scenario, tables)
 
 
@@ -149,7 +154,7 @@ def _check_compatibility(scenario: Scenario, tables) -> None:
             m1 = _marginal(scenario, tables, c1, shared)
             m2 = _marginal(scenario, tables, c2, shared)
             for key in set(m1) | set(m2):
-                if abs(m1.get(key, 0.0) - m2.get(key, 0.0)) > COMPAT_TOL:
+                if not abs(m1.get(key, 0.0) - m2.get(key, 0.0)) <= COMPAT_TOL:
                     raise ValueError(
                         f"incompatible marginals on {shared} between {c1} and {c2}"
                     )
@@ -219,7 +224,7 @@ def _noncontextual_lp(model: EmpiricalModel):
         b[cols] = np.maximum(res.x, 0.0)
         y[live] = -np.array(res.ineqlin.marginals)  # optimal duals, >= 0
     a = np.full(len(v), 1.0 / len(model.scenario.contexts)) - y
-    form = BellForm(scenario=model.scenario, coefficients=a, bound=0.0)
+    form = BellForm(scenario=model.scenario, coefficients=a)
     return value, b, form
 
 
@@ -231,11 +236,10 @@ def ncf(model: EmpiricalModel):
 
 @dataclass(frozen=True)
 class BellForm:
-    """Generalised Bell functional with bound R; a . v <= R classically."""
+    """Generalised Bell functional with bound 0: a . v <= 0 classically."""
 
     scenario: Scenario
     coefficients: np.ndarray
-    bound: float = 0.0
 
     def norm(self) -> float:
         total = 0.0
@@ -250,10 +254,10 @@ class BellForm:
         return float(self.coefficients @ model.vector())
 
     def normalised_violation(self, model: EmpiricalModel) -> float:
-        denom = self.norm() - self.bound
+        denom = self.norm()
         if denom <= NORM_TOL:  # the zero form, up to roundoff
             return 0.0
-        return max(0.0, self.value(model) - self.bound) / denom
+        return max(0.0, self.value(model)) / denom
 
 
 def bell_inequality(model: EmpiricalModel) -> BellForm:

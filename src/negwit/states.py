@@ -20,7 +20,7 @@ from .numerics import laguerre_fn
 from .witness import FockDiagonal, WitnessSpec
 
 NORM_TOL = 1e-9
-MAX_CUTOFF = 100_000  # largest default Fock cutoff of a named state
+MAX_CUTOFF = 100_000  # largest Fock cutoff of a named state
 LOG_1E150 = 150 * math.log(10)
 
 
@@ -41,21 +41,10 @@ class PureStateFock:
     def cutoff(self) -> int:
         return len(self.amplitudes) - 1
 
-    def diagonal(self) -> "MixedDiagonal":
+    def diagonal(self) -> FockDiagonal:
         probs = [abs(a) ** 2 for a in self.amplitudes]
         total = sum(probs)
-        return MixedDiagonal(FockDiagonal(tuple(p / total for p in probs)))
-
-
-@dataclass(frozen=True)
-class MixedDiagonal:
-    """Mixed state diagonal in the Fock basis."""
-
-    F: FockDiagonal
-
-    @property
-    def cutoff(self) -> int:
-        return len(self.F.F) - 1
+        return FockDiagonal(tuple(p / total for p in probs))
 
 
 def default_cutoff(n_max: int, alpha: complex = 0j) -> int:
@@ -145,27 +134,27 @@ def _coherent_sum(a: complex, N: int, step: int) -> PureStateFock:
     return PureStateFock(tuple(amp))
 
 
-def coherent(alpha: complex, cutoff: int | None = None) -> PureStateFock:
+def coherent(alpha: complex) -> PureStateFock:
     a = complex(alpha)
-    return _coherent_sum(a, cutoff if cutoff is not None else default_cutoff(0, a), 1)
+    return _coherent_sum(a, default_cutoff(0, a), 1)
 
 
 def fock(n: int) -> PureStateFock:
-    if n < 0:
-        raise ValueError("Fock index must be a natural number")
+    """|n>, whose cutoff n may not exceed MAX_CUTOFF."""
+    _check_fock_index(n)
     amp = [0j] * (n + 1)
     amp[n] = 1.0 + 0j
     return PureStateFock(tuple(amp))
 
 
-def pssvs(r: float, cutoff: int | None = None) -> PureStateFock:
+def pssvs(r: float) -> PureStateFock:
     """Photon-subtracted squeezed vacuum, a |1>-like state for small r."""
     if not math.isfinite(r):
         raise ValueError("squeezing parameter must be finite")
     if r == 0:
         raise ValueError("squeezing parameter must be nonzero")
     th, s = math.tanh(r), abs(r)
-    N = cutoff if cutoff is not None else _pssvs_cutoff(s)
+    N = _pssvs_cutoff(s)
     amp = np.zeros(N + 1, dtype=complex)
     # log of sqrt(cosh r) sinh |r|, the norm of the untruncated state
     log_norm = 1.5 * (s - math.log(2)) + 0.5 * math.log1p(math.exp(-2 * s))
@@ -198,19 +187,27 @@ def _pssvs_cutoff(s: float) -> int:
     return _cutoff(max(40, math.ceil(math.log(10 / NORM_TOL) / decay)))
 
 
-def cat2(alpha: complex, cutoff: int | None = None) -> PureStateFock:
+def cat2(alpha: complex) -> PureStateFock:
     """Even superposition of two opposite coherent states."""
     a = complex(alpha)
-    return _coherent_sum(a, cutoff if cutoff is not None else default_cutoff(2, a), 2)
+    return _coherent_sum(a, default_cutoff(2, a), 2)
 
 
-def cat4(alpha: complex, cutoff: int | None = None) -> PureStateFock:
+def cat4(alpha: complex) -> PureStateFock:
     """Equal superposition of four coherent states on the axes."""
     a = complex(alpha)
-    return _coherent_sum(a, cutoff if cutoff is not None else default_cutoff(4, a), 4)
+    return _coherent_sum(a, default_cutoff(4, a), 4)
 
 
-def lossy_fock(n: int, eta: float) -> MixedDiagonal:
+def _check_fock_index(n: int) -> None:
+    """ValueError unless 0 <= n <= MAX_CUTOFF."""
+    if n < 0:
+        raise ValueError("Fock index must be a natural number")
+    if n > MAX_CUTOFF:
+        raise ValueError(f"Fock cutoff {n} exceeds {MAX_CUTOFF}")
+
+
+def lossy_fock(n: int, eta: float) -> FockDiagonal:
     """Fock state |n> through loss eta; eta = 0 returns |n> itself.
 
     The weight C(n, k) eta^(n-k) (1-eta)^k of |k> is a float mantissa times
@@ -220,16 +217,13 @@ def lossy_fock(n: int, eta: float) -> MixedDiagonal:
     would lose |log w| ulps.  At eta = 0 and 1 the state is |n> and |0>
     exactly.  n is the state's cutoff, so it may not exceed MAX_CUTOFF.
     """
-    if n < 0:
-        raise ValueError("Fock index must be a natural number")
-    if n > MAX_CUTOFF:
-        raise ValueError(f"Fock cutoff {n} exceeds {MAX_CUTOFF}")
+    _check_fock_index(n)
     if not 0.0 <= eta <= 1.0:
         raise ValueError("loss parameter must lie in [0, 1]")
     F = [0.0] * (n + 1)
     if eta in (0.0, 1.0):
         F[0 if eta else n] = 1.0
-        return MixedDiagonal(FockDiagonal(tuple(F)))
+        return FockDiagonal(tuple(F))
     c = 1  # C(n, k), exactly
     for k in range(n + 1):
         shift = max(0, c.bit_length() - 1000)
@@ -238,7 +232,7 @@ def lossy_fock(n: int, eta: float) -> MixedDiagonal:
         # c / 2^shift is correctly rounded, and is float(c) while c < 2^1000
         F[k] = math.ldexp(c / (1 << shift) * lost * kept, shift + e_lost + e_kept)
         c = c * (n - k) // (k + 1)
-    return MixedDiagonal(FockDiagonal(tuple(F)))
+    return FockDiagonal(tuple(F))
 
 
 def _frexp_pow(x: float, j: int):
@@ -299,13 +293,13 @@ def parse_state(text: str):
 # ---------------------------------------------------------------------------
 
 
-def wigner_radial(state: MixedDiagonal, r: float) -> float:
+def wigner_radial(state: FockDiagonal, r: float) -> float:
     """Wigner value of a number-diagonal state at radius r."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     x = 4.0 * r * r
     return (2.0 / math.pi) * sum(
-        float(f) * laguerre_fn(k, x) for k, f in enumerate(state.F.F)
+        float(f) * laguerre_fn(k, x) for k, f in enumerate(state.F)
     )
 
 
@@ -320,15 +314,15 @@ def fidelity_with_fock(state, k: int, alpha: complex = 0j) -> float:
             [displacement_element(k, l, -alpha) for l in range(size)]
         )
         return abs(np.dot(row, np.array(state.amplitudes))) ** 2
-    if isinstance(state, MixedDiagonal):
-        F = state.F.F
+    if isinstance(state, FockDiagonal):
+        F = state.F
         if alpha == 0:
             return float(F[k]) if k < len(F) else 0.0
         return sum(
             float(f) * abs(displacement_element(k, j, -alpha)) ** 2
             for j, f in enumerate(F)
         )
-    raise TypeError("state must be PureStateFock or MixedDiagonal")
+    raise TypeError("state must be PureStateFock or FockDiagonal")
 
 
 def witness_expectation(state, spec: WitnessSpec) -> float:
@@ -349,7 +343,7 @@ def _check_cutoff(state) -> None:
     if isinstance(state, PureStateFock):
         norm = sum(abs(a) ** 2 for a in state.amplitudes)
     else:
-        norm = sum(float(f) for f in state.F.F)
+        norm = sum(float(f) for f in state.F)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError("state norm lost to truncation; raise the cutoff")
 

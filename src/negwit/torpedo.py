@@ -74,18 +74,19 @@ class ClassicalStrategy:
     decodings: dict
 
     def __post_init__(self):
+        # each sum test is written so that a NaN entry fails it
         for (x, z), dist in self.encoding.items():
             if len(dist) != self.d_msg:
                 raise ValueError("encoding distribution has wrong length")
-            if sum(dist) != 1 and abs(float(sum(dist)) - 1.0) > 1e-9:
-                raise ValueError("encoding distribution must sum to 1")
+            if sum(dist) != 1 and not abs(float(sum(dist)) - 1.0) <= 1e-9:
+                raise ValueError(f"encoding distribution of {(x, z)} must sum to 1")
         for q, T in self.decodings.items():
             if len(T) != self.d_in:
                 raise ValueError("decoding matrix must have d_in rows")
             for col in range(self.d_msg):
                 colsum = sum(T[r][col] for r in range(self.d_in))
-                if colsum != 1 and abs(float(colsum) - 1.0) > 1e-9:
-                    raise ValueError("decoding columns must sum to 1")
+                if colsum != 1 and not abs(float(colsum) - 1.0) <= 1e-9:
+                    raise ValueError(f"decoding columns of question {q} must sum to 1")
 
     @staticmethod
     def deterministic(d_in, d_msg, grid, decode_maps) -> "ClassicalStrategy":
@@ -145,12 +146,13 @@ class QuantumStrategy:
     measurements: dict = None
 
     def __post_init__(self):
+        # each test is written so that a NaN entry fails it
         for (x, z), rho in self.messages.items():
             rho = np.asarray(rho, dtype=complex)
-            if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-                raise ValueError("messages must be Hermitian")
-            if abs(np.trace(rho).real - 1.0) > 1e-9:
-                raise ValueError("messages must have unit trace")
+            if not np.max(np.abs(rho - rho.conj().T)) <= 1e-9:
+                raise ValueError(f"message {(x, z)} must be Hermitian")
+            if not abs(np.trace(rho).real - 1.0) <= 1e-9:
+                raise ValueError(f"message {(x, z)} must have unit trace")
         if self.measurements is None:
             object.__setattr__(self, "measurements", mub_projectors(self.d))
         for q, projs in self.measurements.items():
@@ -217,22 +219,11 @@ def phase_point_strategy(d: int) -> QuantumStrategy:
     return QuantumStrategy(d, msgs)
 
 
-def quantum_value(strategy: QuantumStrategy, game: TorpedoGame) -> float:
-    """Average winning probability of a quantum (or post-quantum) strategy."""
-    d = game.d
-    if strategy.d != d:
-        raise ValueError("strategy dimension does not match the game")
-    total = 0.0
-    for (x, z), rho in strategy.messages.items():
-        for q in game.questions:
-            win = sum(strategy.measurements[q][c] for c in game.winning(q, x, z))
-            total += float(np.trace(rho @ win).real)
-    return total / (d * d * len(game.questions))
-
-
 def behaviour_of_quantum(strategy: QuantumStrategy, game: TorpedoGame) -> dict:
     """Outcome distributions p(c | x, z, q) by the Born rule."""
     d = game.d
+    if strategy.d != d:
+        raise ValueError("strategy dimension does not match the game")
     out = {}
     for (x, z), rho in strategy.messages.items():
         for q in game.questions:
@@ -242,17 +233,6 @@ def behaviour_of_quantum(strategy: QuantumStrategy, game: TorpedoGame) -> dict:
             ]
             out[(x, z, q)] = tuple(probs)
     return out
-
-
-def key_fact_residual(d: int, x: int, z: int) -> float:
-    """Total probability of the forbidden outcomes on the displaced state."""
-    game = TorpedoGame(d)
-    strat = canonical_quantum_strategy(d)
-    rho = strat.messages[(x % d, z % d)]
-    op = sum(
-        strat.measurements[q][game.forbidden(q, x, z)] for q in game.questions
-    )
-    return float(np.trace(rho @ op).real)
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +359,8 @@ def random_strategy_search(
     return best, best_strat
 
 
-def evaluate_classical(strategy: ClassicalStrategy) -> Fraction:
-    """Exact average winning probability of a classical strategy."""
-    game = TorpedoGame(strategy.d_in)
-    d = strategy.d_in
-    total = Fraction(0)
-    for x in range(d):
-        for z in range(d):
-            enc = strategy.encoding[(x, z)]
-            for q in game.questions:
-                T = strategy.decodings[q]
-                for c in game.winning(q, x, z):
-                    total += sum(
-                        Fraction(T[c][j]) * Fraction(enc[j]) for j in range(strategy.d_msg)
-                    )
-    return total / (d * d * len(game.questions))
-
-
 def behaviour_of_classical(strategy: ClassicalStrategy) -> dict:
+    """Outcome distributions p(c | x, z, q), exactly, as Fractions."""
     game = TorpedoGame(strategy.d_in)
     d = strategy.d_in
     out = {}
@@ -406,9 +370,7 @@ def behaviour_of_classical(strategy: ClassicalStrategy) -> dict:
             for q in game.questions:
                 T = strategy.decodings[q]
                 out[(x, z, q)] = tuple(
-                    float(
-                        sum(Fraction(T[c][j]) * Fraction(enc[j]) for j in range(strategy.d_msg))
-                    )
+                    sum(Fraction(T[c][j]) * Fraction(enc[j]) for j in range(strategy.d_msg))
                     for c in range(d)
                 )
     return out
@@ -434,6 +396,16 @@ def explicit_noncontextual_model() -> ClassicalStrategy:
         2: (1, 0, 2),
     }
     return ClassicalStrategy.deterministic(3, 3, grid, maps)
+
+
+def win_rate(behaviour: dict, game: TorpedoGame):
+    """Winning probability of a behaviour, averaged uniformly; exact when its
+    probabilities are Fractions."""
+    total = sum(
+        sum(probs[c] for c in game.winning(q, x, z))
+        for (x, z, q), probs in behaviour.items()
+    )
+    return total / (game.d * game.d * len(game.questions))
 
 
 def average_failure(behaviour: dict, game: TorpedoGame) -> float:
@@ -479,7 +451,7 @@ def bounded_memory_ncf(behaviour: dict, d: int) -> float:
         raise ValueError("bounded-memory NCF implemented for d = 2 and 3")
     game = TorpedoGame(d)
     keys = [(x, z, q) for x in range(d) for z in range(d) for q in game.questions]
-    target = np.array([behaviour[k][c] for k in keys for c in range(d)])
+    target = np.array([behaviour[k][c] for k in keys for c in range(d)], dtype=float)
     grids = _canonical_grids(d * d, d)
     shape = (d * d, len(game.questions), d)
 

@@ -531,17 +531,18 @@ def _lower_enclosure(G, w, sol):
     return _enclosure(w, F, _raise_vacuum(list(_rational(sol.y[1:])), G))
 
 
-def certified_upper_interval(spec: WitnessSpec, m: int, tol: float = 1e-9):
+def certified_upper_interval(spec: WitnessSpec, m: int):
     """Exactly certified enclosure (lo, hi) of the level-m upper-hierarchy
-    value: :func:`_upper_enclosure` of one :func:`solve_upper` at ``tol``."""
-    _, sol = solve_upper(spec, m, tol=tol)
+    value: :func:`_upper_enclosure` of one :func:`solve_upper` at 1e-9."""
+    _, sol = solve_upper(spec, m, tol=1e-9)
     return _upper_enclosure(_upper_gram(m), _weights_exact(spec.a, m), sol)
 
 
-def certified_lower_interval(spec: WitnessSpec, m: int, tol: float = 1e-8):
+def certified_lower_interval(spec: WitnessSpec, m: int):
     """Exactly certified enclosure (lo, hi) of the level-m lower-hierarchy
-    value: :func:`_lower_enclosure` of the solve :func:`solve_lower` reports."""
-    _, sol = solve_lower(spec, m, tol=tol)
+    value: :func:`_lower_enclosure` of the solve :func:`solve_lower` reports
+    at 1e-8."""
+    _, sol = solve_lower(spec, m, tol=1e-8)
     return _lower_enclosure(_upper_gram(m), _weights_exact(spec.a, m), sol)
 
 
@@ -564,6 +565,15 @@ def _solve_with_policy(prob: conic.SdpProblem, tol: float):
     return conic.solve(prob, tol=tol, precision="extended")
 
 
+QUALITY_FLOOR = 1e-4  # largest complementarity of a stalled solve that is kept
+
+
+def _trusted(sol: conic.SdpSolution) -> bool:
+    """Whether a sweep or table keeps ``sol``: it ended optimal, or it stalled
+    with a best iterate whose complementarity (not NaN) is <= QUALITY_FLOOR."""
+    return sol.status == "optimal" or sol.info.get("comp", math.inf) <= QUALITY_FLOOR
+
+
 def solve_lower(spec: WitnessSpec, m: int, tol: float = 1e-8):
     """Level-m lower bound; returns (value, solution)."""
     sol = _solve_with_policy(build_lower(spec, m), tol)
@@ -579,9 +589,9 @@ def solve_upper(spec: WitnessSpec, m: int, tol: float = 1e-8):
 def threshold_bounds(spec: WitnessSpec, m_max: int, tol: float = 1e-8) -> list:
     """Both hierarchies from level n to m_max.
 
-    Solver failures at a level are recorded (NaN bound) and the sweep
-    continues; surviving levels keep the hierarchy monotone within solver
-    tolerance.
+    A solve that is not :func:`_trusted` is recorded as a NaN bound and
+    the sweep continues; surviving levels keep the hierarchy monotone
+    within solver tolerance.
     """
     if m_max < spec.n:
         raise ValueError("level m must be at least the top witness index n")
@@ -589,11 +599,9 @@ def threshold_bounds(spec: WitnessSpec, m_max: int, tol: float = 1e-8) -> list:
     for m in range(spec.n, m_max + 1):
         lo, lo_sol = solve_lower(spec, m, tol=tol)
         up, up_sol = solve_upper(spec, m, tol=tol)
-        # a stalled solve still carries its best iterate; keep it only when
-        # the residual quality supports the sweep tolerance scale
-        if lo_sol.status != "optimal" and lo_sol.info.get("comp", 1.0) > 1e-4:
+        if not _trusted(lo_sol):
             lo = math.nan
-        if up_sol.status != "optimal" and up_sol.info.get("comp", 1.0) > 1e-4:
+        if not _trusted(up_sol):
             up = math.nan
         rows.append(
             ThresholdBounds(
@@ -612,7 +620,6 @@ def threshold_bounds(spec: WitnessSpec, m_max: int, tol: float = 1e-8) -> list:
 
 
 TABLE_TOL = 1e-8  # solver tolerance of the Fock table
-TABLE_QUALITY_FLOOR = 1e-3  # largest complementarity a stalled table solve keeps
 
 
 def fock_bounds_table(n_values: Sequence[int], m_max: int = 30) -> dict:
@@ -620,8 +627,8 @@ def fock_bounds_table(n_values: Sequence[int], m_max: int = 30) -> dict:
 
     Indices 1 and 2 carry the analytic value 1/2 on both sides.  Higher
     indices report the deepest hierarchy level at or below m_max whose solve
-    is optimal or meets TABLE_QUALITY_FLOOR; both hierarchies are monotone
-    in the level, so the deepest trustworthy level is the best bound.
+    is :func:`_trusted`; both hierarchies are monotone in the level, so the
+    deepest trustworthy level is the best bound.
     Returns {n: (lower, upper)}; the "detail" entry holds, per index and
     side, (value, level used, kept solution).
     """
@@ -640,8 +647,7 @@ def fock_bounds_table(n_values: Sequence[int], m_max: int = 30) -> dict:
             row[side] = (math.nan, None, None)
             for m in range(m_max, spec.n - 1, -2):
                 v, sol = solver(spec, m, tol=TABLE_TOL)
-                q = sol.info.get("comp", math.inf)
-                if sol.status == "optimal" or q <= TABLE_QUALITY_FLOOR:
+                if _trusted(sol):
                     row[side] = (v, m, sol)
                     break
         table[n] = (row["lower"][0], row["upper"][0])

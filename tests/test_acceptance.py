@@ -213,13 +213,18 @@ def test_criterion_7_torpedo_values():
         and T.classical_value(2, 3) == Fraction(5, 6)
     )
     g3, g2 = T.TorpedoGame(3), T.TorpedoGame(2)
-    vq3 = T.quantum_value(T.canonical_quantum_strategy(3), g3)
-    vq2 = T.quantum_value(T.canonical_quantum_strategy(2), g2)
+    beh3 = T.behaviour_of_quantum(T.canonical_quantum_strategy(3), g3)
+    vq3 = T.win_rate(beh3, g3)
+    vq2 = T.win_rate(T.behaviour_of_quantum(T.canonical_quantum_strategy(2), g2), g2)
     ok_q = abs(vq3 - 1.0) <= 1e-9 and abs(vq2 - 0.5 * (1 + 1 / math.sqrt(3))) <= 1e-9
+    # the key fact: no displaced state shows a forbidden outcome
     ok_kf = all(
-        T.key_fact_residual(3, x, z) <= 1e-12 for x in range(3) for z in range(3)
+        sum(beh3[(x, z, q)][g3.forbidden(q, x, z)] for q in g3.questions) <= 1e-12
+        for x in range(3)
+        for z in range(3)
     )
-    ok_model = T.evaluate_classical(T.explicit_noncontextual_model()) == Fraction(11, 12)
+    model = T.behaviour_of_classical(T.explicit_noncontextual_model())
+    ok_model = T.win_rate(model, g3) == Fraction(11, 12)
     elapsed = time.time() - t0
     ok = ok_cl and ok_q and ok_kf and ok_model and elapsed <= 60
     report(

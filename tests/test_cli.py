@@ -52,6 +52,20 @@ def test_cf_model_file(tmp_path, capsys):
     assert json.loads(out)["cf"] == pytest.approx(math.sqrt(2) - 1, abs=1e-6)
 
 
+def test_cf_model_file_with_nan_entry_names_its_table(tmp_path, capsys):
+    # the NaN passed every check and failed only inside SciPy's linprog
+    from negwit import contextuality as C
+
+    doc = json.loads(C.example_model("chsh").to_json())
+    doc["tables"][1]["rows"][0][1] = math.nan
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code = main(["cf", "--model-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: table for context ('a1', 'b2') sums to nan")
+
+
 def test_witness_command(capsys):
     code, out = run_cli(
         capsys,
@@ -163,6 +177,13 @@ def test_bad_input_exit_code(tmp_path, capsys):
     for argv in (("--n", "3", "--m-max", "2"), ("--weights", "1,1", "--m-max", "1")):
         code, out = run_cli(capsys, "threshold", *argv)
         assert code == 1 and out == "", argv
+    # a model file of the wrong shape raised a TypeError traceback
+    for i, text in enumerate(('{"labels": 5}', "[]")):
+        path = tmp_path / f"shape{i}.json"
+        path.write_text(text)
+        code = main(["cf", "--model-file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err.startswith("error: model document"), text
     # a directory given for a file raises IsADirectoryError, an OSError
     for argv in (
         ("cf", "--model-file", str(tmp_path)),
@@ -247,10 +268,11 @@ def test_threshold_rejects_jobs(capsys):
         ("cat4:alpha=1e200", "Fock cutoff inf exceeds 100000"),
         ("lossy_fock:n=-1,eta=0.2", "Fock index must be a natural number"),
         ("lossy_fock:n=100001,eta=0.2", "Fock cutoff 100001 exceeds 100000"),
+        ("fock:n=100001", "Fock cutoff 100001 exceeds 100000"),
     ],
     ids=[
         "pssvs-inf", "pssvs-nan", "cat2-nan", "cat4-huge", "lossy-negative",
-        "lossy-huge",
+        "lossy-huge", "fock-huge",
     ],
 )
 def test_bad_state_parameters_name_their_cause(state, cause, capsys):

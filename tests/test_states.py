@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -145,14 +146,28 @@ def test_states_reject_nonfinite_or_huge_parameters(build, arg):
         build(arg)
 
 
+def test_fock_rejects_index_past_max_cutoff_before_allocating():
+    # fock(n) built its n + 1 amplitudes before any check; MAX_CUTOFF + 1
+    # would take about 4 MB, so a peak of a few kB shows the check came first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"Fock cutoff {S.MAX_CUTOFF + 1} exceeds"):
+            S.fock(S.MAX_CUTOFF + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert S.fock(S.MAX_CUTOFF).cutoff == S.MAX_CUTOFF
+
+
 def test_lossy_fock_convention():
     st = S.lossy_fock(3, 0.0)
-    assert st.F.F == (0.0, 0.0, 0.0, 1.0)
+    assert st.F == (0.0, 0.0, 0.0, 1.0)
     st = S.lossy_fock(3, 1.0)
-    assert st.F.F[0] == 1.0
+    assert st.F[0] == 1.0
     st = S.lossy_fock(3, 0.25)
     # coefficient of |3><3| is (1-eta)^3
-    assert st.F.F[3] == pytest.approx(0.75**3)
+    assert st.F[3] == pytest.approx(0.75**3)
     with pytest.raises(ValueError):
         S.lossy_fock(3, 1.5)
     with pytest.raises(ValueError, match="natural number"):
@@ -162,7 +177,7 @@ def test_lossy_fock_convention():
 @pytest.mark.parametrize("n, eta", [(1100, 0.5), (5000, 0.01)])
 def test_lossy_fock_past_binomial_overflow(n, eta):
     # C(n, n/2) overflows a float from n = 1030; the weights stay binomial
-    F = S.lossy_fock(n, eta).F.F
+    F = S.lossy_fock(n, eta).F
     assert abs(sum(F) - 1.0) <= S.NORM_TOL
     k = round(n * (1 - eta))
     exact = math.comb(n, k) * Fraction(eta) ** (n - k) * (1 - Fraction(eta)) ** k
@@ -172,7 +187,7 @@ def test_lossy_fock_past_binomial_overflow(n, eta):
 def test_wigner_radial_values():
     assert S.wigner_radial(S.fock(0).diagonal(), 0.0) == pytest.approx(2 / math.pi)
     assert S.wigner_radial(S.fock(1).diagonal(), 0.0) == pytest.approx(-2 / math.pi)
-    mix = S.MixedDiagonal(FockDiagonal((0.5, 0.5)))
+    mix = FockDiagonal((0.5, 0.5))
     assert S.wigner_radial(mix, 0.0) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -208,7 +223,7 @@ def test_lossy_fock_nonnegative_above_half():
 
 def test_witness_expectation_examples():
     assert S.witness_expectation(S.fock(3), WitnessSpec.fock(3)) == 1.0
-    rho = S.MixedDiagonal(FockDiagonal((1 / 9, 4 / 9, 4 / 9)))
+    rho = FockDiagonal((1 / 9, 4 / 9, 4 / 9))
     assert S.witness_expectation(rho, WitnessSpec(a=(1.0, 1.0))) == pytest.approx(8 / 9)
     al = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
     st = oracles.displace(S.fock(1), al, pad=S.default_cutoff(1, al))
@@ -236,7 +251,7 @@ def test_parse_state_strings():
     st = S.parse_state("cat2:alpha=1.4+0i")
     assert isinstance(st, S.PureStateFock)
     st = S.parse_state("lossy_fock:n=3,eta=0.2")
-    assert isinstance(st, S.MixedDiagonal)
+    assert isinstance(st, FockDiagonal)
     with pytest.raises(ValueError):
         S.parse_state("nope:alpha=1")
     with pytest.raises(ValueError):

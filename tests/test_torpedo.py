@@ -13,6 +13,16 @@ from hypothesis import strategies as st
 from negwit import torpedo as T
 
 
+def exact_value(strat):
+    """The exact winning probability of a classical strategy."""
+    return T.win_rate(T.behaviour_of_classical(strat), T.TorpedoGame(strat.d_in))
+
+
+def quantum_value(strat, game):
+    """The winning probability of a quantum strategy, by the Born rule."""
+    return T.win_rate(T.behaviour_of_quantum(strat, game), game)
+
+
 def test_game_relations():
     g = T.TorpedoGame(3)
     assert g.questions == ("inf", 0, 1, 2)
@@ -60,18 +70,18 @@ def test_exhaustive_matches_full_brute_force_d2():
         for fs in itertools.product(itertools.product(range(2), repeat=2), repeat=3):
             maps = {q: f for q, f in zip(game.questions, fs)}
             strat = T.ClassicalStrategy.deterministic(2, 2, assign, maps)
-            best = max(best, T.evaluate_classical(strat))
+            best = max(best, exact_value(strat))
     assert best == T.classical_value(2, 2) == Fraction(3, 4)
 
 
 def test_best_strategy_achieves_value():
     strat = T.best_classical_strategy(2, 2)
-    assert T.evaluate_classical(strat) == Fraction(3, 4)
+    assert exact_value(strat) == Fraction(3, 4)
 
 
 def test_explicit_model_value():
     m = T.explicit_noncontextual_model()
-    assert T.evaluate_classical(m) == Fraction(11, 12)
+    assert exact_value(m) == Fraction(11, 12)
 
 
 def test_always_guess_zero_brute_force():
@@ -87,7 +97,7 @@ def test_always_guess_zero_brute_force():
         for q in game.questions
         if 0 in game.winning(q, x, z)
     )
-    assert T.evaluate_classical(strat) == Fraction(wins, 12)
+    assert exact_value(strat) == Fraction(wins, 12)
 
 
 def test_perfect_strategy_scores_one():
@@ -99,35 +109,55 @@ def test_perfect_strategy_scores_one():
             next(iter(game.winning(q, j // 2, j % 2))) for j in range(4)
         )
     strat = T.ClassicalStrategy.deterministic(2, 4, grid, maps)
-    assert T.evaluate_classical(strat) == 1
+    assert exact_value(strat) == 1
 
 
 def test_quantum_values():
     g3 = T.TorpedoGame(3)
-    v3 = T.quantum_value(T.canonical_quantum_strategy(3), g3)
+    v3 = quantum_value(T.canonical_quantum_strategy(3), g3)
     assert abs(v3 - 1.0) < 1e-9
     g2 = T.TorpedoGame(2)
-    v2 = T.quantum_value(T.canonical_quantum_strategy(2), g2)
+    v2 = quantum_value(T.canonical_quantum_strategy(2), g2)
     assert abs(v2 - 0.5 * (1 + 1 / math.sqrt(3))) < 1e-9
+    with pytest.raises(ValueError, match="dimension does not match"):
+        quantum_value(T.canonical_quantum_strategy(2), g3)
 
 
 def test_phase_point_strategies_win_perfectly():
     for d in (2, 3):
         g = T.TorpedoGame(d)
-        v = T.quantum_value(T.phase_point_strategy(d), g)
+        v = quantum_value(T.phase_point_strategy(d), g)
         assert abs(v - 1.0) < 1e-9
 
 
 def test_key_fact_residuals():
+    # the forbidden outcomes of each displaced state have total weight 0
+    g = T.TorpedoGame(3)
+    beh = T.behaviour_of_quantum(T.canonical_quantum_strategy(3), g)
     for x in range(3):
         for z in range(3):
-            assert T.key_fact_residual(3, x, z) <= 1e-12
+            assert sum(beh[(x, z, q)][g.forbidden(q, x, z)] for q in g.questions) <= 1e-12
     # mismatched state sees the forbidden outcomes with positive probability
     g = T.TorpedoGame(3)
     strat = T.canonical_quantum_strategy(3)
     rho = strat.messages[(0, 0)]
     op = sum(strat.measurements[q][g.forbidden(q, 1, 1)] for q in g.questions)
     assert float(np.trace(rho @ op).real) > 0.1
+
+
+def test_strategies_reject_nan_entries():
+    # each check compared with ">", which a NaN entry passes
+    rho = np.full((2, 2), 0.5)
+    rho[0, 0] = math.nan
+    with pytest.raises(ValueError, match=r"message \(0, 0\) must be Hermitian"):
+        T.QuantumStrategy(2, {(0, 0): rho})
+    m = T.explicit_noncontextual_model()
+    enc = {**m.encoding, (1, 2): (math.nan, 1.0, 0.0)}
+    with pytest.raises(ValueError, match=r"encoding distribution of \(1, 2\)"):
+        T.ClassicalStrategy(3, 3, enc, m.decodings)
+    dec = {**m.decodings, 0: ((math.nan, 0, 0), (0, 1, 0), (1, 0, 1))}
+    with pytest.raises(ValueError, match="decoding columns of question 0"):
+        T.ClassicalStrategy(3, 3, m.encoding, dec)
 
 
 def test_quantum_behaviour_probabilities_normalised():
@@ -141,7 +171,7 @@ def test_quantum_behaviour_probabilities_normalised():
 def test_strategy_json_round_trip():
     m = T.explicit_noncontextual_model()
     again = T.ClassicalStrategy.from_json(m.to_json())
-    assert T.evaluate_classical(again) == Fraction(11, 12)
+    assert exact_value(again) == Fraction(11, 12)
 
 
 def test_bounded_memory_ncf_explicit_model():
@@ -303,7 +333,7 @@ def test_classical_value_denominator_invariant():
 def test_random_strategy_search_verifier():
     v, strat = T.random_strategy_search(2, 2, trials=300, seed=5)
     assert v == Fraction(3, 4)
-    assert T.evaluate_classical(strat) == v
+    assert exact_value(strat) == v
     v4, _ = T.random_strategy_search(4, 4, trials=600, seed=3)
     assert v4 <= 1
 
@@ -359,7 +389,7 @@ def test_classical_value_3_4_exhaustive():
 
 def test_best_strategy_is_first_lexicographic_maximiser():
     strat = T.best_classical_strategy(3, 3)
-    assert T.evaluate_classical(strat) == Fraction(11, 12)
+    assert exact_value(strat) == Fraction(11, 12)
     labels = (0, 0, 0, 0, 0, 1, 1, 2, 2)
     grid = {(k // 3, k % 3): j for k, j in enumerate(labels)}
     maps = {"inf": (2, 0, 0), 0: (1, 2, 0), 1: (2, 0, 2), 2: (0, 2, 1)}
@@ -408,7 +438,7 @@ def _reference_search(d_in, d_msg, trials, seed):
 def test_random_search_keeps_the_seeded_sequence(d_in, d_msg, trials, seed):
     value, strat = T.random_strategy_search(d_in, d_msg, trials=trials, seed=seed)
     ref_value, ref_grid = _reference_search(d_in, d_msg, trials, seed)
-    assert value == ref_value == T.evaluate_classical(strat)
+    assert value == ref_value == exact_value(strat)
     assert {cell: dist.index(1) for cell, dist in strat.encoding.items()} == ref_grid
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -305,6 +306,27 @@ def test_threshold_detail_is_json_safe(solve_calls):
     assert json.loads(json.dumps(detail)) == detail
     assert type(detail["lower_quality"]) is float
     assert type(detail["upper_quality"]) is float
+
+
+def test_sweep_and_table_share_one_quality_floor(monkeypatch):
+    # a stalled top-level solve with complementarity 5e-4 is above the floor:
+    # the sweep prints NaN for it, and the table falls back two levels
+    spec, top = W.WitnessSpec.fock(3), 8
+    stalled = (W.build_lower(spec, top), W.build_upper_compact(spec, top))
+    policy = W._solve_with_policy
+
+    def stall_top_level(prob, tol):
+        if any(prob == p for p in stalled):
+            return SimpleNamespace(
+                status="numerical_limit", primal_value=0.4, info={"comp": 5e-4}
+            )
+        return policy(prob, tol)
+
+    monkeypatch.setattr(W, "_solve_with_policy", stall_top_level)
+    row = W.threshold_bounds(spec, m_max=top)[-1]
+    assert row.level == top and math.isnan(row.lower) and math.isnan(row.upper)
+    detail = W.fock_bounds_table([3], m_max=top)["detail"][3]
+    assert detail["lower"][1] == detail["upper"][1] == top - 2
 
 
 def test_weighted_witness_below_announced_cap():
