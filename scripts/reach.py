@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""List the definitions in src/negwit that the product cannot reach, and
-the dataclass fields that no reached code reads.
+"""List the definitions in src/negwit that the product cannot reach, the
+dataclass fields that no reached code reads, and the defaulted parameters
+that no reached call sets.
 
 A function or method stays in the package only if the product reaches it or
 README names it as library API.  The product is the CLI, `scripts/`,
@@ -24,16 +25,24 @@ attribute it loads (`obj.field`, not `obj.field = ...`) or as an identifier
 string (`getattr`, `__setattr__` and JSON keys go by string).  Passing it
 to the constructor is no read.
 
+A defaulted parameter of a function is set when a reached call to the
+function's bare name passes it, by keyword or by position; a call with
+`*args` or `**kwargs` may set any.  Only functions that some reached call
+names are judged: one that README names and the product never calls is
+library API, whose parameters are its callers' to set.
+
     python3 scripts/reach.py
 
 prints one `file:line name (lines)` line per unreached definition, methods
 as `Class.name`, then one `file:line Class.field (field)` line per unread
-field, and exits 1 when it prints any; it prints nothing and exits 0 when
-every definition is reached and every field read.  It reads the sources
-only and imports nothing from the package.
+field, then one `file:line name(parameter) (parameter)` line per unset
+parameter, and exits 1 when it prints any; it prints nothing and exits 0
+when every definition is reached, every field read and every parameter set.
+It reads the sources only and imports nothing from the package.
 """
 
 import ast
+import math
 import re
 import sys
 from pathlib import Path
@@ -66,6 +75,46 @@ def _reads(node) -> set:
             if n.value.isidentifier():
                 out.add(n.value)
     return out
+
+
+def _calls(node) -> list:
+    """(bare name, positional count, keywords) of every call in ``node``.  A
+    ``*args`` makes the count infinite and a ``**kwargs`` adds the keyword
+    None: either may set any parameter."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call):
+            name = getattr(n.func, "id", getattr(n.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in n.args)
+            keywords = {k.arg for k in n.keywords}
+            out.append((name, math.inf if starred else len(n.args), keywords))
+    return out
+
+
+def _defaulted(node, method: bool) -> list:
+    """(parameter, position in a call or None) of each defaulted parameter
+    of the def ``node``; a method's calls do not pass self or cls."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if method and not any("staticmethod" in _names(d) for d in node.decorator_list):
+        positional = positional[1:]
+    out = [(name, i) for i, name in enumerate(positional)]
+    out = out[len(out) - len(args.defaults):]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+    return out
+
+
+def _unset(defaulted, calls) -> list:
+    """The parameters in ``defaulted`` that none of ``calls`` sets."""
+    return [
+        name
+        for name, position in defaulted
+        if not any(
+            name in keywords or None in keywords
+            or (position is not None and count > position)
+            for count, keywords in calls
+        )
+    ]
 
 
 def _readme_names(text: str) -> set:
@@ -109,18 +158,22 @@ def _fields(path: Path):
 
 
 def _audit():
-    """(unreached definitions, unread fields), as :func:`main` prints them."""
+    """(unreached definitions, unread fields, unset parameters), as
+    :func:`main` prints them."""
     roots = [ROOT / "tests" / "test_acceptance.py"]
     roots += sorted((ROOT / "scripts").glob("*.py"))
     roots += sorted((ROOT / "perfbench").glob("*.py"))
     reached = _readme_names((ROOT / "README.md").read_text())
     reads = set()
+    calls = {}
 
     def visit(node):
-        """Mark what ``node`` refers to and reads; return the new names."""
+        """Mark what ``node`` refers to, reads and calls; return the new names."""
         new = _names(node) - reached
         reached.update(new)
         reads.update(_reads(node))
+        for name, count, keywords in _calls(node):
+            calls.setdefault(name, []).append((count, keywords))
         return new
 
     for path in roots:
@@ -159,7 +212,13 @@ def _audit():
         for path, line, name in fields
         if name.split(".")[1] not in reads
     ]
-    return definitions, unread
+    unset = [
+        (path.relative_to(ROOT), node.lineno, f"{qualname}({param})")
+        for path, qualname, node in candidates
+        if node.name in calls
+        for param in _unset(_defaulted(node, "." in qualname), calls[node.name])
+    ]
+    return definitions, unread, unset
 
 
 def unreached() -> list:
@@ -172,13 +231,21 @@ def unread_fields() -> list:
     return _audit()[1]
 
 
+def unset_parameters() -> list:
+    """(file, line, name(parameter)) of each defaulted parameter of a called
+    function that no reached call sets."""
+    return _audit()[2]
+
+
 def main() -> int:
-    definitions, fields = _audit()
+    definitions, fields, params = _audit()
     for path, line, name, lines in definitions:
         print(f"{path}:{line} {name} ({lines})")
     for path, line, name in fields:
         print(f"{path}:{line} {name} (field)")
-    return 1 if definitions or fields else 0
+    for path, line, name in params:
+        print(f"{path}:{line} {name} (parameter)")
+    return 1 if definitions or fields or params else 0
 
 
 if __name__ == "__main__":

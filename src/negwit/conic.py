@@ -403,7 +403,6 @@ def solve(
     problem: SdpProblem,
     tol: float = DEFAULT_TOL,
     precision: str = "double",
-    max_iterations: int = MAX_ITERATIONS,
 ) -> SdpSolution:
     """Solve the primal-dual pair for ``problem``.
 
@@ -436,7 +435,7 @@ def solve(
     status: Status = "numerical_limit"
     stop_reason = "iteration_cap"
     it = 0
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         pobj = _blk_inner(data.C, Xb)
         dobj = float(dot(data.b, y))
         rp = data.b - data.apply_A(Xb)

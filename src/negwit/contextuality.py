@@ -87,16 +87,27 @@ class EmpiricalModel:
     tables: dict  # context tuple -> {section tuple: probability}
 
     def __post_init__(self):
+        outcomes = {x: set(o) for x, o in self.scenario.outcomes.items()}
         tables = {}
         # each test is written so that a NaN entry fails it
         for c in self.scenario.contexts:
-            table = dict(self.tables[tuple(c)])
+            if c not in self.tables:
+                raise ValueError(f"no table for context {c}")
+            table = dict(self.tables[c])
+            for s in table:
+                if len(s) != len(c) or not all(o in outcomes[x] for x, o in zip(c, s)):
+                    raise ValueError(
+                        f"table for context {c} has section {s}, outside the scenario"
+                    )
             total = sum(table.values())
             if not abs(total - 1.0) <= COMPAT_TOL:
                 raise ValueError(f"table for context {c} sums to {total}")
             if not all(v >= -COMPAT_TOL for v in table.values()):
                 raise ValueError(f"table for context {c} has a negative or NaN entry")
-            tables[tuple(c)] = table
+            tables[c] = table
+        for c in self.tables:
+            if c not in tables:
+                raise ValueError(f"table for {c}, which is not a scenario context")
         object.__setattr__(self, "tables", tables)
         _check_compatibility(self.scenario, tables)
 

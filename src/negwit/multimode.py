@@ -168,15 +168,15 @@ def build_upper_multi_compact(
     return _compact_upper(_upper_gram_multi(idx, level), w)
 
 
-def solve_lower_multi(spec, mode, level, tol=1e-8):
-    """Lower bound at this level; returns (value, solution)."""
-    sol = _solve_with_policy(build_lower_multi(spec, mode, level), tol)
+def solve_lower_multi(spec, mode, level):
+    """Lower bound at this level, solved to 1e-8; returns (value, solution)."""
+    sol = _solve_with_policy(build_lower_multi(spec, mode, level), 1e-8)
     return sol.primal_value, sol
 
 
-def solve_upper_multi(spec, mode, level, tol=1e-8):
-    """Upper bound at this level; returns (value, solution)."""
-    sol = _solve_with_policy(build_upper_multi_compact(spec, mode, level), tol)
+def solve_upper_multi(spec, mode, level):
+    """Upper bound at this level, solved to 1e-8; returns (value, solution)."""
+    sol = _solve_with_policy(build_upper_multi_compact(spec, mode, level), 1e-8)
     return -sol.primal_value, sol
 
 

@@ -328,24 +328,14 @@ def fidelity_with_fock(state, k: int, alpha: complex = 0j) -> float:
 def witness_expectation(state, spec: WitnessSpec) -> float:
     """Expectation of the witness: sum_k a_k F(D^dag rho D, |k>).
 
-    The state's cutoff must carry essentially all of its norm after the
-    displacement; the constructors guarantee that via the cutoff heuristic.
+    Each displaced fidelity is computed exactly from the amplitudes within
+    the state's cutoff, whose norm its constructor has already checked.
     """
-    _check_cutoff(state)
     return sum(
         a * fidelity_with_fock(state, k, spec.alpha)
         for k, a in enumerate(spec.a, start=1)
         if a
     )
-
-
-def _check_cutoff(state) -> None:
-    if isinstance(state, PureStateFock):
-        norm = sum(abs(a) ** 2 for a in state.amplitudes)
-    else:
-        norm = sum(float(f) for f in state.F)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError("state norm lost to truncation; raise the cutoff")
 
 
 def violation_and_distance(expectation: float, upper_threshold: float):

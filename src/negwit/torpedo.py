@@ -2,13 +2,13 @@
 
 A (2,1)_d game: the referee hands Alice inputs (x, z) in Z_d^2, Bob a
 question q; Bob answers c and wins when c avoids the unique line through
-(x, z) of slope q.  One vectorised kernel scores batches of encoding grids,
+(x, z) of slope q.  One vectorised kernel scores batches of message grids,
 each under its closed-form optimal decoding.  With the win counts as
 weights, over every grid up to message relabelling, it gives exact
-classical values; quantum strategies are evaluated by the Born rule against
-the MUB measurements; the bounded-memory noncontextual fraction is a linear
-program over deterministic strategy columns, generated lazily by the same
-kernel with the LP duals as weights.
+classical values; quantum strategies are evaluated by the Born rule in the
+mutually unbiased bases; the bounded-memory noncontextual fraction is a
+linear program over deterministic strategy columns, generated lazily by the
+same kernel with the LP duals as weights.
 
 The master LP calls ``linprog`` from ``numerics``, which imports SciPy's LP
 solver on its first call, so the classical and quantum values never load
@@ -30,7 +30,7 @@ from .numerics import linprog
 from .qudit import PAULI_X, PAULI_Y, PAULI_Z, displacement_dv, displacement_q2
 from .qudit import mub_projectors, phase_point
 
-ENCODING_CAP = 10**7
+GRID_CAP = 10**7
 COLUMN_CAP = 10**5
 SEARCH_BATCH = 1024  # random grids scored per kernel call
 
@@ -62,90 +62,68 @@ class TorpedoGame:
 
 @dataclass(frozen=True)
 class ClassicalStrategy:
-    """Deterministic-or-stochastic encoding grid plus decoding matrices.
-
-    encoding[(x, z)] is a distribution over messages; decodings[q] is a
-    left-stochastic matrix (outputs x messages), columns sum to 1.
-    """
+    """grid[(x, z)] is the message sent for input (x, z), and decodings[q][j]
+    the answer to question q on message j, each an int (a NaN fails).  Shared
+    randomness only mixes these deterministic strategies."""
 
     d_in: int
     d_msg: int
-    encoding: dict
+    grid: dict
     decodings: dict
 
     def __post_init__(self):
-        # each sum test is written so that a NaN entry fails it
-        for (x, z), dist in self.encoding.items():
-            if len(dist) != self.d_msg:
-                raise ValueError("encoding distribution has wrong length")
-            if sum(dist) != 1 and not abs(float(sum(dist)) - 1.0) <= 1e-9:
-                raise ValueError(f"encoding distribution of {(x, z)} must sum to 1")
-        for q, T in self.decodings.items():
-            if len(T) != self.d_in:
-                raise ValueError("decoding matrix must have d_in rows")
-            for col in range(self.d_msg):
-                colsum = sum(T[r][col] for r in range(self.d_in))
-                if colsum != 1 and not abs(float(colsum) - 1.0) <= 1e-9:
-                    raise ValueError(f"decoding columns of question {q} must sum to 1")
-
-    @staticmethod
-    def deterministic(d_in, d_msg, grid, decode_maps) -> "ClassicalStrategy":
-        """grid[(x,z)] = message; decode_maps[q][message] = answer."""
-        enc = {}
-        for x in range(d_in):
-            for z in range(d_in):
-                dist = [Fraction(0)] * d_msg
-                dist[grid[(x, z)]] = Fraction(1)
-                enc[(x, z)] = tuple(dist)
-        dec = {}
-        for q, fq in decode_maps.items():
-            T = [[Fraction(0)] * d_msg for _ in range(d_in)]
-            for j in range(d_msg):
-                T[fq[j]][j] = Fraction(1)
-            dec[q] = tuple(tuple(row) for row in T)
-        return ClassicalStrategy(d_in, d_msg, enc, dec)
+        d, n = self.d_in, self.d_msg
+        questions = TorpedoGame(d).questions
+        if set(self.grid) != {(x, z) for x in range(d) for z in range(d)}:
+            raise ValueError(f"grid must give a message for each cell of Z_{d}^2 only")
+        for cell, j in self.grid.items():
+            if not (isinstance(j, int) and 0 <= j < n):
+                raise ValueError(f"message of cell {cell} must be an int in range({n})")
+        if set(self.decodings) != set(questions):
+            raise ValueError(f"decodings must answer each question of {questions} only")
+        decodings = {q: tuple(self.decodings[q]) for q in questions}
+        for q, a in decodings.items():
+            if len(a) != n or not all(isinstance(c, int) and 0 <= c < d for c in a):
+                raise ValueError(
+                    f"answers to question {q} must be {n} ints in range({d})"
+                )
+        object.__setattr__(self, "decodings", decodings)
 
     def to_json(self) -> str:
+        d = self.d_in
         return json.dumps(
             {
-                "d_in": self.d_in,
+                "d_in": d,
                 "d_msg": self.d_msg,
-                "encoding": {
-                    f"{x},{z}": [str(v) for v in dist]
-                    for (x, z), dist in sorted(self.encoding.items())
-                },
-                "decodings": {
-                    str(q): [[str(v) for v in row] for row in T]
-                    for q, T in self.decodings.items()
-                },
+                "grid": [[self.grid[(x, z)] for z in range(d)] for x in range(d)],
+                "decodings": {str(q): list(a) for q, a in self.decodings.items()},
             },
             indent=1,
         )
 
     @staticmethod
     def from_json(text: str) -> "ClassicalStrategy":
+        """The strategy of a :meth:`to_json` document; ValueError on another shape."""
         raw = json.loads(text)
-        enc = {}
-        for key, dist in raw["encoding"].items():
-            x, z = (int(v) for v in key.split(","))
-            enc[(x, z)] = tuple(Fraction(v) for v in dist)
-        dec = {}
-        for key, T in raw["decodings"].items():
-            q = key if key == "inf" else int(key)
-            dec[q] = tuple(tuple(Fraction(v) for v in row) for row in T)
-        return ClassicalStrategy(raw["d_in"], raw["d_msg"], enc, dec)
+        try:
+            rows, answers = raw["grid"], raw["decodings"].items()
+            grid = {(x, z): j for x, row in enumerate(rows) for z, j in enumerate(row)}
+            decodings = {q if q == "inf" else int(q): a for q, a in answers}
+            return ClassicalStrategy(raw["d_in"], raw["d_msg"], grid, decodings)
+        except (TypeError, KeyError, AttributeError) as exc:
+            raise ValueError(f"strategy document has the wrong shape: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class QuantumStrategy:
-    """Message operators (Hermitian, unit trace; psd not required, to admit
-    phase-point messages) and projective measurements per question."""
+    """Message operators, Hermitian with unit trace (psd not required, to admit
+    phase-point messages), measured in the MUBs that ``mub_projectors`` builds."""
 
     d: int
     messages: dict
-    measurements: dict = None
 
     def __post_init__(self):
+        mub_projectors(self.d)  # ValueError on an unsupported dimension
         # each test is written so that a NaN entry fails it
         for (x, z), rho in self.messages.items():
             rho = np.asarray(rho, dtype=complex)
@@ -153,11 +131,6 @@ class QuantumStrategy:
                 raise ValueError(f"message {(x, z)} must be Hermitian")
             if not abs(np.trace(rho).real - 1.0) <= 1e-9:
                 raise ValueError(f"message {(x, z)} must have unit trace")
-        if self.measurements is None:
-            object.__setattr__(self, "measurements", mub_projectors(self.d))
-        for q, projs in self.measurements.items():
-            if not np.allclose(sum(projs), np.eye(self.d), atol=1e-9):
-                raise ValueError("measurement must resolve the identity")
 
     def to_json(self) -> str:
         msgs = {
@@ -224,13 +197,11 @@ def behaviour_of_quantum(strategy: QuantumStrategy, game: TorpedoGame) -> dict:
     d = game.d
     if strategy.d != d:
         raise ValueError("strategy dimension does not match the game")
+    projectors = mub_projectors(d)
     out = {}
     for (x, z), rho in strategy.messages.items():
         for q in game.questions:
-            probs = [
-                float(np.trace(rho @ strategy.measurements[q][c]).real)
-                for c in range(d)
-            ]
+            probs = [float(np.trace(rho @ projectors[q][c]).real) for c in range(d)]
             out[(x, z, q)] = tuple(probs)
     return out
 
@@ -241,7 +212,7 @@ def behaviour_of_quantum(strategy: QuantumStrategy, game: TorpedoGame) -> dict:
 
 
 def _score(onehot: np.ndarray, weights: np.ndarray):
-    """Score a batch of encoding grids, each under its best decoding.
+    """Score a batch of message grids, each under its best decoding.
 
     onehot[g, k, j] is 1 when grid g sends cell k as message j, and
     weights[k, q, c] is what answer c to question q earns at cell k.
@@ -256,7 +227,7 @@ def _score(onehot: np.ndarray, weights: np.ndarray):
 
 @functools.cache
 def _canonical_grids(cells: int, d_msg: int) -> np.ndarray:
-    """Every encoding grid up to message relabelling, one-hot and read-only.
+    """Every message grid up to message relabelling, one-hot and read-only.
 
     A grid's score does not change when its messages are relabelled, so one
     grid per class is enough: the restricted-growth string, in which each
@@ -291,9 +262,9 @@ def _win_weights(game: TorpedoGame) -> np.ndarray:
 def _strategy(game: TorpedoGame, d_msg: int, onehot, decodings) -> ClassicalStrategy:
     """The deterministic strategy of one scored grid and its decodings."""
     d = game.d
-    grid = {divmod(k, d): int(j) for k, j in enumerate(onehot.argmax(axis=1))}
-    maps = {q: [int(c) for c in decodings[:, i]] for i, q in enumerate(game.questions)}
-    return ClassicalStrategy.deterministic(d, d_msg, grid, maps)
+    grid = {divmod(k, d): j for k, j in enumerate(onehot.argmax(axis=1).tolist())}
+    answers = {q: decodings[:, i].tolist() for i, q in enumerate(game.questions)}
+    return ClassicalStrategy(d, d_msg, grid, answers)
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +280,16 @@ def _check_d_msg(d_msg: int):
 def _exhaustive(d_in: int, d_msg: int):
     """Win counts of every canonical grid: (game, grids, values, decodings)."""
     _check_d_msg(d_msg)
-    if d_msg ** (d_in * d_in) > ENCODING_CAP:
-        raise ValueError("encoding space exceeds the exhaustive-search cap")
+    if d_msg ** (d_in * d_in) > GRID_CAP:
+        raise ValueError("grid space exceeds the exhaustive-search cap")
     game = TorpedoGame(d_in)
     grids = _canonical_grids(d_in * d_in, d_msg)
     return (game, grids, *_score(grids, _win_weights(game)))
 
 
 def classical_value(d_in: int, d_msg: int) -> Fraction:
-    """Exact optimum over deterministic strategies by exhaustive encoding
-    search with the closed-form optimal decoding per encoding."""
+    """Exact optimum over deterministic strategies by exhaustive grid
+    search with the closed-form optimal decoding per grid."""
     game, _, values, _ = _exhaustive(d_in, d_msg)
     return Fraction(int(values.max()), d_in * d_in * len(game.questions))
 
@@ -330,12 +301,10 @@ def best_classical_strategy(d_in: int, d_msg: int) -> ClassicalStrategy:
     return _strategy(game, d_msg, grids[g], decodings[g])
 
 
-def random_strategy_search(
-    d_in: int, d_msg: int, trials: int = 2000, seed: int = 0
-):
-    """Randomised search over deterministic encodings (large dimensions).
+def random_strategy_search(d_in: int, d_msg: int, trials: int = 2000, seed: int = 0):
+    """Randomised search over deterministic grids (large dimensions).
 
-    Samples encoding grids and pairs each with its optimal decoding; returns
+    Samples message grids and pairs each with its optimal decoding; returns
     (best value found, best strategy).  A lower bound on the classical
     value, not a guarantee: intended as a verifier for dimensions where the
     exhaustive search is out of range.
@@ -360,19 +329,15 @@ def random_strategy_search(
 
 
 def behaviour_of_classical(strategy: ClassicalStrategy) -> dict:
-    """Outcome distributions p(c | x, z, q), exactly, as Fractions."""
-    game = TorpedoGame(strategy.d_in)
-    d = strategy.d_in
+    """Outcome distributions p(c | x, z, q), exactly: Fraction 1 on the
+    answer the strategy gives, 0 elsewhere."""
+    d, questions = strategy.d_in, TorpedoGame(strategy.d_in).questions
     out = {}
     for x in range(d):
         for z in range(d):
-            enc = strategy.encoding[(x, z)]
-            for q in game.questions:
-                T = strategy.decodings[q]
-                out[(x, z, q)] = tuple(
-                    sum(Fraction(T[c][j]) * Fraction(enc[j]) for j in range(strategy.d_msg))
-                    for c in range(d)
-                )
+            for q in questions:
+                answer = strategy.decodings[q][strategy.grid[(x, z)]]
+                out[(x, z, q)] = tuple(Fraction(int(c == answer)) for c in range(d))
     return out
 
 
@@ -389,13 +354,8 @@ def explicit_noncontextual_model() -> ClassicalStrategy:
         (1, 0): 1, (0, 2): 1, (2, 2): 1,
         (2, 0): 2, (2, 1): 2, (1, 2): 2,
     }
-    maps = {
-        "inf": (2, 1, 0),
-        0: (1, 2, 0),
-        1: (1, 2, 0),
-        2: (1, 0, 2),
-    }
-    return ClassicalStrategy.deterministic(3, 3, grid, maps)
+    decodings = {"inf": (2, 1, 0), 0: (1, 2, 0), 1: (1, 2, 0), 2: (1, 0, 2)}
+    return ClassicalStrategy(3, 3, grid, decodings)
 
 
 def win_rate(behaviour: dict, game: TorpedoGame):
@@ -442,7 +402,7 @@ def bounded_memory_ncf(behaviour: dict, d: int) -> float:
     Column generation over the deterministic strategies S, for d = 2 and 3.
     The master LP's duals y >= 0 are dual feasible when y . e^S >= 1 for
     every S, so a column enters when the least y . e^S, found by the scoring
-    kernel (for a fixed encoding grid the best decodings decouple per
+    kernel (for a fixed message grid the best decodings decouple per
     question), is below 1.  The loop stops when it is not, or when the
     master value meets a dual bound: y over that least price, or the
     forbidden-answer indicator over the fewest losses of any strategy.
@@ -487,9 +447,8 @@ def bounded_memory_ncf(behaviour: dict, d: int) -> float:
     raise RuntimeError("column generation did not converge within the cap")
 
 
-def ncf_bound_holds(behaviour: dict, d: int, theta_classical: float, tol=1e-9) -> bool:
-    """Check epsilon >= NCF * (1 - theta^C) for a behaviour."""
-    game = TorpedoGame(d)
-    eps = average_failure(behaviour, game)
+def ncf_bound_holds(behaviour: dict, d: int, theta_classical: float) -> bool:
+    """Check epsilon >= NCF * (1 - theta^C) for a behaviour, to within 1e-9."""
+    eps = average_failure(behaviour, TorpedoGame(d))
     ncf = bounded_memory_ncf(behaviour, d)
-    return eps + tol >= ncf * (1.0 - theta_classical)
+    return eps + 1e-9 >= ncf * (1.0 - theta_classical)

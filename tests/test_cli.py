@@ -184,6 +184,25 @@ def test_bad_input_exit_code(tmp_path, capsys):
         code = main(["cf", "--model-file", str(path)])
         captured = capsys.readouterr()
         assert code == 1 and captured.err.startswith("error: model document"), text
+    # the tables must match the contexts: an extra table was ignored, and a
+    # reversed context ended in the bare KeyError ('a1', 'b1')
+    from negwit import contextuality as C
+
+    chsh = json.loads(C.example_model("chsh").to_json())
+    extra = json.loads(json.dumps(chsh))
+    extra["tables"].append({"context": ["a1", "a2"], "rows": [[[0, 0], 1.0]]})
+    reversed_ = json.loads(json.dumps(chsh))
+    table = reversed_["tables"][0]
+    table["context"] = ["b1", "a1"]
+    table["rows"] = [[[b, a], p] for (a, b), p in table["rows"]]
+    cases = ((extra, "('a1', 'a2')"), (reversed_, "('a1', 'b1')"))
+    for i, (doc, context) in enumerate(cases):
+        path = tmp_path / f"contexts{i}.json"
+        path.write_text(json.dumps(doc))
+        code = main(["cf", "--model-file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", context
+        assert captured.err.startswith("error: ") and context in captured.err, context
     # a directory given for a file raises IsADirectoryError, an OSError
     for argv in (
         ("cf", "--model-file", str(tmp_path)),

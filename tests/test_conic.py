@@ -119,12 +119,13 @@ def _exact(a):
     return np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=np.float64))
 
 
-def test_kkt_residuals_on_problem_blocks():
+def test_kkt_residuals_on_problem_blocks(monkeypatch):
     # the residuals against a plain per-block computation, on 12 1x1 blocks
     # and a 12x12 one, at the 14th iterate: one before the solve converges,
     # so that complementarity stays far above the rounding it is checked to
     prob = monomial.lower_dual(W.WitnessSpec.fock(3), 11, "balanced")
-    sol = conic.solve(prob, max_iterations=14)
+    monkeypatch.setattr(conic, "MAX_ITERATIONS", 14)
+    sol = conic.solve(prob)
     assert len(sol.X) == len(prob.blocks)
     assert all(x.shape == (1, 1) for x in sol.X[:-1])
     res = oracles.kkt_residuals(prob, sol)
@@ -181,7 +182,7 @@ def test_kkt_residuals_on_problem_blocks():
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
-def test_stop_reason_reported(precision):
+def test_stop_reason_reported(precision, monkeypatch):
     # the non-optimal exits are iteration caps, which no change to the
     # Newton system can turn into convergence; the deep program's kept
     # iterate is not its last, and its residuals are longdouble in extended
@@ -192,7 +193,8 @@ def test_stop_reason_reported(precision):
          "numerical_limit", "iteration_cap"),
     ]
     for prob, cap, status, reason in cases:
-        sol = conic.solve(prob, precision=precision, max_iterations=cap)
+        monkeypatch.setattr(conic, "MAX_ITERATIONS", cap)
+        sol = conic.solve(prob, precision=precision)
         assert sol.status == status
         assert sol.info["stop_reason"] == reason
         json.dumps(sol.info)

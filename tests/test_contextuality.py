@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,19 @@ def test_model_rejects_nan_entry():
         C.EmpiricalModel(sc, tables)
     with pytest.raises(ValueError, match="incompatible marginals"):
         C._check_compatibility(sc, tables)
+
+
+def test_model_rejects_sections_outside_the_scenario():
+    # the section (0, 7) was accepted, vector() dropped its probability, and
+    # ncf returned (0.5, 0.5) on a one-context model
+    sc = C.Scenario(("x", "y"), (("x", "y"),), {"x": (0, 1), "y": (0, 1)})
+    for section in ((0, 7), (0,), (0, 0, 1)):
+        with pytest.raises(ValueError, match=rf"has section {re.escape(str(section))}"):
+            C.EmpiricalModel(sc, {("x", "y"): {(0, 0): 0.5, section: 0.5}})
+    with pytest.raises(ValueError, match=r"no table for context \('x', 'y'\)"):
+        C.EmpiricalModel(sc, {("y", "x"): {(0, 0): 1.0}})
+    with pytest.raises(ValueError, match=r"table for \('x',\), which is not"):
+        C.EmpiricalModel(sc, {("x", "y"): {(0, 0): 1.0}, ("x",): {(0,): 1.0}})
 
 
 def test_chsh_fraction_matches_closed_form():

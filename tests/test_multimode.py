@@ -79,11 +79,16 @@ def test_single_mode_reduction():
     [(1e-8, ["double"]), (1e-12, ["double", "extended"])],
     ids=["double", "retry"],
 )
-@pytest.mark.parametrize("solver", [MM.solve_lower_multi, MM.solve_upper_multi])
-def test_policy_retries_only_a_failed_double_solve(solver, tol, attempts, solve_calls):
+@pytest.mark.parametrize(
+    "build",
+    [MM.build_lower_multi, MM.build_upper_multi_compact],
+    ids=["solve_lower_multi", "solve_upper_multi"],  # the drivers of these builders
+)
+def test_policy_retries_only_a_failed_double_solve(build, tol, attempts, solve_calls):
     # one double solve when it ends optimal; otherwise one extended retry,
     # which is the solution kept
-    _, sol = solver(MM.MultiWitnessSpec(n=(1, 1)), "triangle", 2, tol=tol)
+    prob = build(MM.MultiWitnessSpec(n=(1, 1)), "triangle", 2)
+    sol = W._solve_with_policy(prob, tol)
     assert [s.info["precision"] for s in solve_calls] == attempts
     assert sol is solve_calls[-1] and sol.status == "optimal"
     assert all(s.status != "optimal" for s in solve_calls[:-1])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negwit import qudit as Q
 from negwit import torpedo as T
 
 
@@ -69,7 +71,7 @@ def test_exhaustive_matches_full_brute_force_d2():
         assign = dict(zip(cells, grid))
         for fs in itertools.product(itertools.product(range(2), repeat=2), repeat=3):
             maps = {q: f for q, f in zip(game.questions, fs)}
-            strat = T.ClassicalStrategy.deterministic(2, 2, assign, maps)
+            strat = T.ClassicalStrategy(2, 2, assign, maps)
             best = max(best, exact_value(strat))
     assert best == T.classical_value(2, 2) == Fraction(3, 4)
 
@@ -89,7 +91,7 @@ def test_always_guess_zero_brute_force():
     game = T.TorpedoGame(2)
     grid = {(x, z): 0 for x in range(2) for z in range(2)}
     maps = {q: (0, 0) for q in game.questions}
-    strat = T.ClassicalStrategy.deterministic(2, 2, grid, maps)
+    strat = T.ClassicalStrategy(2, 2, grid, maps)
     wins = sum(
         1
         for x in range(2)
@@ -108,7 +110,7 @@ def test_perfect_strategy_scores_one():
         maps[q] = tuple(
             next(iter(game.winning(q, j // 2, j % 2))) for j in range(4)
         )
-    strat = T.ClassicalStrategy.deterministic(2, 4, grid, maps)
+    strat = T.ClassicalStrategy(2, 4, grid, maps)
     assert exact_value(strat) == 1
 
 
@@ -121,6 +123,8 @@ def test_quantum_values():
     assert abs(v2 - 0.5 * (1 + 1 / math.sqrt(3))) < 1e-9
     with pytest.raises(ValueError, match="dimension does not match"):
         quantum_value(T.canonical_quantum_strategy(2), g3)
+    with pytest.raises(ValueError, match="unsupported dimension"):
+        T.QuantumStrategy(4, {})
 
 
 def test_phase_point_strategies_win_perfectly():
@@ -141,7 +145,7 @@ def test_key_fact_residuals():
     g = T.TorpedoGame(3)
     strat = T.canonical_quantum_strategy(3)
     rho = strat.messages[(0, 0)]
-    op = sum(strat.measurements[q][g.forbidden(q, 1, 1)] for q in g.questions)
+    op = sum(Q.mub_projectors(3)[q][g.forbidden(q, 1, 1)] for q in g.questions)
     assert float(np.trace(rho @ op).real) > 0.1
 
 
@@ -152,12 +156,30 @@ def test_strategies_reject_nan_entries():
     with pytest.raises(ValueError, match=r"message \(0, 0\) must be Hermitian"):
         T.QuantumStrategy(2, {(0, 0): rho})
     m = T.explicit_noncontextual_model()
-    enc = {**m.encoding, (1, 2): (math.nan, 1.0, 0.0)}
-    with pytest.raises(ValueError, match=r"encoding distribution of \(1, 2\)"):
-        T.ClassicalStrategy(3, 3, enc, m.decodings)
-    dec = {**m.decodings, 0: ((math.nan, 0, 0), (0, 1, 0), (1, 0, 1))}
-    with pytest.raises(ValueError, match="decoding columns of question 0"):
-        T.ClassicalStrategy(3, 3, m.encoding, dec)
+    grid = {**m.grid, (1, 2): math.nan}
+    with pytest.raises(ValueError, match=r"message of cell \(1, 2\)"):
+        T.ClassicalStrategy(3, 3, grid, m.decodings)
+    dec = {**m.decodings, 0: (math.nan, 2, 0)}
+    with pytest.raises(ValueError, match="answers to question 0"):
+        T.ClassicalStrategy(3, 3, m.grid, dec)
+
+
+def test_classical_strategy_rejects_wrong_shapes():
+    # a grid missing a cell raised a bare KeyError
+    m = T.explicit_noncontextual_model()
+    grid = {cell: j for cell, j in m.grid.items() if cell != (2, 2)}
+    with pytest.raises(ValueError, match="each cell of Z_3"):
+        T.ClassicalStrategy(3, 3, grid, m.decodings)
+    for grid, dec, match in (
+        ({**m.grid, (3, 0): 0}, m.decodings, "each cell of Z_3"),
+        ({**m.grid, (0, 0): 3}, m.decodings, r"message of cell \(0, 0\)"),
+        ({**m.grid, (0, 0): 1.0}, m.decodings, r"message of cell \(0, 0\)"),
+        (m.grid, {q: a for q, a in m.decodings.items() if q != 1}, "each question"),
+        (m.grid, {**m.decodings, 1: (0, 1)}, "answers to question 1"),
+        (m.grid, {**m.decodings, "inf": (0, 1, 3)}, "answers to question inf"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            T.ClassicalStrategy(3, 3, grid, dec)
 
 
 def test_quantum_behaviour_probabilities_normalised():
@@ -171,7 +193,27 @@ def test_quantum_behaviour_probabilities_normalised():
 def test_strategy_json_round_trip():
     m = T.explicit_noncontextual_model()
     again = T.ClassicalStrategy.from_json(m.to_json())
+    assert again == m
     assert exact_value(again) == Fraction(11, 12)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # the Fraction-table form: encoding distributions, decoding matrices
+        {"d_in": 2, "d_msg": 2,
+         "encoding": {f"{x},{z}": ["1", "0"] for x in range(2) for z in range(2)},
+         "decodings": {q: [["1", "1"], ["0", "0"]] for q in ("inf", "0", "1")}},
+        [],
+        {"d_in": 2, "d_msg": 2, "grid": 5, "decodings": {}},
+        {"d_in": 2, "d_msg": 2, "grid": [[0, 1], [1, 0]], "decodings": []},
+        {"d_in": 2, "d_msg": 2, "grid": [[0, 1], [1]], "decodings": {}},
+    ],
+    ids=["fraction-tables", "list", "grid-int", "decodings-list", "cell-missing"],
+)
+def test_strategy_from_json_rejects_wrong_shapes(doc):
+    with pytest.raises(ValueError):
+        T.ClassicalStrategy.from_json(json.dumps(doc))
 
 
 def test_bounded_memory_ncf_explicit_model():
@@ -265,7 +307,7 @@ def test_bounded_memory_ncf_d2_random_mixtures():
         maps = {q: (int(bits[4 + 2 * i]), int(bits[5 + 2 * i]))
                 for i, q in enumerate(g.questions)}
         classical = T.behaviour_of_classical(
-            T.ClassicalStrategy.deterministic(2, 2, grid, maps)
+            T.ClassicalStrategy(2, 2, grid, maps)
         )
         beh = {
             k: tuple(lam * a + (1 - lam) * b for a, b in zip(classical[k], quantum[k]))
@@ -317,7 +359,7 @@ def test_random_classical_strategies_respect_bound(seed):
     game = T.TorpedoGame(2)
     for qi, q in enumerate(game.questions):
         fs[q] = (bits[4 + 2 * qi], bits[5 + 2 * qi])
-    strat = T.ClassicalStrategy.deterministic(2, 2, grid, fs)
+    strat = T.ClassicalStrategy(2, 2, grid, fs)
     beh = T.behaviour_of_classical(strat)
     assert T.ncf_bound_holds(beh, 2, 0.75)
 
@@ -393,7 +435,7 @@ def test_best_strategy_is_first_lexicographic_maximiser():
     labels = (0, 0, 0, 0, 0, 1, 1, 2, 2)
     grid = {(k // 3, k % 3): j for k, j in enumerate(labels)}
     maps = {"inf": (2, 0, 0), 0: (1, 2, 0), 1: (2, 0, 2), 2: (0, 2, 1)}
-    assert strat == T.ClassicalStrategy.deterministic(3, 3, grid, maps)
+    assert strat == T.ClassicalStrategy(3, 3, grid, maps)
     # at d = 2 the first maximiser over all 2^4 grids, found by plain loops
     game = T.TorpedoGame(2)
     cells = [(x, z) for x in range(2) for z in range(2)]
@@ -410,7 +452,7 @@ def test_best_strategy_is_first_lexicographic_maximiser():
         if score > best:
             best, first = score, grid
     chosen = T.best_classical_strategy(2, 2)
-    assert tuple(chosen.encoding[cell].index(1) for cell in cells) == first
+    assert tuple(chosen.grid[cell] for cell in cells) == first
 
 
 def _reference_search(d_in, d_msg, trials, seed):
@@ -439,7 +481,7 @@ def test_random_search_keeps_the_seeded_sequence(d_in, d_msg, trials, seed):
     value, strat = T.random_strategy_search(d_in, d_msg, trials=trials, seed=seed)
     ref_value, ref_grid = _reference_search(d_in, d_msg, trials, seed)
     assert value == ref_value == exact_value(strat)
-    assert {cell: dist.index(1) for cell, dist in strat.encoding.items()} == ref_grid
+    assert strat.grid == ref_grid
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
