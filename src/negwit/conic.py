@@ -159,7 +159,7 @@ def _chol(a: np.ndarray):
     LinAlgError when not positive definite."""
     if a.ndim == 1:
         # a NaN entry makes the minimum NaN, which fails the first test
-        if not (a.min() > 0 and a.max() < np.inf):
+        if not (np.minimum.reduce(a) > 0 and np.maximum.reduce(a) < np.inf):
             raise np.linalg.LinAlgError("diagonal block not positive")
         return a
     if a.dtype != np.float64:
@@ -174,7 +174,7 @@ def _chol(a: np.ndarray):
     # diagonal entry is positive, NaN or +inf.  A positive entry is the root
     # of a float64, below 1.4e154, so their sum cannot overflow: the sum is
     # finite exactly when every entry is
-    if not math.isfinite(np.diagonal(U).sum()):
+    if not math.isfinite(np.add.reduce(U.diagonal())):
         raise np.linalg.LinAlgError("matrix is not positive definite")
     return U.T
 
@@ -220,7 +220,8 @@ def _trsolve(a: np.ndarray, b: np.ndarray, lower: bool):
     if trans:
         a, lower = a.T, not lower
     if b.ndim == 2 and b.shape[1] > 1:
-        if not a.diagonal().all():  # trsm does not report a singular factor
+        # trsm does not report a singular factor
+        if not np.logical_and.reduce(a.diagonal()):
             raise np.linalg.LinAlgError("triangular solve failed (singular factor)")
         return _trsm(1.0, a, b, lower=lower, trans_a=trans)
     x, info = _trtrs(a, b, lower=lower, trans=trans)
@@ -270,7 +271,18 @@ def _solve_upper(U: np.ndarray, b: np.ndarray):
 
 
 def _chol_solve(L: np.ndarray, b: np.ndarray):
-    return _solve_upper(L.T, _solve_lower(L, b))
+    """Solve L L^T x = b for a factor L of :func:`_chol`; b may be a matrix."""
+    if L.dtype != np.float64:
+        return _solve_upper(L.T, _solve_lower(L, b))
+    # _chol's float64 L is C-ordered, so U = L.T is Fortran-ordered: these
+    # are the calls _trsolve makes for L and then L.T, less its checks, as
+    # _chol's diagonal is positive and finite
+    U = L.T
+    if b.ndim == 2 and b.shape[1] > 1:
+        return _trsm(1.0, U, _trsm(1.0, U, b, lower=0, trans_a=1), lower=0)
+    z, _ = _trtrs(U, b, lower=0, trans=1)
+    x, _ = _trtrs(U, z, lower=0)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +294,15 @@ class _BlockData:
 
     The stack of a PSD block is (m, n, n) and that of a diagonal block is
     (m, n), for m constraints.  Iterates follow the same shapes: a diagonal
-    block is a vector, and ``mul`` multiplies it elementwise.
+    block is a vector, and ``muls`` holds each block's product a b, a
+    matrix product, elementwise on a diagonal.
     """
 
     def __init__(self, problem: SdpProblem, dtype):
         self.blocks = problem.blocks
         self.dtype = dtype
         self.dot = np.matmul if dtype == np.float64 else _dot
+        self.muls = [self.dot if n > 0 else np.multiply for n in problem.blocks]
         m = problem.num_constraints
         # in double these are the problem's own read-only arrays, not copies
         self.b = np.asarray(problem.b, dtype)
@@ -305,10 +319,6 @@ class _BlockData:
         self.norm_C = max(
             1.0, max(float(np.max(np.abs(c))) if c.size else 0.0 for c in self.C)
         )
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The block product a b: a matrix product, elementwise on a diagonal."""
-        return self.dot(a, b) if a.ndim == 2 else a * b
 
     def apply_A(self, Xb) -> np.ndarray:
         """Vector of <B_i, X>."""
@@ -347,7 +357,7 @@ def _start_scales(problem: SdpProblem):
 def _blk_inner(A, B):
     total = 0.0
     for a, b in zip(A, B):
-        total = total + (a * b).sum()
+        total = total + np.add.reduce(a * b, axis=None)
     return total
 
 
@@ -371,8 +381,9 @@ def _max_step(Xb, dXb, chols):
             if lam < -1e-300:
                 alpha = min(alpha, -1.0 / lam)
         else:
-            ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
-            alpha = min(alpha, float(ratio.min()))
+            neg = dx < 0
+            ratio = np.minimum.reduce(-x[neg] / dx[neg], initial=np.inf)
+            alpha = min(alpha, float(ratio))
     return alpha
 
 
@@ -419,7 +430,9 @@ def solve(
         raise ValueError("problem needs at least one constraint")
     dtype = np.float64 if precision == "double" else np.longdouble
     data = _BlockData(problem, dtype)
-    dot, mul = data.dot, data.mul
+    dot, muls = data.dot, data.muls
+    # the ufunc reductions behind np.max and ndarray.all, called directly
+    amax, finite = np.maximum.reduce, np.logical_and.reduce
     blocks = problem.blocks
     m = problem.num_constraints
     ntot = sum(abs(b) for b in blocks)
@@ -443,8 +456,8 @@ def solve(
         Rd = [c + s - a for c, s, a in zip(data.C, Sb, Aty)]
         xs = _blk_inner(Xb, Sb)
         mu = xs / ntot
-        rp_norm = float(np.max(np.abs(rp))) / data.norm_b if m else 0.0
-        rd_norm = max(float(np.max(np.abs(r))) for r in Rd) / data.norm_C
+        rp_norm = float(amax(np.abs(rp), axis=None)) / data.norm_b if m else 0.0
+        rd_norm = max(float(amax(np.abs(r), axis=None)) for r in Rd) / data.norm_C
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         # complementarity guards against near-feasible iterate pairs whose
         # small mutual gap hides large multiplier-weighted infeasibility
@@ -485,7 +498,7 @@ def solve(
         ]
         # with S^{-1} and the Schur solutions finite, so is every direction,
         # and no inf or NaN reaches the step-length eigenvalue solver
-        if not all(np.isfinite(si).all() for si in Sinv):
+        if not all(finite(np.isfinite(si), axis=None) for si in Sinv):
             status, stop_reason = "numerical_limit", "nonfinite_direction"
             break
 
@@ -518,13 +531,13 @@ def solve(
             break
 
         # X S and X Rd, shared by both directions
-        XS = [mul(x, s) for x, s in zip(Xb, Sb)]
-        XRd = [mul(x, rd) for x, rd in zip(Xb, Rd)]
+        XS = [mul(x, s) for mul, x, s in zip(muls, Xb, Sb)]
+        XRd = [mul(x, rd) for mul, x, rd in zip(muls, Xb, Rd)]
 
         def rhs_for(Rc):
             # A(Rc S^{-1}) + A(X Rd S^{-1}) - rp
             vec = -rp
-            for flat, rc, xrd, si in zip(data.Bflat, Rc, XRd, Sinv):
+            for mul, flat, rc, xrd, si in zip(muls, data.Bflat, Rc, XRd, Sinv):
                 vec += dot(flat, mul(rc + xrd, si).reshape(-1))
             return vec
 
@@ -539,7 +552,7 @@ def solve(
             dy = schur_solve(rhs_for(Rc))
             dS = [a - r for a, r in zip(data.apply_At(dy), Rd)]
             dX = []
-            for rc, x, ds, si in zip(Rc, Xb, dS, Sinv):
+            for mul, rc, x, ds, si in zip(muls, Rc, Xb, dS, Sinv):
                 v = mul(rc - mul(x, ds), si)
                 dX.append((v + v.T) / 2.0 if v.ndim == 2 else v)
             return dX, dy, dS
@@ -547,7 +560,7 @@ def solve(
         # predictor
         Rc_aff = [-xs for xs in XS]
         dX_a, dy_a, dS_a = direction(Rc_aff)
-        if not np.isfinite(dy_a).all():  # the Schur solve overflowed
+        if not finite(np.isfinite(dy_a)):  # the Schur solve overflowed
             status, stop_reason = "numerical_limit", "nonfinite_direction"
             break
         ap = min(1.0, _max_step(Xb, dX_a, Lx))
@@ -564,10 +577,10 @@ def solve(
         # corrector
         Rc = [
             dtype(sigma * mu) * data.eye[size] - xs - mul(dxa, dsa)
-            for size, xs, dxa, dsa in zip(blocks, XS, dX_a, dS_a)
+            for size, mul, xs, dxa, dsa in zip(blocks, muls, XS, dX_a, dS_a)
         ]
         dX, dy, dS = direction(Rc)
-        if not np.isfinite(dy).all():
+        if not finite(np.isfinite(dy)):
             status, stop_reason = "numerical_limit", "nonfinite_direction"
             break
         ap = _STEP_FRACTION * min(1.0 / _STEP_FRACTION, _max_step(Xb, dX, Lx))

@@ -57,6 +57,13 @@ class Scenario:
                 if c != c2 and set(c) <= set(c2):
                     raise ValueError("contexts must form an antichain")
         outcomes = {x: tuple(self.outcomes[x]) for x in labels}
+        for x, symbols in outcomes.items():
+            try:
+                set(symbols)
+            except TypeError:
+                raise ValueError(
+                    f"outcomes of label {x!r} must be hashable, not {symbols!r}"
+                ) from None
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "contexts", contexts)
         object.__setattr__(self, "outcomes", outcomes)

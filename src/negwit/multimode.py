@@ -22,6 +22,7 @@ from . import conic
 from .witness import (
     _compact_lower,
     _compact_upper,
+    _gram_stacks,
     _lower_feasible,
     _solve_with_policy,
     _upper_gram,
@@ -113,7 +114,7 @@ def build_lower_multi(
     """
     idx = _level_indices(spec, mode, level)
     w = [spec.a.get(k, 0.0) for k in idx]
-    return _compact_lower(_upper_gram_multi(idx, level), w)
+    return _compact_lower(_gram_stacks(_upper_gram_multi(idx, level)), w)
 
 
 def _upper_gram_multi(idx: list, level: int) -> list:
@@ -165,7 +166,7 @@ def build_upper_multi_compact(
     if any(v and k not in members for k, v in spec.a.items()):
         raise ValueError("every nonzero weight must lie in the level's index set")
     w = [spec.a.get(k, 0.0) for k in idx]
-    return _compact_upper(_upper_gram_multi(idx, level), w)
+    return _compact_upper(_gram_stacks(_upper_gram_multi(idx, level)), w)
 
 
 def solve_lower_multi(spec, mode, level):

@@ -116,21 +116,27 @@ class ClassicalStrategy:
 
 @dataclass(frozen=True)
 class QuantumStrategy:
-    """Message operators, Hermitian with unit trace (psd not required, to admit
-    phase-point messages), measured in the MUBs that ``mub_projectors`` builds."""
+    """One d x d message operator per cell (x, z) of Z_d^2, Hermitian with unit
+    trace (psd not required, to admit phase-point messages), measured in the
+    MUBs that ``mub_projectors`` builds."""
 
     d: int
     messages: dict
 
     def __post_init__(self):
-        mub_projectors(self.d)  # ValueError on an unsupported dimension
+        d = self.d
+        mub_projectors(d)  # ValueError on an unsupported dimension
         # each test is written so that a NaN entry fails it
-        for (x, z), rho in self.messages.items():
+        for cell, rho in self.messages.items():
             rho = np.asarray(rho, dtype=complex)
+            if rho.shape != (d, d):
+                raise ValueError(f"message {cell} must be a {d}x{d} matrix")
             if not np.max(np.abs(rho - rho.conj().T)) <= 1e-9:
-                raise ValueError(f"message {(x, z)} must be Hermitian")
+                raise ValueError(f"message {cell} must be Hermitian")
             if not abs(np.trace(rho).real - 1.0) <= 1e-9:
-                raise ValueError(f"message {(x, z)} must have unit trace")
+                raise ValueError(f"message {cell} must have unit trace")
+        if set(self.messages) != {(x, z) for x in range(d) for z in range(d)}:
+            raise ValueError(f"messages must be given for each cell of Z_{d}^2 only")
 
     def to_json(self) -> str:
         msgs = {
@@ -141,14 +147,18 @@ class QuantumStrategy:
 
     @staticmethod
     def from_json(text: str) -> "QuantumStrategy":
+        """The strategy of a :meth:`to_json` document; ValueError on another shape."""
         raw = json.loads(text)
-        msgs = {}
-        for key, rows in raw["messages"].items():
-            x, z = (int(v) for v in key.split(","))
-            msgs[(x, z)] = np.array(
-                [[complex(re, im) for re, im in row] for row in rows]
-            )
-        return QuantumStrategy(raw["d"], msgs)
+        try:
+            msgs = {}
+            for key, rows in raw["messages"].items():
+                x, z = (int(v) for v in key.split(","))
+                msgs[(x, z)] = np.array(
+                    [[complex(re, im) for re, im in row] for row in rows]
+                )
+            return QuantumStrategy(raw["d"], msgs)
+        except (TypeError, KeyError, AttributeError) as exc:
+            raise ValueError(f"strategy document has the wrong shape: {exc}") from exc
 
 
 def _qubit_strategy(base: np.ndarray) -> QuantumStrategy:

@@ -19,6 +19,7 @@ invariant, so builders take only the weight vector.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -123,6 +124,7 @@ def _upper_gram(m: int):
     is split by parity and changed, by an exact triangular congruence, to
     L_a(x^2) and x L_a(x^2) with L_a(t) = sum_c (-1)^c C(a,c) t^c / c!; the
     vacuum's even block is then the identity and every entry is an integer.
+    The blocks are read-only, so that one level's blocks can be shared.
     """
     out = [[] for _ in range(m + 1)]
     for p in (0, 1):
@@ -144,8 +146,10 @@ def _upper_gram(m: int):
                 ],
                 dtype=object,
             ).reshape(s, s)  # level 0 has an empty odd block
-            out[k].append(A @ W @ A.T)
-    return [tuple(g) for g in out]
+            g = A @ W @ A.T
+            g.setflags(write=False)
+            out[k].append(g)
+    return tuple(tuple(g) for g in out)
 
 
 def _pascal(s: int):
@@ -182,23 +186,36 @@ def _laguerre_blocks(m: int, mono):
 
 
 def _gram_stacks(G):
-    """The exact Gram blocks rounded once: for each block j, the stack of
-    block j of every G[k]."""
-    return [np.array([gk[j] for gk in G], dtype=float) for j in range(len(G[0]))]
+    """The exact Gram blocks rounded once: for each block j, the read-only
+    stack of block j of every G[k]."""
+    stacks = tuple(np.array([gk[j] for gk in G], dtype=float) for j in range(len(G[0])))
+    for s in stacks:
+        s.setflags(write=False)
+    return stacks
 
 
-def _compact_upper(G, w) -> conic.SdpProblem:
-    """The moment-eliminated upper program from exact Gram blocks and weights.
+def _level_stacks(m: int):
+    """The Gram stacks of level m: :func:`_gram_stacks` of :func:`_upper_gram`.
 
-    Variable k carries the Gram blocks ``G[k]`` and the weight ``w[k]``;
-    variable 0 is eliminated by the unit sum.  Encoded in the "min"
-    reading, so the solved value is -omega.
+    Both sides of every witness at level m are built from them.  A driver
+    shares them by passing the builders ``functools.cache(_level_stacks)``,
+    a cache that lives for its one call.
     """
-    S = _gram_stacks(G)
+    return _gram_stacks(_upper_gram(m))
+
+
+def _compact_upper(S, w) -> conic.SdpProblem:
+    """The moment-eliminated upper program from Gram stacks and weights.
+
+    Variable k carries block k of every stack in ``S`` (see
+    :func:`_gram_stacks`) and the weight ``w[k]``; variable 0 is
+    eliminated by the unit sum.  Encoded in the "min" reading, so the
+    solved value is -omega.
+    """
     w = np.array(w, dtype=float)
-    e = np.eye(len(G))
+    e = np.eye(len(w))
     return conic.SdpProblem(
-        blocks=(-len(G), *(len(s[0]) for s in S)),
+        blocks=(-len(w), *(len(s[0]) for s in S)),
         # 0.0 - s, not -s: a zero entry is +0.0 in every block
         C=(-e[0], *(0.0 - s[0] for s in S)),
         A=(e[1:] - e[0], *(s[1:] - s[0] for s in S)),
@@ -207,27 +224,28 @@ def _compact_upper(G, w) -> conic.SdpProblem:
     )
 
 
-def build_upper_compact(spec: WitnessSpec, m: int) -> conic.SdpProblem:
+def build_upper_compact(
+    spec: WitnessSpec, m: int, stacks=_level_stacks
+) -> conic.SdpProblem:
     """Level-m upper relaxation with the moment variable eliminated.
 
     Variables are F_1..F_m only (F_0 = 1 - sum), constrained by the linear
     matrix inequality diag(F) (+) A(F) >= 0, with A(F) in the Laguerre
-    parity blocks of :func:`_upper_gram`.
+    parity blocks of :func:`_upper_gram`, whose stacks ``stacks(m)`` gives.
     """
     if m < spec.n:
         raise ValueError("level m must be at least the top witness index n")
-    return _compact_upper(_upper_gram(m), _weights_exact(spec.a, m))
+    return _compact_upper(stacks(m), _weights_exact(spec.a, m))
 
 
-def _compact_lower(G, w) -> conic.SdpProblem:
-    """The lower program from exact Gram blocks and weights.
+def _compact_lower(S, w) -> conic.SdpProblem:
+    """The lower program from Gram stacks and weights.
 
     Maximise sum w_k F_k over F >= 0 (one diagonal block) with sum F = 1,
-    one PSD block Q_p per parity block of ``G`` and one row <G_k, Q> = F_k
-    per variable k.
+    one PSD block Q_p per stack in ``S`` (see :func:`_gram_stacks`) and one
+    row <G_k, Q> = F_k per variable k.
     """
-    S = _gram_stacks(G)
-    nvar = len(G)
+    nvar = len(w)
     return conic.SdpProblem(
         blocks=(-nvar, *(len(s[0]) for s in S)),
         C=(np.array(w, dtype=float), *(np.zeros_like(s[0]) for s in S)),
@@ -240,11 +258,12 @@ def _compact_lower(G, w) -> conic.SdpProblem:
     )
 
 
-def build_lower(spec: WitnessSpec, m: int) -> conic.SdpProblem:
+def build_lower(spec: WitnessSpec, m: int, stacks=_level_stacks) -> conic.SdpProblem:
     """Level-m lower-bound program: a sum-of-squares radial profile.
 
     Variables F_0..F_m >= 0 with unit sum and a PSD Gram matrix Q in the
-    Laguerre parity blocks of :func:`_upper_gram`, tied by <G_k, Q> = F_k.
+    Laguerre parity blocks of :func:`_upper_gram`, tied by <G_k, Q> = F_k;
+    ``stacks(m)`` gives the blocks' stacks.
     This is the coefficient-matching program (the profile's coefficients of
     odd powers of x vanish, those of x^{2l} match the signed binomial
     transform of F) reduced by the sign flip x -> -x, whose averaging kills
@@ -252,7 +271,7 @@ def build_lower(spec: WitnessSpec, m: int) -> conic.SdpProblem:
     """
     if m < spec.n:
         raise ValueError("level m must be at least the top witness index n")
-    return _compact_lower(_upper_gram(m), _weights_exact(spec.a, m))
+    return _compact_lower(stacks(m), _weights_exact(spec.a, m))
 
 
 # the name of an earlier layout of the lower program, kept only because
@@ -574,15 +593,17 @@ def _trusted(sol: conic.SdpSolution) -> bool:
     return sol.status == "optimal" or sol.info.get("comp", math.inf) <= QUALITY_FLOOR
 
 
-def solve_lower(spec: WitnessSpec, m: int, tol: float = 1e-8):
-    """Level-m lower bound; returns (value, solution)."""
-    sol = _solve_with_policy(build_lower(spec, m), tol)
+def solve_lower(spec: WitnessSpec, m: int, tol: float = 1e-8, stacks=_level_stacks):
+    """Level-m lower bound; returns (value, solution).  ``stacks`` is
+    :func:`build_lower`'s."""
+    sol = _solve_with_policy(build_lower(spec, m, stacks=stacks), tol)
     return sol.primal_value, sol
 
 
-def solve_upper(spec: WitnessSpec, m: int, tol: float = 1e-8):
-    """Level-m upper bound via the compact encoding; (value, solution)."""
-    sol = _solve_with_policy(build_upper_compact(spec, m), tol)
+def solve_upper(spec: WitnessSpec, m: int, tol: float = 1e-8, stacks=_level_stacks):
+    """Level-m upper bound via the compact encoding; (value, solution).
+    ``stacks`` is :func:`build_upper_compact`'s."""
+    sol = _solve_with_policy(build_upper_compact(spec, m, stacks=stacks), tol)
     return -sol.primal_value, sol
 
 
@@ -595,10 +616,11 @@ def threshold_bounds(spec: WitnessSpec, m_max: int, tol: float = 1e-8) -> list:
     """
     if m_max < spec.n:
         raise ValueError("level m must be at least the top witness index n")
+    stacks = functools.cache(_level_stacks)  # one build per level, this call only
     rows = []
     for m in range(spec.n, m_max + 1):
-        lo, lo_sol = solve_lower(spec, m, tol=tol)
-        up, up_sol = solve_upper(spec, m, tol=tol)
+        lo, lo_sol = solve_lower(spec, m, tol=tol, stacks=stacks)
+        up, up_sol = solve_upper(spec, m, tol=tol, stacks=stacks)
         if not _trusted(lo_sol):
             lo = math.nan
         if not _trusted(up_sol):
@@ -632,6 +654,7 @@ def fock_bounds_table(n_values: Sequence[int], m_max: int = 30) -> dict:
     Returns {n: (lower, upper)}; the "detail" entry holds, per index and
     side, (value, level used, kept solution).
     """
+    stacks = functools.cache(_level_stacks)  # one build per level, this call only
     table = {}
     details = {}
     for n in n_values:
@@ -646,7 +669,7 @@ def fock_bounds_table(n_values: Sequence[int], m_max: int = 30) -> dict:
         for side, solver in (("lower", solve_lower), ("upper", solve_upper)):
             row[side] = (math.nan, None, None)
             for m in range(m_max, spec.n - 1, -2):
-                v, sol = solver(spec, m, tol=TABLE_TOL)
+                v, sol = solver(spec, m, tol=TABLE_TOL, stacks=stacks)
                 if _trusted(sol):
                     row[side] = (v, m, sol)
                     break

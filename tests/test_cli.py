@@ -203,6 +203,19 @@ def test_bad_input_exit_code(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "", context
         assert captured.err.startswith("error: ") and context in captured.err, context
+    # an outcome given as a list ended in a TypeError traceback
+    unhashable = {
+        "labels": ["x", "y"],
+        "contexts": [["x", "y"]],
+        "outcomes": {"x": [0, [1]], "y": [0, 1]},
+        "tables": [{"context": ["x", "y"], "rows": [[[0, 0], 0.5], [[0, 1], 0.5]]}],
+    }
+    path = tmp_path / "unhashable.json"
+    path.write_text(json.dumps(unhashable))
+    code = main(["cf", "--model-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "label 'x'" in captured.err
     # a directory given for a file raises IsADirectoryError, an OSError
     for argv in (
         ("cf", "--model-file", str(tmp_path)),

@@ -535,6 +535,44 @@ def test_diagonal_chol_and_max_step(dtype):
     assert both == min(psd, 0.25)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_diagonal_max_step_matches_the_divide_formula(dtype):
+    # the step length by mask keeps the bits of the np.divide(..., where=dx < 0)
+    # it replaced, NaN entries included
+    def divide_formula(x, dx):
+        ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
+        return min(math.inf, float(ratio.min()))
+
+    rng = np.random.default_rng(910)
+    cases = []
+    for n in (1, 2, 7, 13, 40):
+        x = np.exp(3.0 * rng.standard_normal(n))
+        cases.append((x, rng.standard_normal(n) * np.exp(5.0 * rng.standard_normal(n))))
+        cases.append((x, np.abs(rng.standard_normal(n))))  # no negative entry
+    x, dx = np.exp(rng.standard_normal(6)), np.array([-1.0, -2.0, 3.0, -0.5, 0.0, -4.0])
+    for nan_x, nan_dx in (([0], []), ([], [1]), ([2], [3]), ([0, 5], [1, 2]), ([4], [])):
+        xn, dxn = x.copy(), dx.copy()
+        xn[nan_x], dxn[nan_dx] = math.nan, math.nan
+        cases.append((xn, dxn))
+    for x, dx in cases:
+        x, dx = x.astype(dtype), dx.astype(dtype)
+        alpha = conic._max_step([x], [dx], [x])
+        assert isinstance(alpha, float)
+        assert np.float64(alpha).tobytes() == np.float64(divide_formula(x, dx)).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 13, 20])
+def test_chol_solve_matches_the_two_triangular_solves(n):
+    # the direct trtrs and trsm calls on _chol's layout keep the bits of
+    # _solve_upper(L.T, _solve_lower(L, b)), for one column and several
+    rng = np.random.default_rng(950 + n)
+    g = rng.standard_normal((n, n))
+    L = conic._chol(g @ g.T + n * np.eye(n))
+    for b in (rng.standard_normal(n), np.eye(n), rng.standard_normal((n, 3))):
+        ref = conic._solve_upper(L.T, conic._solve_lower(L, b))
+        assert _same_bits(conic._chol_solve(L, b), ref)
+
+
 # ---------------------------------------------------------------------------
 # the longdouble kernels keep the bits of the matmul products and row loops
 # ---------------------------------------------------------------------------
@@ -663,6 +701,10 @@ def _through_scipy_wrappers(mp):
         conic,
         "_min_eigenvalue",
         lambda a: float(sla.eigh(a, eigvals_only=True, check_finite=False)[0]),
+    )
+    # _chol_solve calls trtrs and trsm itself; route it through _trsolve
+    mp.setattr(
+        conic, "_chol_solve", lambda L, b: conic._solve_upper(L.T, conic._solve_lower(L, b))
     )
 
     def apply_At(self, y):

@@ -75,6 +75,13 @@ def test_model_rejects_sections_outside_the_scenario():
         C.EmpiricalModel(sc, {("x", "y"): {(0, 0): 1.0}, ("x",): {(0,): 1.0}})
 
 
+def test_scenario_rejects_unhashable_outcomes():
+    # an outcome given as a list was accepted, and the model then failed with
+    # a bare TypeError
+    with pytest.raises(ValueError, match="outcomes of label 'x' must be hashable"):
+        C.Scenario(("x", "y"), (("x", "y"),), {"x": (0, [1]), "y": (0, 1)})
+
+
 def test_chsh_fraction_matches_closed_form():
     # Tsirelson-point tables: NCF = 2 - S/2 with S = 2 sqrt 2
     n, cf, b = C.ncf(C.example_model("chsh"))

@@ -216,6 +216,33 @@ def test_strategy_from_json_rejects_wrong_shapes(doc):
         T.ClassicalStrategy.from_json(json.dumps(doc))
 
 
+def test_quantum_strategy_rejects_wrong_shapes():
+    # a 2x2 message in dimension 3 was accepted, and failed later in a matmul
+    with pytest.raises(ValueError, match=r"message \(0, 0\) must be a 3x3 matrix"):
+        T.QuantumStrategy(3, {(0, 0): np.eye(2) / 2})
+    messages = dict(T.canonical_quantum_strategy(3).messages)
+    del messages[(2, 2)]
+    with pytest.raises(ValueError, match="each cell of Z_3"):
+        T.QuantumStrategy(3, messages)
+    with pytest.raises(ValueError, match="each cell of Z_3"):
+        T.QuantumStrategy(3, {**messages, (2, 2): np.eye(3) / 3, (3, 0): np.eye(3) / 3})
+
+
+def _real_matrix_document():
+    doc = json.loads(T.canonical_quantum_strategy(2).to_json())
+    doc["messages"]["0,0"] = [[1, 0], [0, 0]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc", [[], {"d": 2}, _real_matrix_document()], ids=["list", "no-messages", "real"]
+)
+def test_quantum_strategy_from_json_rejects_wrong_shapes(doc):
+    # these raised a bare TypeError or KeyError
+    with pytest.raises(ValueError, match="strategy document has the wrong shape"):
+        T.QuantumStrategy.from_json(json.dumps(doc))
+
+
 def test_bounded_memory_ncf_explicit_model():
     beh = T.behaviour_of_classical(T.explicit_noncontextual_model())
     assert T.bounded_memory_ncf(beh, 3) == pytest.approx(1.0, abs=1e-8)

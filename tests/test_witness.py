@@ -249,6 +249,45 @@ def test_gram_blocks_nest_across_levels():
                     assert (big[:s, :s] == small).all(), (m, j, k)
 
 
+def test_drivers_build_each_level_once(monkeypatch):
+    # a driver call shares each level's Gram data across witnesses and sides,
+    # and keeps none of it once it returns
+    levels, builds = [], []
+    upper_gram = W._upper_gram
+
+    def counted_gram(m):
+        levels.append(m)
+        return upper_gram(m)
+
+    def counted(build):
+        def wrapped(*args, **kwargs):
+            builds.append(build.__name__)
+            return build(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(W, "_upper_gram", counted_gram)
+    monkeypatch.setattr(W, "build_lower", counted(W.build_lower))
+    monkeypatch.setattr(W, "build_upper_compact", counted(W.build_upper_compact))
+    W.fock_bounds_table(range(3, 7), 12)
+    assert levels == [12]
+    # every program still goes through its builder, which perfbench times
+    assert sorted(builds) == ["build_lower"] * 4 + ["build_upper_compact"] * 4
+    W.fock_bounds_table(range(3, 7), 12)
+    assert levels == [12, 12]
+    levels.clear()
+    W.threshold_bounds(W.WitnessSpec.fock(1), 8)
+    assert levels == list(range(1, 9))
+
+
+def test_shared_gram_data_is_read_only():
+    G = W._upper_gram(4)
+    assert isinstance(G, tuple) and all(isinstance(g, tuple) for g in G)
+    for block in (G[2][0], G[3][1], *W._level_stacks(4)):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 5
+
+
 def test_exact_psd_checker():
     assert W.exact_psd([[2, 1], [1, 2]])
     assert not W.exact_psd([[1, 2], [2, 1]])
