@@ -36,12 +36,11 @@ def _emit_json(args, payload) -> None:
 
 
 def _weights_from_args(args, alpha=0j):
-    if args.weights:
-        ws = tuple(float(v) for v in args.weights.split(","))
-        return witness.WitnessSpec(a=ws, alpha=alpha)
+    # argparse takes exactly one of --n and --weights
     if args.n is not None:
-        return witness.WitnessSpec.fock(int(args.n), alpha=alpha)
-    raise ValueError("need --n or --weights")
+        return witness.WitnessSpec.fock(args.n, alpha=alpha)
+    ws = tuple(float(v) for v in args.weights.split(","))
+    return witness.WitnessSpec(a=ws, alpha=alpha)
 
 
 def cmd_threshold(args) -> int:
@@ -83,13 +82,12 @@ def cmd_witness(args) -> int:
 
 
 def cmd_cf(args) -> int:
-    if args.example:
+    # argparse takes exactly one of --example and --model-file
+    if args.example is not None:
         model = contextuality.example_model(args.example)
-    elif args.model_file:
+    else:
         with open(args.model_file) as fh:
             model = contextuality.EmpiricalModel.from_json(fh.read())
-    else:
-        raise ValueError("need --example or --model-file")
     n, _, form = contextuality._noncontextual_lp(model)
     payload = {
         "ncf": float(f"{n:.12g}"),
@@ -108,14 +106,14 @@ def cmd_cf(args) -> int:
 def cmd_torpedo(args) -> int:
     d_in, d_msg = args.d_in, args.d_msg
     game = torpedo.TorpedoGame(d_in)
+    if args.mode != "classical" and d_msg != d_in:
+        raise ValueError(f"{args.mode} mode uses message dimension d_in")
     payload = {"d_in": d_in, "d_msg": d_msg, "mode": args.mode}
     if args.mode == "classical":
         value = torpedo.classical_value(d_in, d_msg)
         payload["value"] = float(value)
         payload["value_exact"] = str(value)
     elif args.mode == "quantum":
-        if d_msg != d_in:
-            raise ValueError("quantum mode uses message dimension d_in")
         strat = torpedo.canonical_quantum_strategy(d_in)
         value = torpedo.win_rate(torpedo.behaviour_of_quantum(strat, game), game)
         payload["value"] = float(f"{value:.12g}")
@@ -185,8 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("threshold", help="witness threshold bound hierarchies")
-    p.add_argument("--n", type=int, help="single Fock witness index")
-    p.add_argument("--weights", help="comma-separated weights a_1..a_n")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--n", type=int, help="single Fock witness index")
+    g.add_argument("--weights", help="comma-separated weights a_1..a_n")
     # no --alpha: thresholds are displacement invariant
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
@@ -198,16 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="witness expectation for a named state")
     p.add_argument("--state", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--weights")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--n", type=int)
+    g.add_argument("--weights")
     p.add_argument("--alpha", type=complex, default=0j)
     p.add_argument("--threshold-upper", type=float, required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("cf", help="contextual fraction of an empirical model")
-    p.add_argument("--model-file")
-    p.add_argument("--example", choices=("chsh", "pr_box", "hardy", "identity_mix"))
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--model-file")
+    g.add_argument("--example", choices=("chsh", "pr_box", "hardy", "identity_mix"))
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_cf)
 

@@ -23,12 +23,13 @@ the regularising jitter of its Schur complement is sized to each row's own
 diagonal entry rather than to the largest.  Intended for small dense
 instances (blocks up to ~130, a few thousand constraints).  In float64
 every factorisation and solve is one call to a LAPACK or BLAS routine
-through a scipy handle: potrf factors, trtrs and trsm solve, and each PSD
-block's step length is the smallest eigenvalue (syevr) of L^{-1} dX L^{-T},
-which sygst forms in one call.  ``precision="extended"`` runs the whole
-iteration in numpy longdouble with a column-loop Cholesky factorisation and
-row-loop substitutions, since LAPACK has no longdouble routines; that is
-what rescues the deep hierarchy levels where binary64 stalls.
+through a scipy handle: potrf factors, trtrs and trsm solve with the
+factor, and each PSD block's step length is the smallest eigenvalue (syevr)
+of L^{-1} dX L^{-T}, which sygst forms in one call.  ``precision="extended"``
+runs the whole iteration in numpy longdouble with a column-loop Cholesky
+factorisation and loop substitutions, forward by the rows of L and back by
+its columns, since LAPACK has no longdouble routines; that is what rescues
+the deep hierarchy levels where binary64 stalls.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class SdpSolution:
 
 
 # numpy has no BLAS for longdouble, so its matmul falls back to a generic
-# strided loop.  np.dot runs the dtype's own contiguous dot loop, 2-3x faster
-# on these sizes, and sums in the same order (start at 0, add left to right),
+# strided loop.  np.dot runs the dtype's own dot loop, 2-3x faster on these
+# sizes, and sums in the same order (start at 0, add left to right),
 # so every longdouble product keeps its bits.  float64 products stay on
 # matmul (_BlockData.dot picks one per solve): a 3-D np.dot would leave BLAS
 # and round differently.  The longdouble-only kernels below call np.dot.
@@ -197,10 +198,12 @@ def _chol_longdouble(a: np.ndarray):
 # float64 LAPACK and BLAS routines, called directly: the scipy.linalg and
 # numpy.linalg wrappers cost more than the arithmetic on blocks this small.
 # Every float64 factorisation and solve so runs in scipy's OpenBLAS, and
-# numpy's runs only matmul.  Arguments of trtrs, trsm and syevr mirror what
-# sla.solve_triangular and sla.eigh(eigvals_only=True) pass, so the results
-# are the same bits.  potrf factors (_chol), and sygst forms the step-length
-# matrix L^{-1} dX L^{-T} in one call (_max_step).
+# numpy's runs only matmul.  Each routine has one caller: potrf factors
+# (_chol), trtrs and trsm solve with the factor (_chol_solve), sygst forms
+# the step-length matrix L^{-1} dX L^{-T} in one call (_max_step), and
+# syevr takes its smallest eigenvalue (_min_eigenvalue).  Arguments of
+# trtrs, trsm and syevr mirror what sla.solve_triangular and
+# sla.eigh(eigvals_only=True) pass, so the results are the same bits.
 #
 # A right-hand side with several columns (S^{-1}'s identity) goes to BLAS
 # trsm, which runs the kernels trtrs uses for nrhs >= 2.  trtrs threads
@@ -212,22 +215,6 @@ _trtrs, _syevr, _syevr_lwork, _potrf, _sygst = sla.get_lapack_funcs(
     ("trtrs", "syevr", "syevr_lwork", "potrf", "sygst"), (np.empty(0),)
 )
 _trsm = sla.get_blas_funcs("trsm", (np.empty(0),))
-
-
-def _trsolve(a: np.ndarray, b: np.ndarray, lower: bool):
-    # LAPACK wants Fortran order; a C-ordered a is the transposed system
-    trans = not a.flags.f_contiguous
-    if trans:
-        a, lower = a.T, not lower
-    if b.ndim == 2 and b.shape[1] > 1:
-        # trsm does not report a singular factor
-        if not np.logical_and.reduce(a.diagonal()):
-            raise np.linalg.LinAlgError("triangular solve failed (singular factor)")
-        return _trsm(1.0, a, b, lower=lower, trans_a=trans)
-    x, info = _trtrs(a, b, lower=lower, trans=trans)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
-    return x
 
 
 @functools.cache
@@ -251,32 +238,24 @@ def _min_eigenvalue(a: np.ndarray) -> float:
 
 
 def _solve_lower(L: np.ndarray, b: np.ndarray):
-    """Solve L x = b, L lower triangular; b may be a matrix."""
-    if L.dtype == np.float64 and b.dtype == np.float64:
-        return _trsolve(L, b, lower=True)
+    """Solve L x = b for a longdouble lower triangle L; b may be a matrix."""
     x = np.array(b, copy=True)
     for i in range(L.shape[0]):
         x[i] = (x[i] - np.dot(L[i, :i], x[:i])) / L[i, i]
     return x
 
 
-def _solve_upper(U: np.ndarray, b: np.ndarray):
-    if U.dtype == np.float64 and b.dtype == np.float64:
-        return _trsolve(U, b, lower=False)
-    U = np.ascontiguousarray(U)  # _chol_solve passes L.T, whose rows are strided
-    x = np.array(b, copy=True)
-    for i in range(U.shape[0] - 1, -1, -1):
-        x[i] = (x[i] - np.dot(U[i, i + 1 :], x[i + 1 :])) / U[i, i]
-    return x
-
-
 def _chol_solve(L: np.ndarray, b: np.ndarray):
     """Solve L L^T x = b for a factor L of :func:`_chol`; b may be a matrix."""
     if L.dtype != np.float64:
-        return _solve_upper(L.T, _solve_lower(L, b))
-    # _chol's float64 L is C-ordered, so U = L.T is Fortran-ordered: these
-    # are the calls _trsolve makes for L and then L.T, less its checks, as
-    # _chol's diagonal is positive and finite
+        # back substitution with L^T, whose row i is column i of L
+        x = _solve_lower(L, b)
+        for i in range(L.shape[0] - 1, -1, -1):
+            x[i] = (x[i] - np.dot(L[i + 1 :, i], x[i + 1 :])) / L[i, i]
+        return x
+    # _chol's float64 L is C-ordered, so U = L.T is Fortran-ordered, as
+    # LAPACK wants it; _chol's diagonal is positive and finite, so neither
+    # solve can meet a singular factor
     U = L.T
     if b.ndim == 2 and b.shape[1] > 1:
         return _trsm(1.0, U, _trsm(1.0, U, b, lower=0, trans_a=1), lower=0)

@@ -216,6 +216,12 @@ def test_bad_input_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and "label 'x'" in captured.err
+    # ncf mode, as quantum mode, plays at d_msg = d_in; it ignored --d-msg
+    for mode in ("quantum", "ncf"):
+        code = main(["torpedo", "--d-in", "3", "--d-msg", "2", "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", mode
+        assert captured.err == f"error: {mode} mode uses message dimension d_in\n"
     # a directory given for a file raises IsADirectoryError, an OSError
     for argv in (
         ("cf", "--model-file", str(tmp_path)),
@@ -225,6 +231,28 @@ def test_bad_input_exit_code(tmp_path, capsys):
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 1 and captured.err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("threshold", "--n", "3", "--weights", "1,1", "--m-max", "2"),
+        ("threshold", "--m-max", "2"),
+        ("witness", "--state", "fock:n=1", "--n", "1", "--weights", "1",
+         "--threshold-upper", "0.5"),
+        ("witness", "--state", "fock:n=1", "--threshold-upper", "0.5"),
+        ("cf", "--example", "chsh", "--model-file", "no-such-model.json"),
+    ],
+    ids=["threshold-both", "threshold-neither", "witness-both", "witness-neither", "cf-both"],
+)
+def test_options_that_exclude_each_other(argv, capsys):
+    # exactly one of --n and --weights, and of --example and --model-file;
+    # threshold solved the (1, 1) witness from level 2 when given both, and
+    # cf read the example and never opened the model file
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "not allowed with argument" in captured.err or "is required" in captured.err
 
 
 def test_bad_input_names_its_cause(capsys):

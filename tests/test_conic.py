@@ -344,54 +344,29 @@ def _same_bits(a, b) -> bool:
     )
 
 
-def _triangles(rng, n):
-    """A Cholesky factor and a general lower triangle, each in C and F order."""
-    g = rng.standard_normal((n, n))
-    chol = np.linalg.cholesky(g @ g.T + n * np.eye(n))
-    tri = np.tril(rng.standard_normal((n, n)))
-    np.fill_diagonal(tri, rng.uniform(0.1, 2.0, n) * rng.choice([-1.0, 1.0], n))
-    for L in (chol, tri):
-        yield L
-        yield np.asfortranarray(L)
+def _two_triangular_solves(L, b):
+    """scipy's solves with L and then L^T, the reference for _chol_solve."""
+    z = sla.solve_triangular(L, b, lower=True, check_finite=False)
+    return sla.solve_triangular(L.T, z, lower=False, check_finite=False)
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_triangular_solves_match_scipy_bitwise(n):
+    # _chol_solve's trtrs and trsm calls on _chol's layout keep the bits of
+    # scipy's two triangular solves, for one column and several; the
+    # identity is S^{-1}'s right-hand side
     rng = np.random.default_rng(100 + n)
-    # the square ones are what the solver passes: S^{-1}'s identity, and
-    # _max_step's dX and the C-ordered transpose of its first solve
-    rhs = (
+    g = rng.standard_normal((n, n))
+    L = conic._chol(g @ g.T + n * np.eye(n))
+    for b in (
         rng.standard_normal(n),
         rng.standard_normal((n, 1)),
         rng.standard_normal((n, 3)),
         np.asfortranarray(rng.standard_normal((n, 4))),
         np.eye(n),
         rng.standard_normal((n, n)),
-        np.asfortranarray(rng.standard_normal((n, n))).T,
-    )
-    for L in _triangles(rng, n):
-        for b in rhs:
-            ref = sla.solve_triangular(L, b, lower=True, check_finite=False)
-            assert _same_bits(conic._solve_lower(L, b), ref)
-            # L.T is how _chol_solve passes the upper factor
-            for U in (L.T, np.ascontiguousarray(L.T)):
-                ref = sla.solve_triangular(U, b, lower=False, check_finite=False)
-                assert _same_bits(conic._solve_upper(U, b), ref)
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 20])
-def test_singular_triangle_raises(n):
-    L = np.tril(np.ones((n, n)))
-    L[n // 2, n // 2] = 0.0
-    # one column goes to trtrs, several to trsm and its own diagonal check
-    for b in (np.ones(n), np.ones((n, 2))):
-        with pytest.raises(np.linalg.LinAlgError):
-            sla.solve_triangular(L, b, lower=True, check_finite=False)
-        for a in (L, np.asfortranarray(L)):
-            with pytest.raises(np.linalg.LinAlgError):
-                conic._solve_lower(a, b)
-            with pytest.raises(np.linalg.LinAlgError):
-                conic._solve_upper(a.T, b)
+    ):
+        assert _same_bits(conic._chol_solve(L, b), _two_triangular_solves(L, b))
 
 
 def test_double_solves_keep_multi_column_systems_off_trtrs(monkeypatch):
@@ -564,13 +539,12 @@ def test_diagonal_max_step_matches_the_divide_formula(dtype):
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 13, 20])
 def test_chol_solve_matches_the_two_triangular_solves(n):
     # the direct trtrs and trsm calls on _chol's layout keep the bits of
-    # _solve_upper(L.T, _solve_lower(L, b)), for one column and several
+    # scipy's solves with L and L^T, for one column and several
     rng = np.random.default_rng(950 + n)
     g = rng.standard_normal((n, n))
     L = conic._chol(g @ g.T + n * np.eye(n))
     for b in (rng.standard_normal(n), np.eye(n), rng.standard_normal((n, 3))):
-        ref = conic._solve_upper(L.T, conic._solve_lower(L, b))
-        assert _same_bits(conic._chol_solve(L, b), ref)
+        assert _same_bits(conic._chol_solve(L, b), _two_triangular_solves(L, b))
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +651,6 @@ def test_longdouble_kernels_match_matmul_loops(n):
         _longdouble(rng, (n, n)).T,
     ):
         assert _same_values(conic._solve_lower(L, b), _matmul_lower(L, b))
-        for U in (L.T, np.ascontiguousarray(L.T)):
-            assert _same_values(conic._solve_upper(U, b), _matmul_upper(U, b))
         assert _same_values(
             conic._chol_solve(L, b), _matmul_upper(L.T, _matmul_lower(L, b))
         )
@@ -694,18 +666,16 @@ def _through_scipy_wrappers(mp):
     matmul for every longdouble product and substitution row."""
     mp.setattr(
         conic,
-        "_trsolve",
-        lambda a, b, lower: sla.solve_triangular(a, b, lower=lower, check_finite=False),
-    )
-    mp.setattr(
-        conic,
         "_min_eigenvalue",
         lambda a: float(sla.eigh(a, eigvals_only=True, check_finite=False)[0]),
     )
-    # _chol_solve calls trtrs and trsm itself; route it through _trsolve
-    mp.setattr(
-        conic, "_chol_solve", lambda L, b: conic._solve_upper(L.T, conic._solve_lower(L, b))
-    )
+
+    def chol_solve(L, b):
+        if L.dtype != np.float64:
+            return _matmul_upper(L.T, _matmul_lower(L, b))
+        return _two_triangular_solves(L, b)
+
+    mp.setattr(conic, "_chol_solve", chol_solve)
 
     def apply_At(self, y):
         return [
@@ -723,15 +693,7 @@ def _through_scipy_wrappers(mp):
     mp.setattr(conic, "_interior_step", refactor_step)
     mp.setattr(conic, "_dot", np.matmul)
     mp.setattr(conic, "_chol_longdouble", _matmul_chol)
-    for name, loop in (("_solve_lower", _matmul_lower), ("_solve_upper", _matmul_upper)):
-        kernel = getattr(conic, name)
-        mp.setattr(
-            conic,
-            name,
-            lambda L, b, kernel=kernel, loop=loop: (
-                kernel(L, b) if L.dtype == np.float64 else loop(L, b)
-            ),
-        )
+    mp.setattr(conic, "_solve_lower", _matmul_lower)
 
 
 def _runs_problem(blocks, dense_rows=0):
