@@ -7,21 +7,25 @@ program `build_upper_compact`) and in both precisions: 80 plain
 `conic.solve` calls at tol 1e-8, with no retry.  Each line holds the side,
 n, m and precision, then `status`, `stop_reason`, `iterations`, `value` (the
 side's bound, as `solve_lower` and `solve_upper` report it), the residuals
-`rp`, `rd` and `comp` of the kept iterate, and `seconds`.
+`rp`, `rd` and `comp` of the kept iterate, `seconds`, and `lo` and `hi`:
+the exact enclosure of the solve's program value that
+`witness._lower_enclosure` or `witness._upper_enclosure` certifies from it
+(None for an end it cannot certify).
 
     PYTHONPATH=src python3 scripts/deep_grid.py > new.jsonl
     python3 scripts/deep_grid.py --summary new.jsonl [old.jsonl]
 
 `--summary` counts the `optimal` solves, those with `rp` <= 1e-6 and those
-with `rp` > 1e-2; given a second file, it also lists the solves that are
-`optimal` there and not in the first.
+with `rp` > 1e-2, and the ends that are None; given a second file, it also
+lists the solves that are `optimal` there and not in the first.
 
 Like `solver_digest.py`, the script sets `OPENBLAS_NUM_THREADS=1` before it
-imports numpy, unless the environment already sets it.  A run takes 7-16 s
-on a 2-core machine.
+imports numpy, unless the environment already sets it.  A run takes 14-20 s
+on a 2-core machine, about 7 s of it in the exact ends.
 """
 
 import argparse
+import functools
 import json
 import os
 import time
@@ -37,16 +41,21 @@ def grid():
     from negwit import conic
     from negwit import witness as W
 
-    sides = (("lower", W.build_lower, 1.0), ("upper", W.build_upper_compact, -1.0))
-    for side, build, sign in sides:
+    gram = functools.cache(W._upper_gram)
+    sides = (
+        ("lower", W.build_lower, 1.0, W._lower_enclosure),
+        ("upper", W.build_upper_compact, -1.0, W._upper_enclosure),
+    )
+    for side, build, sign, enclosure in sides:
         for n in N_VALUES:
             for m in LEVELS:
-                prob = build(W.WitnessSpec.fock(n), m)
+                spec = W.WitnessSpec.fock(n)
+                prob = build(spec, m)
                 for precision in ("double", "extended"):
                     start = time.perf_counter()
                     sol = conic.solve(prob, tol=TOL, precision=precision)
                     seconds = time.perf_counter() - start
-                    yield {
+                    rec = {
                         "side": side, "n": n, "m": m, "precision": precision,
                         "status": sol.status,
                         "stop_reason": sol.info["stop_reason"],
@@ -55,6 +64,9 @@ def grid():
                         **{k: sol.info.get(k) for k in ("rp", "rd", "comp")},
                         "seconds": round(seconds, 3),
                     }
+                    w = W._weights_exact(spec.a, m)
+                    rec["lo"], rec["hi"] = enclosure(gram(m), w, sol)
+                    yield rec
 
 
 def _key(rec):
@@ -74,6 +86,7 @@ def summary(path, against=None):
         "rp<=1e-6": sum(rp <= 1e-6 for rp in rps),
         "rp>1e-2": sum(rp > 1e-2 for rp in rps),
         "seconds": round(sum(r["seconds"] for r in recs), 1),
+        "ends_none": sum(r[end] is None for r in recs for end in ("lo", "hi")),
     }
     if against is not None:
         now = {_key(r): r["status"] for r in recs}

@@ -15,12 +15,10 @@ import sys
 from . import conic, contextuality, states, torpedo, witness
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.11e}"
-    return str(x)
+def _fmt(x: float) -> str:
+    if math.isnan(x):
+        return "nan"
+    return f"{x:.11e}"
 
 
 def _write(path, text):
@@ -35,12 +33,17 @@ def _emit_json(args, payload) -> None:
     _write(getattr(args, "out", None), json.dumps(payload, indent=1) + "\n")
 
 
+def weight_list(text: str) -> tuple:
+    """The --weights value: comma-separated floats.  argparse names the
+    option when a float does not parse."""
+    return tuple(float(v) for v in text.split(","))
+
+
 def _weights_from_args(args, alpha=0j):
     # argparse takes exactly one of --n and --weights
     if args.n is not None:
         return witness.WitnessSpec.fock(args.n, alpha=alpha)
-    ws = tuple(float(v) for v in args.weights.split(","))
-    return witness.WitnessSpec(a=ws, alpha=alpha)
+    return witness.WitnessSpec(a=args.weights, alpha=alpha)
 
 
 def cmd_threshold(args) -> int:
@@ -117,7 +120,7 @@ def cmd_torpedo(args) -> int:
         strat = torpedo.canonical_quantum_strategy(d_in)
         value = torpedo.win_rate(torpedo.behaviour_of_quantum(strat, game), game)
         payload["value"] = float(f"{value:.12g}")
-    elif args.mode == "ncf":
+    else:  # ncf
         strat = torpedo.canonical_quantum_strategy(d_in)
         beh = torpedo.behaviour_of_quantum(strat, game)
         ncf = torpedo.bounded_memory_ncf(beh, d_in)
@@ -131,8 +134,6 @@ def cmd_torpedo(args) -> int:
                 "bound_holds": bool(eps + 1e-9 >= ncf * nu),
             }
         )
-    else:
-        raise ValueError(f"unknown mode {args.mode!r}")
     _emit_json(args, payload)
     return 0
 
@@ -162,14 +163,12 @@ def cmd_plotdata(args) -> int:
             eta = i / 100.0
             f3 = (1.0 - eta) ** 3
             lines.append(f"{_fmt(eta)},{_fmt(f3)},{_fmt(f3 - 0.427)}")
-    elif fig == "threshold":
+    else:  # threshold
         lines.append("n,lower,upper")
         table = witness.fock_bounds_table(range(1, args.n_max + 1), m_max=args.m_max)
         for n in range(1, args.n_max + 1):
             lo, up = table[n]
             lines.append(f"{n},{_fmt(lo)},{_fmt(up)}")
-    else:
-        raise ValueError(f"unknown figure {fig!r}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -185,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="witness threshold bound hierarchies")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--n", type=int, help="single Fock witness index")
-    g.add_argument("--weights", help="comma-separated weights a_1..a_n")
+    g.add_argument("--weights", type=weight_list, help="comma-separated weights a_1..a_n")
     # no --alpha: thresholds are displacement invariant
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--n", type=int)
-    g.add_argument("--weights")
+    g.add_argument("--weights", type=weight_list)
     p.add_argument("--alpha", type=complex, default=0j)
     p.add_argument("--threshold-upper", type=float, required=True)
     p.add_argument("--out", default="-")

@@ -457,46 +457,42 @@ def _rational(v):
     )
 
 
+def _raise(B, P):
+    """The t, found by doubling from twice its float estimate plus 1e-25,
+    for which every B_j + t P_j is exactly psd; None after eight tries.
+    Each P_j is positive definite: adding t P_j lifts the smallest
+    eigenvalue of B_j by at least t times that of P_j."""
+    def least(a):
+        return np.linalg.eigvalsh(np.array(a, dtype=float))[0]
+
+    t = Fraction(max(0.0, *(-least(b) / least(p) for b, p in zip(B, P))))
+    for _ in range(8):
+        t = 2 * t + Fraction(1, 10**25)
+        if all(exact_psd((b + t * p).tolist()) for b, p in zip(B, P)):
+            return t
+    return None
+
+
 def _psd_pairings(G, X):
     """<G_k, V> for every k, V the blocks X made exactly psd; None when
-    that fails.  Each block is symmetrised and rationalised, and its
-    diagonal raised by twice its most negative float eigenvalue and 1e-25.
-    """
+    that fails.  Each block is symmetrised, rationalised and raised by
+    :func:`_raise` along the identity."""
     V = []
     for x in X:
-        x = (x + x.T) / 2.0
-        ev = float(np.linalg.eigvalsh(x)[0])
-        shift = Fraction(max(0.0, -ev)) * 2 + Fraction(1, 10**25)
-        V.append(_rational(x) + np.diag([shift] * len(x)))
-    if not all(exact_psd(v.tolist()) for v in V):
-        return None
+        v = _rational((x + x.T) / 2.0)
+        t = _raise([v], [np.identity(len(v), dtype=object)])
+        if t is None:
+            return None
+        v[np.diag_indices(len(v))] += t
+        V.append(v)
     return _pairings(G, V)
 
 
 def _raise_vacuum(c, G):
-    """c with c_0 raised by the t, found by doubling, for which
-    sum_k c_k G_k + t G_0 is exactly psd; None when eight doublings do not
-    reach it.
-
-    G_0, the vacuum's blocks, is positive definite: adding t G_0 lifts the
-    smallest eigenvalue of each block by at least t times that of G_0.
-    """
-    C = _combine(c, G)
-    t = Fraction(
-        max(
-            0.0,
-            *(
-                -np.linalg.eigvalsh(np.array(cb, dtype=float))[0]
-                / np.linalg.eigvalsh(np.array(g0, dtype=float))[0]
-                for cb, g0 in zip(C, G[0])
-            ),
-        )
-    )
-    for _ in range(8):
-        t = 2 * t + Fraction(1, 10**25)
-        if all(exact_psd((cb + t * g0).tolist()) for cb, g0 in zip(C, G[0])):
-            return [c[0] + t, *c[1:]]
-    return None
+    """c with c_0 raised by :func:`_raise` along G_0, the vacuum's blocks,
+    until sum_k c_k G_k is exactly psd; None when that fails."""
+    t = _raise(_combine(c, G), G[0])
+    return None if t is None else [c[0] + t, *c[1:]]
 
 
 def _enclosure(w, F, d):
@@ -534,19 +530,23 @@ def _lower_enclosure(G, w, sol):
     w, from its solution ``sol``.
 
     F: <G_k, Q> for the solved Q made exactly psd; where some F_k < 0,
-    Q + sI with s = max_k (-F_k / tr G_k) gives F_k + s tr G_k instead,
-    which needs every tr G_k > 0.  d: the multipliers z_k of the rows
-    <G_k, Q> = F_k, with z_0 raised by :func:`_raise_vacuum` until
-    sum z_k G_k is exactly psd.
+    Q + sI with s = max_k (-F_k / tr G_k) gives F_k + s tr G_k instead.
+    d: the multipliers z_k of the rows <G_k, Q> = F_k, with z_0 raised by
+    :func:`_raise_vacuum` until sum z_k G_k is exactly psd.
+
+    Every tr G_k >= 1.  G_k pairs as phi_k(p) = (-1)^k int p L_k e^-t dt,
+    so the even diagonal entry phi_k(L_a^2) = e_k(a) is the coefficient of
+    x^a y^a z^k in 1 / (1 - xy - yz - zx - 2xyz), the generating function
+    of (-1)^(a+b+k) int L_a L_b L_k e^-t dt; the odd one is (2k+1) e_k(a)
+    + (k+1) e_{k+1}(a) + k e_{k-1}(a) by the recurrence of t L_k; and at
+    a = floor(k/2) in block k mod 2 it is C(k, a) or k C(k-1, a).  A
+    multimode block keeps index k's row of a Kronecker product of these.
     """
     F = _psd_pairings(G, sol.X[1:])
     if F is not None and min(F) < 0:
         tr = [sum(np.trace(g) for g in gk) for gk in G]
-        if min(tr) > 0:
-            s = max(-f / t for f, t in zip(F, tr))
-            F = [f + s * t for f, t in zip(F, tr)]
-        else:
-            F = None
+        s = max(-f / t for f, t in zip(F, tr))
+        F = [f + s * t for f, t in zip(F, tr)]
     return _enclosure(w, F, _raise_vacuum(list(_rational(sol.y[1:])), G))
 
 

@@ -293,6 +293,24 @@ def test_nonfinite_input_exit_code(argv, capsys):
     assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*WITNESS, "--weights", "1,,1", "--threshold-upper", "0.5"),
+        ("threshold", "--weights=", "--m-max", "3"),
+        ("threshold", "--weights", "1,x", "--m-max", "3"),
+    ],
+    ids=["empty-entry", "empty-list", "not-a-number"],
+)
+def test_malformed_weights_name_the_option(argv, capsys):
+    # the command parsed the list itself, and float()'s error line named no
+    # option
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "--weights" in captured.err.splitlines()[-1]
+
+
 def test_output_to_file(tmp_path, capsys):
     path = tmp_path / "out.csv"
     code, _ = run_cli(capsys, "threshold", "--n", "1", "--m-max", "1", "--out", str(path))

@@ -40,6 +40,30 @@ def test_lp_blocks():
     assert abs(sol.primal_value - 2.0) < 1e-7
 
 
+E11, E22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize(
+    "blocks,C,row,b,status",
+    [
+        # max x1 s.t. x1 + x2 = -1: no x >= 0 is feasible
+        ((-2,), [1.0, 0.0], [1.0, 1.0], -1.0, "primal_infeasible"),
+        # max x1 s.t. x2 = 1: x1 grows without bound
+        ((-2,), [1.0, 0.0], [0.0, 1.0], 1.0, "dual_infeasible"),
+        # tr X = -1: no X >= 0 is feasible
+        ((2,), E11, np.eye(2), -1.0, "primal_infeasible"),
+        # max X11 s.t. X22 = 1: X11 grows without bound
+        ((2,), E11, E22, 1.0, "dual_infeasible"),
+    ],
+    ids=["lp-primal", "lp-dual", "sdp-primal", "sdp-dual"],
+)
+def test_divergence_exits(blocks, C, row, b, status, precision):
+    p = conic.SdpProblem(blocks=blocks, C=(C,), A=([row],), b=(b,))
+    sol = conic.solve(p, precision=precision)
+    assert sol.status == sol.info["stop_reason"] == status
+
+
 def test_problem_checks_each_matrix_of_a_stack():
     # an asymmetry up to 1e-12 max(1, max|a|) is averaged away, and a larger
     # one rejected, with the scale taken matrix by matrix

@@ -295,6 +295,45 @@ def test_exact_psd_checker():
     assert not W.exact_psd([[0, 1], [1, 1]])
 
 
+def test_lift_doubles_past_a_short_estimate(monkeypatch):
+    # eigenvalues read 0.9 high make the float estimate of the t that
+    # diag(-1, 1) + t P needs (P = I) fall short, 0.1/1.9 for 1: the first
+    # exact check fails, and the fifth try is the first at or above 1
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 0.9)
+    t = Fraction(-(-1.0 + 0.9) / (1.0 + 0.9))
+    for _ in range(5):
+        t = 2 * t + Fraction(1, 10**25)
+    assert (t - Fraction(1, 10**25)) / 2 < 1 <= t
+    eye = np.identity(2, dtype=object)
+    G = ((eye,), (np.diag([-1, 1]).astype(object),))
+    # a solved block along I: V = diag(t - 1, t + 1), where a lift that
+    # stops at its first try gives None
+    assert W._psd_pairings(G, (np.diag([-1.0, 1.0]),)) == [2 * t, 2]
+    # the coefficients along G_0 = I: 0 G_0 + 1 G_1 + t G_0
+    assert W._raise_vacuum([Fraction(0), Fraction(1)], G) == [t, 1]
+
+
+def test_gram_diagonals_bound_every_trace():
+    # the steps of the tr G_k >= 1 proof in _lower_enclosure's docstring:
+    # even diagonals >= 0, odd ones by the three-term recurrence, and the
+    # entry at index k itself
+    G = W._upper_gram(41)
+
+    def e(k, a):
+        return G[k][0][a, a]
+
+    for k in range(41):
+        assert min(np.diagonal(G[k][0])) >= 0, k
+        for a in range(len(G[k][1])):
+            rest = (k + 1) * e(k + 1, a) + (k * e(k - 1, a) if k else 0)
+            assert G[k][1][a, a] == (2 * k + 1) * e(k, a) + rest, (k, a)
+        a, p = divmod(k, 2)
+        own = k * math.comb(k - 1, a) if p else math.comb(k, a)
+        assert G[k][p][a, a] == own >= 1, k
+        assert sum(np.trace(g) for g in G[k]) >= 1, k
+
+
 def _moment_matrix(s, m):
     idx = [(i,) for i in range(m + 1)]
     return np.array(
