@@ -8,12 +8,15 @@ from negwit import multimode as MM
 
 
 def report(side, level, value, sol):
-    """One line: the value, its status, and the precision and iterations of
-    the solve that produced it."""
+    """Two lines: the value, its status, and the precision and iterations of
+    the solve that produced it; then the program's size, read off the
+    solution: its diagonal block, its PSD blocks and its row count."""
     print(
         f"rectangle {side} level {level}: {value:.6f} ({sol.status},"
         f" {sol.info['precision']}, {sol.iterations} iterations)"
     )
+    diagonal, *psd = (len(x) for x in sol.X)
+    print(f"  diagonal {diagonal}, blocks {tuple(psd)}, {len(sol.y)} rows")
 
 
 def main():

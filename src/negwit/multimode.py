@@ -6,7 +6,9 @@ interleave, so either brackets the same limits.  Every program lives in the
 tensor Laguerre parity blocks, Kronecker products of the single-mode blocks
 of :func:`negwit.witness._upper_gram`.  So the Kronecker product of
 single-mode feasible points, one block per parity vector, is an exact
-feasible point of the lower program on a box of indices.
+feasible point of the lower program on a box of indices.  When swapping two
+modes fixes the weights, both programs keep only swap-invariant points,
+which splits and pairs those blocks (:func:`_swap_gram`).
 """
 
 from __future__ import annotations
@@ -111,10 +113,12 @@ def build_lower_multi(
     parity class of the tensor Laguerre basis and one row <G_k, Q> = F_k per
     index, G_k the upper side's blocks (:func:`_upper_gram_multi`): the
     coefficient-matching program reduced by the sign flips x_t -> -x_t.
+    A mode swap that fixes the weights reduces it further
+    (:func:`_swap_gram`): F_o is the sum of F_k over an orbit o, and its
+    row carries sum_{k in o} G_k.
     """
-    idx = _level_indices(spec, mode, level)
-    w = [spec.a.get(k, 0.0) for k in idx]
-    return _compact_lower(_gram_stacks(_upper_gram_multi(idx, level)), w)
+    orbits, G = _swap_gram(spec, _level_indices(spec, mode, level), level)
+    return _compact_lower(_gram_stacks(G), [spec.a.get(o[0], 0.0) for o in orbits])
 
 
 def _upper_gram_multi(idx: list, level: int) -> list:
@@ -152,6 +156,66 @@ def _upper_gram_multi(idx: list, level: int) -> list:
     return out
 
 
+def _swap_gram(spec: MultiWitnessSpec, idx: list, level: int):
+    """Orbits and exact Gram blocks of the program over ``idx``, reduced by
+    the first transposition tau = (i j) of the modes, in lexicographic
+    order, that leaves ``spec.a`` unchanged (Gatermann & Parrilo 2004).
+
+    Averaging a point over tau keeps it feasible and its value, so the
+    program may keep tau-invariant points only.  Its variables are the
+    orbits {k, tau k}, vacuum first; orbit o carries sum_{k in o} G_k of
+    :func:`_upper_gram_multi`, taken through an integer congruence.  Index
+    the basis of class p by the exponents x in ``idx`` of parity p; tau
+    maps class p onto class tau p.  A class with tau p = p splits, by the
+    columns e_x (tau x = x) and e_x + e_{tau x}, then e_x - e_{tau x}
+    (x < tau x), into a symmetric and an antisymmetric block.  A pair
+    p < tau p keeps one block, by the columns e_x + e_{tau x} (x in p);
+    the antisymmetric one is the same.  Without such a tau, every orbit is
+    a single index and the blocks are those of :func:`_upper_gram_multi`.
+    """
+    G = _upper_gram_multi(idx, level)
+    modes = len(idx[0])
+    for i, j in itertools.combinations(range(modes), 2):
+        order = [*range(modes)]
+        order[i], order[j] = j, i
+
+        def swap(k):
+            return tuple(k[t] for t in order)
+
+        if all(spec.a.get(swap(k), 0.0) == v for k, v in spec.a.items()):
+            break
+    else:
+        return [(k,) for k in idx], G
+    at = {k: r for r, k in enumerate(idx)}
+    orbits = [(k,) if swap(k) == k else (k, swap(k)) for k in idx if swap(k) >= k]
+    parity = [tuple(v % 2 for v in e) for e in idx]
+    classes = [p for p in itertools.product((0, 1), repeat=modes) if p in parity]
+    blocks = []
+    for c, p in enumerate(classes):
+        if swap(p) < p:
+            continue
+        rows = [e for e, q in zip(idx, parity) if q == p]
+        n = len(rows)
+        # the orbit sums, with a zero row and column n for "no partner"
+        X = np.zeros((len(orbits), n + 1, n + 1), dtype=object)
+        for r, o in enumerate(orbits):
+            X[r, :n, :n] = sum(G[at[k]][c] for k in o)
+        if swap(p) > p:  # G_o[p] + swap(G_o[tau p]), and G_o is invariant
+            blocks.append(2 * X[:, :n, :n])
+            continue
+        pos = {e: r for r, e in enumerate(rows)}
+        sym = [(pos[e], pos[swap(e)] if swap(e) != e else n) for e in rows if swap(e) >= e]
+        anti = [(x, t) for x, t in sym if t != n]
+        for cols, sign in ((sym, 1), (anti, -1)):
+            if cols:
+                I, J = np.array(cols).T
+                ends = X[:, I[:, None], I] + X[:, J[:, None], J]
+                cross = X[:, I[:, None], J]
+                cross = cross + cross.transpose(0, 2, 1)
+                blocks.append(ends + cross if sign > 0 else ends - cross)
+    return orbits, list(zip(*blocks))
+
+
 def build_upper_multi_compact(
     spec: MultiWitnessSpec, mode: str, level: int
 ) -> conic.SdpProblem:
@@ -159,14 +223,19 @@ def build_upper_multi_compact(
 
     One PSD block per parity class of the tensor Laguerre basis (see
     :func:`_upper_gram_multi`).  Every weight must lie in the index set: a
-    dropped weight would not bound the threshold from above.
+    dropped weight would not bound the threshold from above.  A mode swap
+    that fixes the weights reduces it (:func:`_swap_gram`): the variable of
+    an orbit o is the sum of F_k over o and carries the mean of its G_k.
     """
     idx = _level_indices(spec, mode, level)
     members = set(idx)
     if any(v and k not in members for k, v in spec.a.items()):
         raise ValueError("every nonzero weight must lie in the level's index set")
-    w = [spec.a.get(k, 0.0) for k in idx]
-    return _compact_upper(_gram_stacks(_upper_gram_multi(idx, level)), w)
+    orbits, G = _swap_gram(spec, idx, level)
+    size = np.array([len(o) for o in orbits], dtype=float).reshape(-1, 1, 1)
+    return _compact_upper(
+        tuple(s / size for s in _gram_stacks(G)), [spec.a.get(o[0], 0.0) for o in orbits]
+    )
 
 
 def solve_lower_multi(spec, mode, level):

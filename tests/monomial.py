@@ -97,6 +97,29 @@ def compact_program(G, w):
     )
 
 
+def lower_program(G, w):
+    """The lower program; G[k] holds the exact blocks of F_k.
+
+    Maximise sum w_k F_k over F >= 0 (one diagonal block) and one PSD block
+    per block of G, subject to sum F = 1 and <G_k, Q> - F_k = 0 for every k.
+    """
+    n = len(G)
+    rows = [np.ones(n), *(-np.eye(n))]
+    stacks = []
+    for j in range(len(G[0])):
+        size = len(G[0][j])
+        stack = [np.zeros((size, size))]  # the unit-sum row leaves Q out
+        stack += [np.array(gk[j], dtype=float) for gk in G]
+        stacks.append(np.stack(stack))
+    return conic.SdpProblem(
+        blocks=(-n, *(len(s[0]) for s in stacks)),
+        C=(np.array(w, dtype=float), *(np.zeros_like(s[0]) for s in stacks)),
+        A=(np.array(rows), *stacks),
+        b=[1.0] + [0.0] * n,
+        sense="max",
+    )
+
+
 def upper_compact(spec, m, scale="none"):
     """Single-mode level-m upper program in the monomial basis, one block.
 
