@@ -4,7 +4,10 @@ Levels are indexed either by total degree ("triangle", indices |k| <= m) or
 by componentwise degree ("rectangle", k <= m*1); the two families
 interleave, so either brackets the same limits.  Every program lives in the
 tensor Laguerre parity blocks, Kronecker products of the single-mode blocks
-of :func:`negwit.witness._upper_gram`.  So the Kronecker product of
+of :func:`negwit.witness._upper_gram`.  One parity class is built for every
+index at once: the single-mode blocks of each mode are gathered into a
+stack over the indices, and the stacks are multiplied by one exact
+broadcast product per mode (:func:`_kron_stack`).  The same product of
 single-mode feasible points, one block per parity vector, is an exact
 feasible point of the lower program on a box of indices.  When swapping two
 modes fixes the weights, both programs keep only swap-invariant points,
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,7 +48,7 @@ class MultiWitnessSpec:
     a: dict = None  # multi-index -> weight; default one-hot at n
 
     def __post_init__(self):
-        n = tuple(int(v) for v in self.n)
+        n = _integer_index(self.n, "target index")
         if not n or all(v == 0 for v in n):
             raise ValueError("target index must be nonzero")
         if any(v < 0 for v in n):
@@ -52,7 +56,9 @@ class MultiWitnessSpec:
         a = self.a
         if a is None:
             a = {n: 1.0}
-        a = {tuple(k): float(v) for k, v in a.items()}
+        a = {_integer_index(k, "weight index"): float(v) for k, v in a.items()}
+        if not a:
+            raise ValueError("weights must name at least one index")
         for k in a:  # as in one mode, the vacuum carries no weight
             if len(k) != len(n) or any(i < 0 for i in k) or not any(k):
                 raise ValueError(
@@ -70,6 +76,15 @@ class MultiWitnessSpec:
         return len(self.n)
 
 
+def _integer_index(k, what: str) -> tuple:
+    """The multi-index ``k`` as a tuple of ints; numpy ints pass, while a
+    float such as 1.5 is refused rather than truncated."""
+    try:
+        return tuple(operator.index(v) for v in k)
+    except TypeError:
+        raise ValueError(f"{what} {k!r} must be a sequence of integers") from None
+
+
 def iterate_indices(mode: str, level: int, modes: int) -> list:
     """All multi-indices of the level set, lexicographically.
 
@@ -80,18 +95,21 @@ def iterate_indices(mode: str, level: int, modes: int) -> list:
         raise ValueError("level must be a natural number")
     if mode == "rectangle":
         count = (level + 1) ** modes
-        if count > INDEX_CAP:
-            raise ValueError("index enumeration exceeds the cap")
+    elif mode == "triangle":
+        count = math.comb(modes + level, level)
+    else:
+        raise ValueError("mode must be 'triangle' or 'rectangle'")
+    if count > INDEX_CAP:
+        raise ValueError("index enumeration exceeds the cap")
+    if mode == "rectangle":
         return list(itertools.product(range(level + 1), repeat=modes))
-    if mode == "triangle":
-        out = []
-        for k in itertools.product(range(level + 1), repeat=modes):
-            if sum(k) <= level:
-                out.append(k)
-            if len(out) > INDEX_CAP:
-                raise ValueError("index enumeration exceeds the cap")
-        return out
-    raise ValueError("mode must be 'triangle' or 'rectangle'")
+    # stars and bars: positions c_1 < ... < c_modes in range(level + modes)
+    # give k_t = c_t - c_{t-1} - 1 with |k| = c_modes - modes + 1 <= level,
+    # and the map keeps the lexicographic order of the combinations
+    return [
+        tuple(b - a - 1 for a, b in zip((-1, *c), c))
+        for c in itertools.combinations(range(level + modes), modes)
+    ]
 
 
 def _level_indices(spec: MultiWitnessSpec, mode: str, level: int) -> list:
@@ -128,32 +146,50 @@ def _upper_gram_multi(idx: list, level: int) -> list:
     prod_t x_t^{p_t} L_{a_t}(x_t^2) the block of F_k on parity vector p is
     the Kronecker product of the single-mode blocks _upper_gram(level)[k_t][p_t].
     The congruence is lower triangular in each mode, so a downward-closed
-    ``idx`` keeps exactly the rows whose exponents 2a + p lie in it.
-    Returns one tuple of blocks per k in ``idx``; empty classes are dropped.
+    ``idx``, in lexicographic order as :func:`iterate_indices` makes it,
+    keeps exactly the rows whose exponents 2a + p lie in it.  Each class is
+    built for all of ``idx`` at once: per mode t, one stack of the blocks at
+    k_t, then :func:`_kron_stack`, then the kept rows.  Returns one tuple of
+    blocks per k in ``idx``, in lexicographic order of the classes; empty
+    classes are dropped.
     """
-    modes = len(idx[0])
     single = _upper_gram(level)
-    members = set(idx)
-    classes = []
-    for p in itertools.product((0, 1), repeat=modes):
-        halves = [range((level - q) // 2 + 1) for q in p]
-        rows = [
-            i
-            for i, a in enumerate(itertools.product(*halves))
-            if tuple(2 * v + q for v, q in zip(a, p)) in members
-        ]
-        if rows:
-            classes.append((p, np.ix_(rows, rows)))
+    stacks = [np.array([g[q] for g in single], dtype=object) for q in (0, 1)]
+    K = np.array(idx)
+    blocks = []
+    for p, half in _parity_classes(idx):
+        g = _kron_stack([stacks[q][K[:, t]] for t, q in enumerate(p)])
+        rows = np.ravel_multi_index(half.T, [stacks[q].shape[1] for q in p])
+        blocks.append(g[:, rows[:, None], rows])
+    return list(zip(*blocks))
+
+
+def _parity_classes(idx: list) -> list:
+    """(p, half) per parity vector p of some index in ``idx``, in
+    lexicographic order of p: ``half`` holds, in the order of ``idx``, the
+    halved exponents (e - p) / 2 of the indices e of parity p, which are the
+    class's tensor Laguerre basis elements."""
+    K = np.array(idx)
     out = []
-    for k in idx:
-        blocks = []
-        for p, keep in classes:
-            g = np.ones((1, 1), dtype=object)
-            for kt, q in zip(k, p):
-                g = np.kron(g, single[kt][q])
-            blocks.append(g[keep])
-        out.append(tuple(blocks))
+    for p in itertools.product((0, 1), repeat=K.shape[1]):
+        half = K[(K % 2 == p).all(axis=1)] // 2
+        if len(half):
+            out.append((p, half))
     return out
+
+
+def _kron_stack(factors):
+    """The Kronecker product kron_t factors[t][r] of every slice r of the
+    (N, s_t, s_t) stacks ``factors``, by one broadcast multiply per mode;
+    exact on object arrays of ints or Fractions.  Row (a_1, ..., a_T) of a
+    slice is the mixed-radix number of radices s_t, as in a Kronecker
+    product."""
+    g = factors[0]
+    for s in factors[1:]:
+        a, b = g.shape[1], s.shape[1]
+        g = g[:, :, None, :, None] * s[:, None, :, None, :]
+        g = g.reshape(len(g), a * b, a * b)
+    return g
 
 
 def _swap_gram(spec: MultiWitnessSpec, idx: list, level: int):
@@ -188,23 +224,27 @@ def _swap_gram(spec: MultiWitnessSpec, idx: list, level: int):
         return [(k,) for k in idx], G
     at = {k: r for r, k in enumerate(idx)}
     orbits = [(k,) if swap(k) == k else (k, swap(k)) for k in idx if swap(k) >= k]
-    parity = [tuple(v % 2 for v in e) for e in idx]
-    classes = [p for p in itertools.product((0, 1), repeat=modes) if p in parity]
+    # an orbit's members as slices of a class stack padded by a zero slice
+    # N, which stands in for the partner of a fixed point
+    N = len(idx)
+    first = [at[o[0]] for o in orbits]
+    second = [at[o[-1]] if len(o) > 1 else N for o in orbits]
     blocks = []
-    for c, p in enumerate(classes):
+    for c, (p, half) in enumerate(_parity_classes(idx)):
         if swap(p) < p:
             continue
-        rows = [e for e, q in zip(idx, parity) if q == p]
-        n = len(rows)
+        n = len(half)
         # the orbit sums, with a zero row and column n for "no partner"
-        X = np.zeros((len(orbits), n + 1, n + 1), dtype=object)
-        for r, o in enumerate(orbits):
-            X[r, :n, :n] = sum(G[at[k]][c] for k in o)
+        S = np.zeros((N + 1, n + 1, n + 1), dtype=object)
+        S[:N, :n, :n] = [g[c] for g in G]
+        X = S[first] + S[second]
         if swap(p) > p:  # G_o[p] + swap(G_o[tau p]), and G_o is invariant
             blocks.append(2 * X[:, :n, :n])
             continue
-        pos = {e: r for r, e in enumerate(rows)}
-        sym = [(pos[e], pos[swap(e)] if swap(e) != e else n) for e in rows if swap(e) >= e]
+        # tau p = p, so tau maps the exponent 2a + p to 2 tau(a) + p
+        rows = [tuple(a) for a in half.tolist()]
+        pos = {a: r for r, a in enumerate(rows)}
+        sym = [(pos[a], pos[swap(a)] if swap(a) != a else n) for a in rows if swap(a) >= a]
         anti = [(x, t) for x, t in sym if t != n]
         for cols, sign in ((sym, 1), (anti, -1)):
             if cols:
@@ -261,22 +301,21 @@ def product_feasible(singles: Sequence, levels: Sequence[int]):
 
     singles: one exact (Q, F) per mode, feasible for the level-m_t
     single-mode program, Q in its Laguerre parity blocks.  Returns (Q, F):
-    the blocks kron_t Q_t[p_t], one per parity vector p in the order of
-    :func:`_upper_gram_multi` on the box, and F_k = prod_t F_t[k_t] over the
-    box in lexicographic order.  These meet the rows of
-    ``_upper_gram_multi(box, max(levels))``: a level-m single-mode block is
-    the leading principal submatrix of every deeper one, and pairings of
-    Kronecker products factorise.  Raises when a factor is not exactly
-    feasible for its level.
+    the blocks kron_t Q_t[p_t] (:func:`_kron_stack`), one per parity vector
+    p in the order of :func:`_upper_gram_multi` on the box, and
+    F_k = prod_t F_t[k_t] over the box in lexicographic order.  These meet
+    the rows of ``_upper_gram_multi(box, max(levels))``: a level-m
+    single-mode block is the leading principal submatrix of every deeper
+    one, and pairings of Kronecker products factorise.  Raises when a
+    factor is not exactly feasible for its level.
     """
     for (Q, F), m in zip(singles, levels, strict=True):
         if not _lower_feasible(_upper_gram(m), Q, F):
             raise ValueError("input pair is not feasible for its level")
     blocks = []
     for p in itertools.product((0, 1), repeat=len(singles)):
-        q = np.ones((1, 1), dtype=object)
-        for (Qt, _), pt in zip(singles, p):
-            q = np.kron(q, Qt[pt])
+        factors = [np.array(Qt[pt], dtype=object)[None] for (Qt, _), pt in zip(singles, p)]
+        q = _kron_stack(factors)[0]
         if q.size:
             blocks.append(q)
     box = itertools.product(*(range(m + 1) for m in levels))

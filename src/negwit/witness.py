@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -58,6 +59,10 @@ class WitnessSpec:
 
     @staticmethod
     def fock(n: int, alpha: complex = 0j) -> "WitnessSpec":
+        try:
+            n = operator.index(n)  # numpy ints pass; 1.5 is refused
+        except TypeError:
+            raise ValueError(f"witness index {n!r} must be an integer") from None
         if n < 1:
             raise ValueError("witness index must be >= 1")
         return WitnessSpec(a=(0.0,) * (n - 1) + (1.0,), alpha=alpha)

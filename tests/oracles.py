@@ -10,8 +10,12 @@
   basis, to build displaced states whose witness fidelities are known.
 - ``stabilizer_basis_state``: the computational basis states of a qudit,
   whose discrete Wigner functions are nonnegative.
+- ``upper_gram_multi_kron``: the multimode Gram blocks of one index at a
+  time, one ``np.kron`` chain per parity class, against which
+  ``multimode._upper_gram_multi`` is checked.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,6 +25,7 @@ import scipy.linalg as sla
 from negwit import conic
 from negwit.numerics import binomial
 from negwit.states import PureStateFock, displacement_element
+from negwit.witness import _upper_gram
 
 
 def laguerre_poly_series(k: int, x):
@@ -119,3 +124,32 @@ def stabilizer_basis_state(d: int, k: int) -> np.ndarray:
     e = np.zeros(d, dtype=complex)
     e[k % d] = 1.0
     return np.outer(e, e.conj())
+
+
+def upper_gram_multi_kron(idx, level):
+    """The exact Gram blocks of each k in idx, one tuple per index: per
+    nonempty parity class p, kron_t _upper_gram(level)[k_t][p_t] restricted
+    to the rows whose exponents 2a + p lie in idx."""
+    modes = len(idx[0])
+    single = _upper_gram(level)
+    members = set(idx)
+    classes = []
+    for p in itertools.product((0, 1), repeat=modes):
+        halves = [range((level - q) // 2 + 1) for q in p]
+        rows = [
+            i
+            for i, a in enumerate(itertools.product(*halves))
+            if tuple(2 * v + q for v, q in zip(a, p)) in members
+        ]
+        if rows:
+            classes.append((p, np.ix_(rows, rows)))
+    out = []
+    for k in idx:
+        blocks = []
+        for p, keep in classes:
+            g = np.ones((1, 1), dtype=object)
+            for kt, q in zip(k, p):
+                g = np.kron(g, single[kt][q])
+            blocks.append(g[keep])
+        out.append(tuple(blocks))
+    return out

@@ -11,6 +11,7 @@ from negwit import multimode as MM
 from negwit import witness as W
 
 import monomial
+import oracles
 
 
 def test_iterate_indices_counts():
@@ -20,6 +21,25 @@ def test_iterate_indices_counts():
         MM.iterate_indices("hexagon", 2, 2)
     with pytest.raises(ValueError):
         MM.iterate_indices("rectangle", 120, 3)  # cap
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+def test_triangle_is_the_filtered_box(modes):
+    # the triangle is generated directly, in the order of the filtered box
+    for level in range(7):
+        box = itertools.product(range(level + 1), repeat=modes)
+        want = [k for k in box if sum(k) <= level]
+        assert MM.iterate_indices("triangle", level, modes) == want
+
+
+def test_triangle_cap_is_checked_before_enumerating(monkeypatch):
+    # C(34, 20), about 1.4e9 indices, and C(202, 2) = 20301 are refused by
+    # their counts alone: the module's itertools is replaced by an empty
+    # namespace, so any enumeration would raise AttributeError instead
+    monkeypatch.setattr(MM, "itertools", types.SimpleNamespace())
+    for level, modes in ((20, 14), (200, 2)):
+        with pytest.raises(ValueError, match="cap"):
+            MM.iterate_indices("triangle", level, modes)
 
 
 def test_index_inclusion_chain():
@@ -54,6 +74,33 @@ def test_spec_rejects_malformed_weight_keys(a):
     # the rectangle-2 upper value 0.25, below the vacuum's own 0.5.
     with pytest.raises(ValueError, match="weight index"):
         MM.MultiWitnessSpec(n=(1, 1), a=a)
+
+
+def test_spec_rejects_empty_weights():
+    # max() of no weights raised "max() arg is an empty sequence"
+    with pytest.raises(ValueError, match="at least one index"):
+        MM.MultiWitnessSpec(n=(1, 1), a={})
+
+
+def test_spec_rejects_a_fractional_target():
+    # int() truncated (1.5, 1) to the |1,1> witness
+    with pytest.raises(ValueError, match=r"target index \(1.5, 1\) must be a sequence of integers"):
+        MM.MultiWitnessSpec(n=(1.5, 1))
+
+
+def test_spec_rejects_a_fractional_weight_index():
+    # (1, 1.5) names no monomial: the lower program dropped its weight and
+    # returned 0.0, and the upper one blamed the level's index set
+    a = {(1, 1): 1.0, (1, 1.5): 0.5}
+    with pytest.raises(ValueError, match=r"weight index \(1, 1.5\) must be a sequence of integers"):
+        MM.MultiWitnessSpec(n=(1, 1), a=a)
+
+
+def test_spec_accepts_numpy_integers():
+    one = np.int64(1)
+    spec = MM.MultiWitnessSpec(n=(one, 1), a={(one, one): 1.0, (np.int32(2), 0): 0.5})
+    assert spec == MM.MultiWitnessSpec(n=(1, 1), a={(1, 1): 1.0, (2, 0): 0.5})
+    assert all(type(v) is int for k in (spec.n, *spec.a) for v in k)
 
 
 @pytest.mark.parametrize(
@@ -97,6 +144,43 @@ def test_policy_retries_only_a_failed_double_solve(build, tol, attempts, solve_c
     assert [s.info["precision"] for s in solve_calls] == attempts
     assert sol is solve_calls[-1] and sol.status == "optimal"
     assert all(s.status != "optimal" for s in solve_calls[:-1])
+
+
+@pytest.mark.parametrize("mode", ["triangle", "rectangle"])
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_upper_gram_multi_matches_kron_oracle(modes, mode):
+    # the per-class broadcast build against one np.kron chain per index:
+    # the same classes dropped, the same shapes, and equal Python ints
+    for level in range(7):
+        idx = MM.iterate_indices(mode, level, modes)
+        built = MM._upper_gram_multi(idx, level)
+        want = oracles.upper_gram_multi_kron(idx, level)
+        assert len(built) == len(want) == len(idx)
+        for blocks, ref in zip(built, want):
+            assert len(blocks) == len(ref)
+            for b, r in zip(blocks, ref):
+                assert b.shape == r.shape and (b == r).all(), (level, idx)
+                assert all(type(v) is int for v in b.flat)
+
+
+@pytest.mark.parametrize(
+    "spec,cases",
+    [
+        (MM.MultiWitnessSpec(n=(1, 1)), [("triangle", 2), ("triangle", 4), ("rectangle", 6)]),
+        (WEIGHTED, [("triangle", 4), ("rectangle", 2), ("rectangle", 3)]),
+        (MM.MultiWitnessSpec(n=(1, 0, 1)), [("triangle", 2), ("rectangle", 3)]),
+        (MM.MultiWitnessSpec(n=(2, 0, 1)), [("triangle", 4), ("rectangle", 2)]),
+    ],
+    ids=["fock11", "weighted", "101", "201"],
+)
+def test_builders_match_kron_oracle_programs(spec, cases, monkeypatch):
+    # both programs are equal to those built on the oracle's blocks, with
+    # and without a fixing swap
+    builders = (MM.build_lower_multi, MM.build_upper_multi_compact)
+    built = [build(spec, mode, level) for mode, level in cases for build in builders]
+    monkeypatch.setattr(MM, "_upper_gram_multi", oracles.upper_gram_multi_kron)
+    want = [build(spec, mode, level) for mode, level in cases for build in builders]
+    assert built == want
 
 
 def _box_residuals(Q, F, levels):

@@ -22,6 +22,14 @@ def test_witness_spec_validation():
     assert spec.n == 3 and spec.a == (0.0, 0.0, 1.0)
 
 
+def test_fock_spec_rejects_a_fractional_index():
+    # 1.5 failed inside the tuple arithmetic with an unrelated TypeError;
+    # numpy ints are indices and pass
+    with pytest.raises(ValueError, match="witness index 1.5 must be an integer"):
+        W.WitnessSpec.fock(1.5)
+    assert W.WitnessSpec.fock(np.int64(2)) == W.WitnessSpec.fock(2)
+
+
 def test_fock_diagonal_invariants():
     with pytest.raises(ValueError):
         W.FockDiagonal((0.5, 0.6))
