@@ -16,8 +16,11 @@ the exact enclosure of the solve's program value that
     python3 scripts/deep_grid.py --summary new.jsonl [old.jsonl]
 
 `--summary` counts the `optimal` solves, those with `rp` <= 1e-6 and those
-with `rp` > 1e-2, and the ends that are None; given a second file, it also
-lists the solves that are `optimal` there and not in the first.
+with `rp` > 1e-2, and the ends that are None, and totals the `seconds` and
+`iterations` of each precision.  Given a second file, it also lists the
+solves that are `optimal` there and not in the first, and gives for each
+precision the largest change in `value` between the two files, with the
+solve where it happens.
 
 Like `solver_digest.py`, the script sets `OPENBLAS_NUM_THREADS=1` before it
 imports numpy, unless the environment already sets it.  A run takes 14-20 s
@@ -88,13 +91,29 @@ def summary(path, against=None):
         "seconds": round(sum(r["seconds"] for r in recs), 1),
         "ends_none": sum(r[end] is None for r in recs for end in ("lo", "hi")),
     }
+    for precision in ("double", "extended"):
+        mine = [r for r in recs if r["precision"] == precision]
+        out[precision] = {
+            "seconds": round(sum(r["seconds"] for r in mine), 2),
+            "iterations": sum(r["iterations"] for r in mine),
+        }
     if against is not None:
-        now = {_key(r): r["status"] for r in recs}
+        now = {_key(r): r for r in recs}
+        old = load(against)
         out["optimal_lost"] = [
             " ".join(map(str, _key(r)))
-            for r in load(against)
-            if r["status"] == "optimal" and now.get(_key(r)) != "optimal"
+            for r in old
+            if r["status"] == "optimal"
+            and now.get(_key(r), {}).get("status") != "optimal"
         ]
+        for r in old:
+            if _key(r) not in now:
+                continue
+            change = abs(now[_key(r)]["value"] - r["value"])
+            entry = out[r["precision"]]
+            if change > entry.get("value_change", -1.0):
+                entry["value_change"] = change
+                entry["value_change_at"] = " ".join(map(str, _key(r)[:3]))
     return out
 
 

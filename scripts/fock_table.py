@@ -2,8 +2,8 @@
 """Reproduce the single-Fock threshold-bound table at desk scale.
 
 Writes one row per witness index with the deepest trustworthy level used
-per side.  At the default level 30 a run takes about 20 s on a 2-core
-machine.
+per side.  At the default level 30 a run takes about 3 s on a 2-core
+x86-64 machine.
 """
 
 import argparse

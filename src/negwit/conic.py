@@ -23,13 +23,12 @@ the regularising jitter of its Schur complement is sized to each row's own
 diagonal entry rather than to the largest.  Intended for small dense
 instances (blocks up to ~130, a few thousand constraints).  In float64
 every factorisation and solve is one call to a LAPACK or BLAS routine
-through a scipy handle: potrf factors, trtrs and trsm solve with the
-factor, and each PSD block's step length is the smallest eigenvalue (syevr)
-of L^{-1} dX L^{-T}, which sygst forms in one call.  ``precision="extended"``
-runs the whole iteration in numpy longdouble with a column-loop Cholesky
-factorisation and loop substitutions, forward by the rows of L and back by
-its columns, since LAPACK has no longdouble routines; that is what rescues
-the deep hierarchy levels where binary64 stalls.
+through a scipy handle: potrf factors, and trtrs and trsm solve.  In both
+precisions a PSD block's step length is the smallest eigenvalue (syevr) of
+L^{-1} dX L^{-T}, formed by sygst from the float64 roundings of L and dX.
+``precision="extended"`` runs the rest in numpy longdouble, with a
+column-loop Cholesky and loop substitutions, since LAPACK has no longdouble
+routines; that is what rescues the deep levels where binary64 stalls.
 """
 
 from __future__ import annotations
@@ -183,16 +182,16 @@ def _chol(a: np.ndarray):
 def _chol_longdouble(a: np.ndarray):
     """Lower Cholesky factor of a longdouble matrix, one column at a time."""
     n = a.shape[0]
-    L = np.array(a, copy=True)
+    L = np.tril(a)  # the loop reads and writes only the lower triangle
     for j in range(n):
         d = L[j, j] - np.dot(L[j, :j], L[j, :j])
-        if not _interior(d):
+        if not 0 < d < np.inf:  # NaN fails both comparisons
             raise np.linalg.LinAlgError("matrix is not positive definite")
         d = np.sqrt(d)
         L[j, j] = d
         if j + 1 < n:
             L[j + 1 :, j] = (L[j + 1 :, j] - np.dot(L[j + 1 :, :j], L[j, :j])) / d
-    return np.tril(L)
+    return L
 
 
 # float64 LAPACK and BLAS routines, called directly: the scipy.linalg and
@@ -200,9 +199,9 @@ def _chol_longdouble(a: np.ndarray):
 # Every float64 factorisation and solve so runs in scipy's OpenBLAS, and
 # numpy's runs only matmul.  Each routine has one caller: potrf factors
 # (_chol), trtrs and trsm solve with the factor (_chol_solve), sygst forms
-# the step-length matrix L^{-1} dX L^{-T} in one call (_max_step), and
-# syevr takes its smallest eigenvalue (_min_eigenvalue).  Arguments of
-# trtrs, trsm and syevr mirror what sla.solve_triangular and
+# the step-length matrix L^{-1} dX L^{-T} in one call (_max_step, in both
+# precisions), and syevr takes its smallest eigenvalue (_min_eigenvalue).
+# Arguments of trtrs, trsm and syevr mirror what sla.solve_triangular and
 # sla.eigh(eigvals_only=True) pass, so the results are the same bits.
 #
 # A right-hand side with several columns (S^{-1}'s identity) goes to BLAS
@@ -341,22 +340,21 @@ def _blk_inner(A, B):
 
 
 def _max_step(Xb, dXb, chols):
-    """Largest alpha <= 1e32 with X + alpha dX psd (per-block boundary)."""
+    """Largest alpha with X + alpha dX psd, a float: inf if no block bounds it.
+
+    A PSD block caps it at 1e300, and is read through the float64 roundings
+    of dX and L in both precisions; _interior_step checks the estimate."""
     alpha = np.inf
     for x, dx, L in zip(Xb, dXb, chols):
         if x.ndim == 2:
-            if L.dtype == np.float64:
-                # sygst forms the upper triangle of U^{-T} dX U^{-1} for
-                # U = L^T, and syevr reads the lower triangle of its
-                # transpose; dX is symmetric, so dx.T is dx in Fortran order
-                K, info = _sygst(dx.T, L.T, itype=1, lower=0)
-                if info != 0:
-                    raise np.linalg.LinAlgError(f"sygst failed (info={info})")
-                lam = _min_eigenvalue(K.T)
-            else:
-                K = _solve_lower(L, _solve_lower(L, dx).T)
-                Kd = np.asarray(K, dtype=np.float64)
-                lam = _min_eigenvalue((Kd + Kd.T) / 2.0)
+            # sygst forms the upper triangle of U^{-T} dX U^{-1} for U = L^T,
+            # and syevr reads the lower triangle of its transpose; dX is
+            # symmetric, so dx.T is dx in Fortran order
+            dx, L = np.asarray(dx, np.float64), np.asarray(L, np.float64)
+            K, info = _sygst(dx.T, L.T, itype=1, lower=0)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"sygst failed (info={info})")
+            lam = _min_eigenvalue(K.T)
             if lam < -1e-300:
                 alpha = min(alpha, -1.0 / lam)
         else:

@@ -497,16 +497,38 @@ def test_max_step_is_the_boundary(n):
     assert conic._psd_ok([x + 1.001 * alpha * dx]) is None
 
 
+def _longdouble_pd_and_direction(rng, n):
+    """_pd_and_direction in longdouble, with the low bits of every entry in
+    use, and the longdouble factor of X."""
+    x, dx = _pd_and_direction(rng, n, np.longdouble)
+    low = _longdouble(rng, (2, n, n)) * np.longdouble(2.0**-52)
+    x, dx = x + (low[0] + low[0].T), dx + (low[1] + low[1].T)
+    return x, dx, conic._chol(x)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 16, 20])
-def test_max_step_double_matches_longdouble(n):
-    # the float64 branch (sygst) against the longdouble one (row-loop solves)
-    rng = np.random.default_rng(800 + n)
-    x, dx = _pd_and_direction(rng, n)
-    xl, dxl = x.astype(np.longdouble), dx.astype(np.longdouble)
-    double = conic._max_step([x], [dx], [conic._chol(x)])
-    extended = conic._max_step([xl], [dxl], [conic._chol(xl)])
-    assert math.isfinite(double)
-    assert double == pytest.approx(extended, rel=1e-12)
+def test_max_step_reads_a_longdouble_block_through_its_float64_rounding(n):
+    x, dx, L = _longdouble_pd_and_direction(np.random.default_rng(800 + n), n)
+    assert L.dtype == np.longdouble
+    assert not np.array_equal(dx, dx.astype(np.float64))  # the rounding moves it
+    extended = conic._max_step([x], [dx], [L])
+    double = conic._max_step(
+        [x.astype(np.float64)], [dx.astype(np.float64)], [L.astype(np.float64)]
+    )
+    assert isinstance(extended, float) and math.isfinite(extended)
+    assert np.float64(extended).tobytes() == np.float64(double).tobytes()
+
+
+def test_max_step_makes_no_longdouble_substitution(monkeypatch):
+    def refuse(L, b):
+        raise AssertionError("_max_step ran a longdouble row-loop substitution")
+
+    monkeypatch.setattr(conic, "_solve_lower", refuse)
+    x, dx, L = _longdouble_pd_and_direction(np.random.default_rng(810), 9)
+    diag = np.array([1.0, 2.0], dtype=np.longdouble)
+    step = np.array([-4.0, 1.0], dtype=np.longdouble)
+    alpha = conic._max_step([x, diag], [dx, step], [L, diag])
+    assert isinstance(alpha, float) and 0 < alpha <= 0.25
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -717,7 +739,6 @@ def _through_scipy_wrappers(mp):
     mp.setattr(conic, "_interior_step", refactor_step)
     mp.setattr(conic, "_dot", np.matmul)
     mp.setattr(conic, "_chol_longdouble", _matmul_chol)
-    mp.setattr(conic, "_solve_lower", _matmul_lower)
 
 
 def _runs_problem(blocks, dense_rows=0):
